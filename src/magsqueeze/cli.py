@@ -38,7 +38,7 @@ from .errors import (
     UnstableSqueezingError,
 )
 from .numerics import bessel_j0, bessel_y0
-from .observables import initial_state, wineland_xi2
+from .observables import collective_spin, initial_state, wineland_xi2
 from .params import ArrayGeometry, PhysicalParams, apply_overrides, load_config, serialize_config
 
 SCENARIOS = ("fig2a_couplings", "fig2b_squeezing", "fig2c_relaxation", "sweep", "custom")
@@ -278,11 +278,12 @@ def run_sweep(scenario, params, geometry, written):
             xi2 = wineland_xi2(state).xi_r_squared
         except MeanSpinUndefinedError:
             xi2 = np.inf
-        sz = float(np.real(np.trace(state.rho @ _sz(n))))
+        sz = float(collective_spin(state)[2])
         return (r, a, float(n), xi2, 1.0 / xi2 if np.isfinite(xi2) else 0.0, sz)
 
-    if scenario.threads > 1:
-        with ThreadPoolExecutor(max_workers=scenario.threads) as pool:
+    workers = min(scenario.threads, len(grid), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(point, grid))
     else:
         rows = [point(g) for g in grid]
@@ -290,12 +291,6 @@ def run_sweep(scenario, params, geometry, written):
     comments = _provenance(params, geometry, scenario)
     path = os.path.join(scenario.output_dir, "sweep_steady_state.csv")
     written.append(write_csv(path, comments, cols, rows))
-
-
-def _sz(n):
-    from .operators import collective_spin_ops
-
-    return collective_spin_ops(n)[2]
 
 
 def run_custom(scenario, params, geometry, written):

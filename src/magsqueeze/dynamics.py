@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSteadyStateError, StateInvariantError
-from .numerics import eig_smallest, integrate_ode
+from .numerics import integrate_ode, spectral_radius_estimate
+# the traced benchmark run (perfbench/spans.py) wraps eig_smallest at this name
+from .numerics import eig_smallest  # noqa: F401
 from .operators import site_lower, site_raise
 
 HERMITICITY_TOL = 1e-10
@@ -36,6 +38,7 @@ DEFAULT_ATOL = 1e-10
 
 MAX_QUBITS = 8
 MAX_STEADY_QUBITS = 6
+RITZ_PROBES = 16  # random right-hand sides of the degeneracy estimate
 
 
 @dataclass
@@ -129,7 +132,6 @@ class Generator:
         for w, a_op, b_op in terms:
             g += w * (b_op @ a_op)
         self._anticom = g
-        self._liouvillian = None
 
     def action(self, rho):
         out = -1j * (self.h_eff @ rho - rho @ self.h_eff)
@@ -139,20 +141,26 @@ class Generator:
         return out
 
     def liouvillian(self):
-        """Dense 4^N x 4^N matrix L with vec(drho/dt) = L vec(rho), row-major."""
-        if self._liouvillian is None:
-            dim = 2 ** self.n_qubits
-            ident = np.eye(dim, dtype=complex)
-            mat = -1j * (
-                np.kron(self.h_eff, ident) - np.kron(ident, self.h_eff.T)
-            )
-            for w, a_op, b_op in self.terms:
-                mat += w * np.kron(a_op, b_op.T)
-            mat -= 0.5 * (
-                np.kron(self._anticom, ident) + np.kron(ident, self._anticom.T)
-            )
-            self._liouvillian = mat
-        return self._liouvillian
+        """Dense 4^N x 4^N matrix L with vec(drho/dt) = L vec(rho), row-major.
+
+        Written in place through the 4-index view L4[i, j, k, l], the weight
+        of rho[k, l] in (drho/dt)[i, j]; each call returns a new array that
+        the caller owns (at N = 6 it takes 256 MB, so none is cached).
+        """
+        dim = 2 ** self.n_qubits
+        mat = np.zeros((dim * dim, dim * dim), dtype=complex)
+        l4 = mat.reshape(dim, dim, dim, dim)
+        left = -1j * self.h_eff - 0.5 * self._anticom    # K rho
+        right = 1j * self.h_eff - 0.5 * self._anticom    # rho K'
+        for j in range(dim):
+            l4[:, j, :, j] += left
+        for i in range(dim):
+            l4[i, :, i, :] += right.T
+        for w, a_op, b_op in self.terms:
+            b_t = w * b_op.T
+            for i in range(dim):
+                l4[i] += a_op[i][None, :, None] * b_t[:, None, :]
+        return mat
 
 
 def build_generator(couplings, mode="jump_operator"):
@@ -308,30 +316,82 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
 
 
 def steady_state(generator):
-    """Stationary state as the null vector of the vectorized Liouvillian.
+    """Stationary state from one LU solve of the trace-bordered Liouvillian.
 
-    The eigenvalue of smallest modulus must be isolated: a second eigenvalue
-    within 1e-8 of the spectral radius signals a degenerate null space and
-    raises DegenerateSteadyStateError.  The null vector is reshaped,
-    Hermitized, and trace-normalized.
+    The trace functional w = vec(I) is a left null vector of L, so by
+    Brauer's theorem A = L + e0 w^T (w added to row 0) has the spectrum of L
+    with the null eigenvalue moved to 1: A is singular exactly when the
+    steady state is not unique, and A vec(rho) = e0 gives the unit-trace
+    steady state.  One solve takes e0 together with a fixed-seed random
+    block Z; since A X = Z, the Ritz values of A on span(X) follow from X
+    and Z alone, and their smallest modulus estimates |lambda_2| of L.  A
+    singular solve, or |lambda_2| below 1e-8 of the spectral radius (from a
+    matrix-free Arnoldi run), raises DegenerateSteadyStateError.  The
+    residual ||L v|| of the normalized solution is checked against
+    1e-8 ||L||_F (LinAlgError); the state is then Hermitized,
+    trace-normalized and checked against the positivity floor.
     """
-    if generator.n_qubits > MAX_STEADY_QUBITS:
+    n = generator.n_qubits
+    if n > MAX_STEADY_QUBITS:
         raise ValueError(
-            f"dense null-space solve limited to {MAX_STEADY_QUBITS} qubits"
+            f"dense steady-state solve limited to {MAX_STEADY_QUBITS} qubits"
         )
-    lmat = generator.liouvillian()
-    vals, vecs, radius = eig_smallest(lmat, n=2, return_radius=True)
-    if abs(vals[1]) < 1e-8 * radius:
+    dim = 2 ** n
+    size = dim * dim
+
+    def apply(vec):
+        return generator.action(vec.reshape(dim, dim)).ravel()
+
+    radius = spectral_radius_estimate(apply, size)
+    probes = min(RITZ_PROBES, size - 1)
+    rng = np.random.default_rng(0)
+    rhs = np.zeros((size, 1 + probes), dtype=complex)
+    rhs[0, 0] = 1.0
+    rhs[:, 1:] = rng.standard_normal((size, probes)) + 1j * rng.standard_normal((size, probes))
+
+    mat = generator.liouvillian()
+    l_norm = np.linalg.norm(mat)
+    mat[0, :: dim + 1] += 1.0  # row 0 += vec(I): L becomes A in place
+    try:
+        sol = np.linalg.solve(mat, rhs)
+        del mat
+        if not np.all(np.isfinite(sol)):
+            raise np.linalg.LinAlgError("solution is not finite")
+        lam2 = _smallest_ritz_modulus(sol, rhs)
+    except np.linalg.LinAlgError as exc:
         raise DegenerateSteadyStateError(
-            f"two near-null eigenvalues ({vals[0]:.3e}, {vals[1]:.3e}); "
-            "steady state is not unique"
+            f"bordered Liouvillian is singular ({exc}); steady state is not unique"
+        ) from exc
+    if lam2 < 1e-8 * radius:
+        raise DegenerateSteadyStateError(
+            f"second eigenvalue |lambda_2| ~ {lam2:.3e} below 1e-8 of the "
+            f"spectral radius {radius:.3e}; steady state is not unique"
         )
-    dim = 2 ** generator.n_qubits
-    rho = vecs[:, 0].reshape(dim, dim)
+
+    vec = sol[:, 0] / np.linalg.norm(sol[:, 0])
+    resid = np.linalg.norm(apply(vec))
+    if l_norm > 0 and resid > 1e-8 * l_norm:
+        raise np.linalg.LinAlgError(
+            f"steady-state residual {resid:.2e} exceeds 1e-8*||L|| ({l_norm:.2e})"
+        )
+    rho = vec.reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho)
-    state = QubitState(rho, generator.n_qubits, time=np.inf)
+    state = QubitState(rho, n, time=np.inf)
     mineig = state.min_eigenvalue()
     if mineig < POSITIVITY_FLOOR:
         raise StateInvariantError(f"steady state has negative eigenvalue {mineig:.3e}")
     return state
+
+
+def _smallest_ritz_modulus(sol, rhs):
+    """Smallest |theta| over the Ritz values of A on span(sol), A sol = rhs.
+
+    With sol = Q R (columns scaled to unit norm first), A Q = rhs R^-1, so
+    the Ritz matrix Q^H A Q is similar to R^-1 Q^H rhs.  A singular R
+    (LinAlgError) means A maps independent columns onto dependent ones.
+    """
+    scale = np.linalg.norm(sol, axis=0)
+    q, r = np.linalg.qr(sol / scale)
+    ritz = np.linalg.eigvals(np.linalg.solve(r, q.conj().T @ (rhs / scale)))
+    return float(np.min(np.abs(ritz)))

@@ -52,6 +52,9 @@ class PhysicalParams:
     detuning_wq_minus_DF: float = 100.0      # MHz
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         positive = [
             "spin_stiffness_D", "surface_spin_density_s", "anisotropy_gap_2As",
             "film_thickness_L", "lattice_const_a0", "magnetoelastic_Bxy",
@@ -154,6 +157,10 @@ class ArrayGeometry:
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ConfigError("positions must be an (N, 2) array with N >= 1")
+        if not np.all(np.isfinite(pos)):
+            raise ConfigError("qubit positions must be finite")
+        if not np.isfinite(self.lattice_const_a_over_lambda):
+            raise ConfigError("lattice_const_a_over_lambda must be finite")
         object.__setattr__(self, "positions", pos)
         if self.n_qubits > 1:
             d = self.separations()
@@ -168,6 +175,8 @@ class ArrayGeometry:
             raise ConfigError("n_qubits must be >= 1")
         if n_qubits > 1 and not a_over_lambda > 0:
             raise ConfigError("a_over_lambda must be positive for N > 1")
+        if not np.isfinite(a_over_lambda):
+            raise ConfigError("a_over_lambda must be finite")
         xs = a_over_lambda * np.arange(n_qubits, dtype=float)
         pos = np.column_stack([xs, np.zeros(n_qubits)])
         return cls(positions=pos, lattice_const_a_over_lambda=float(a_over_lambda))

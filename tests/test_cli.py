@@ -78,6 +78,39 @@ class TestScenarioRuns:
         )
         assert open(a[0], "rb").read() == open(b[0], "rb").read()
 
+    @pytest.mark.parametrize(
+        "threads,cpus,expected", [(64, 2, 2), (64, 8, 3), (2, 8, 2), (1, 8, None)]
+    )
+    def test_sweep_threads_clamped(self, tmp_path, monkeypatch, threads, cpus, expected):
+        # a 1 x 1 x 3 grid: workers = min(threads, 3, cpus), serial below 2
+        from magsqueeze import cli as cli_mod
+
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
+        sc = Scenario(
+            "sweep",
+            overrides=["sweep_n=1,2,3", "sweep_r=0.25", "sweep_a=0.5"],
+            output_dir=str(tmp_path),
+            threads=threads,
+        )
+        run_scenario(sc)
+        assert pools == ([] if expected is None else [expected])
+
     def test_custom_writes_trajectory_and_channels(self, tmp_path):
         files = run_scenario(Scenario("custom", output_dir=str(tmp_path)))
         names = sorted(os.path.basename(f) for f in files)
@@ -138,6 +171,15 @@ class TestMainExitCodes:
             ["--scenario", "fig2a_couplings", "--set", "bogus=1", "--out", str(tmp_path)]
         )
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("override", ["nu_Hz=inf", "strain_Exy=nan", "a_over_lambda=inf"])
+    def test_config_error_nonfinite_value(self, tmp_path, capsys, override):
+        code = main(
+            ["--scenario", "custom", "--set", override, "--out", str(tmp_path)]
+        )
+        assert code == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_error_unstable_drive(self, tmp_path, capsys):
         # strain large enough to push |g| past the bandwidth

@@ -15,7 +15,7 @@ from magsqueeze.errors import (
     DegenerateSteadyStateError,
     StateInvariantError,
 )
-from magsqueeze.numerics import matrix_exp_apply
+from magsqueeze.numerics import eig_smallest, matrix_exp_apply
 from magsqueeze.observables import collective_spin, initial_state
 from magsqueeze.params import ArrayGeometry, PhysicalParams
 
@@ -226,6 +226,30 @@ class TestSteadyState:
         gen = generator_for(2, 1e-7, 0.0)
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(gen)
+
+    @pytest.mark.parametrize("a_over_lambda", [1e-7, 1e-5, 1e-4, 3e-4, 1e-3, 1e-2, 0.5])
+    def test_degeneracy_decision_matches_dense_eig(self, a_over_lambda):
+        # the bordered solve flags a degenerate null space exactly when the
+        # dense spectrum has |lambda_2| < 1e-8 * spectral radius
+        gen = generator_for(2, a_over_lambda, 0.0)
+        vals, _, radius = eig_smallest(gen.liouvillian(), n=2, return_radius=True)
+        if abs(vals[1]) < 1e-8 * radius:
+            with pytest.raises(DegenerateSteadyStateError):
+                steady_state(gen)
+        else:
+            steady_state(gen)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_eig_null_vector_on_2d_layouts(self, seed):
+        rng = np.random.default_rng(seed)
+        geometry = ArrayGeometry(positions=rng.uniform(0.0, 1.5, size=(3, 2)))
+        bs = bath_from_params(P, r_override=0.3)
+        gen = build_generator(build_couplings(geometry, P, bs))
+        _, vec = eig_smallest(gen.liouvillian())
+        ref = vec.reshape(8, 8)
+        ref = 0.5 * (ref + ref.conj().T)
+        ref = ref / np.trace(ref)
+        assert trace_distance(steady_state(gen).rho, ref) <= 1e-10
 
     def test_size_limit(self):
         gen = generator_for(7, 0.5, 0.0)

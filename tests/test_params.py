@@ -61,6 +61,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="positive"):
             PhysicalParams(**{field: 0.0})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("nu_characteristic", np.inf),       # strictly positive
+            ("strain_Exy", np.nan),              # non-negative
+            ("qubit_film_distance_d", np.inf),   # non-negative
+            ("detuning_wq_minus_DF", np.inf),    # positive detuning
+        ],
+    )
+    def test_nonfinite_quantities_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            PhysicalParams(**{field: value})
+
 
 class TestConfigParsing:
     def test_empty_config_gives_defaults(self, tmp_path):
@@ -148,6 +161,15 @@ class TestGeometry:
             ArrayGeometry.chain(0, 0.5)
         with pytest.raises(ConfigError):
             ArrayGeometry.chain(2, 0.0)
+
+    @pytest.mark.parametrize("a_over_lambda", [np.inf, np.nan])
+    def test_nonfinite_chain_constant_rejected(self, a_over_lambda):
+        with pytest.raises(ConfigError):
+            ArrayGeometry.chain(2, a_over_lambda)
+
+    def test_nonfinite_positions_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            ArrayGeometry(positions=np.array([[0.0, 0.0], [np.inf, 0.0]]))
 
     def test_separations_symmetric(self):
         rng = np.random.default_rng(5)
