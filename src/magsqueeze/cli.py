@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bath import bath_from_params
-from .couplings import build_couplings
+from .couplings import build_couplings, closed_form_channels
 from .dynamics import DEFAULT_ATOL, DEFAULT_RTOL, build_generator, evolve, steady_state
 from .errors import (
     ConfigError,
@@ -37,7 +37,8 @@ from .errors import (
     StepSizeUnderflowError,
     UnstableSqueezingError,
 )
-from .numerics import bessel_j0, bessel_y0
+# the traced benchmark run (perfbench/spans.py) wraps these names
+from .numerics import bessel_j0, bessel_y0  # noqa: F401
 from .observables import collective_spin, initial_state, wineland_xi2
 from .params import ArrayGeometry, PhysicalParams, apply_overrides, load_config, serialize_config
 
@@ -117,15 +118,10 @@ def write_trajectory_csv(path, traj, header_comments, label="trajectory"):
         "relaxation_rate_per_qubit", "min_eig_rho", "trace_error", "herm_error",
     ]
     comments = header_comments + [f"# columns: dimensionless ({label})"]
-    rows = [
-        (
-            traj.t[i], traj.mean_spin[i, 0], traj.mean_spin[i, 1],
-            traj.mean_spin[i, 2], traj.min_perp_var[i], traj.inv_xi2[i],
-            traj.relaxation[i], traj.min_eig[i], traj.trace_err[i],
-            traj.herm_err[i],
-        )
-        for i in range(traj.t.size)
-    ]
+    rows = zip(
+        traj.t, *traj.mean_spin.T, traj.min_perp_var, traj.inv_xi2,
+        traj.relaxation, traj.min_eig, traj.trace_err, traj.herm_err,
+    )
     return write_csv(path, comments, cols, rows)
 
 
@@ -169,23 +165,9 @@ def _generator(params, n, a_over_lambda, r):
 
 def run_fig2a(scenario, params, geometry, written):
     bathstate = bath_from_params(params)
-    base = params.nu_characteristic * np.pi * (
-        params.detuning_angular / params.zero_field_splitting_angular
-    )
     rho = np.linspace(0.05, 3.0, 296)
-    j0 = bessel_j0(rho)
-    y0 = bessel_y0(rho)
-    rows = [
-        (
-            rho[i],
-            -0.5 * base * y0[i],
-            base * bathstate.N_kq * j0[i],
-            base * (bathstate.N_kq + 1.0) * j0[i],
-            base * np.conj(bathstate.M_kq) * j0[i],
-            base * bathstate.M_kq * j0[i],
-        )
-        for i in range(rho.size)
-    ]
+    _, channels = closed_form_channels(rho, params, bathstate)
+    rows = list(zip(rho, *channels))
     cols = ["rho_over_lambda", "J_Hz", "gamma_mp_Hz", "gamma_pm_Hz",
             "gamma_pp_Hz", "gamma_mm_Hz"]
     comments = _provenance(params, geometry, scenario) + [
@@ -214,10 +196,7 @@ def run_fig2b(scenario, params, geometry, written):
         )
         curves[label] = traj.inv_xi2
     cols = ["Gamma0_t"] + [f"inv_xi2_{label}" for label, *_ in FIG2B_SETS]
-    rows = [
-        tuple([FIG2B_TGRID[i]] + [curves[label][i] for label, *_ in FIG2B_SETS])
-        for i in range(FIG2B_TGRID.size)
-    ]
+    rows = zip(FIG2B_TGRID, *(curves[label] for label, *_ in FIG2B_SETS))
     comments = _provenance(params, geometry, scenario)
     path = os.path.join(scenario.output_dir, "fig2b_squeezing.csv")
     written.append(write_csv(path, comments, cols, rows))
@@ -236,10 +215,7 @@ def run_fig2c(scenario, params, geometry, written):
             labels.append(f"rate_{tag}_r{r:g}")
             curves.append(traj.relaxation)
     cols = ["Gamma0_t"] + labels
-    rows = [
-        tuple([FIG2C_TGRID[i]] + [c[i] for c in curves])
-        for i in range(FIG2C_TGRID.size)
-    ]
+    rows = zip(FIG2C_TGRID, *curves)
     comments = _provenance(params, geometry, scenario)
     path = os.path.join(scenario.output_dir, "fig2c_relaxation.csv")
     written.append(write_csv(path, comments, cols, rows))

@@ -1,7 +1,8 @@
 """Inter-qubit coupling matrices and their spectral-integral oracle.
 
-``build_couplings`` evaluates the closed-form kernels (Y0 for the coherent
-exchange, J0 for the four dissipative channels) on a qubit geometry.
+``closed_form_channels`` evaluates the closed-form kernels (Y0 for the
+coherent exchange, J0 for the four dissipative channels) at given
+separations; ``build_couplings`` applies it to a qubit geometry.
 ``coupling_oracle`` recomputes single channel strengths from the underlying
 bath-correlator representation: the time integral is done analytically (a
 resonance delta for the dissipative channels, a principal value for the
@@ -67,19 +68,14 @@ class CouplingSet:
         return np.vstack([top, bot])
 
 
-def build_couplings(geometry, params, bath, finite_distance=False):
-    """Closed-form coupling matrices for a qubit layout sharing the bath.
-
-    Separations enter in units of the resonant wavelength.  With
-    `finite_distance` every channel additionally carries the evanescent
-    factor exp(-2 d / lambda) of the stray field at the resonant mode;
-    the default leaves it off, matching the near-film closed forms.
+def closed_form_channels(sep, params, bath, finite_distance=False):
+    """Rate scale Gamma_0 = nu pi (omega_q - Delta_F) / Delta_0 (Hz) and the
+    channels (J, gamma_mp, gamma_pm, gamma_pp, gamma_mm) at an array of
+    separations `sep` (units of lambda): J = -Gamma_0 Y0 / 2 (0 at zero
+    separation: no on-site exchange) and gamma = bath moment * Gamma_0 J0.
+    `finite_distance` multiplies Gamma_0 by the evanescent factor
+    exp(-2 d / lambda) of the stray field at the resonant mode.
     """
-    sep = geometry.separations()
-    n = geometry.n_qubits
-    if n > 1 and np.any(sep[~np.eye(n, dtype=bool)] <= 0):
-        raise ConfigError("coincident qubit positions are not allowed")
-
     base = params.nu_characteristic * np.pi * (
         params.detuning_angular / params.zero_field_splitting_angular
     )
@@ -87,19 +83,29 @@ def build_couplings(geometry, params, bath, finite_distance=False):
         if bath.lam <= 0:
             raise ConfigError("finite-distance correction needs the resonant wavelength")
         base = base * np.exp(-2.0 * params.distance_cm / bath.lam)
-
     j0 = bessel_j0(sep)
-    j = np.zeros((n, n))
-    off = ~np.eye(n, dtype=bool)
-    if n > 1:
-        j[off] = -0.5 * base * bessel_y0(sep[off])
+    j = np.zeros(sep.shape)
+    apart = sep > 0
+    j[apart] = -0.5 * base * bessel_y0(sep[apart])
+    moments = (bath.N_kq, bath.N_kq + 1.0, np.conj(bath.M_kq), bath.M_kq)
+    return base, (j,) + tuple(base * m * j0 for m in moments)
 
+
+def build_couplings(geometry, params, bath, finite_distance=False):
+    """Closed-form coupling matrices for a qubit layout sharing the bath.
+
+    Separations enter in units of the resonant wavelength; `finite_distance`
+    is as in `closed_form_channels` (off by default, matching the near-film
+    closed forms).
+    """
+    sep = geometry.separations()
+    n = geometry.n_qubits
+    if n > 1 and np.any(sep[~np.eye(n, dtype=bool)] <= 0):
+        raise ConfigError("coincident qubit positions are not allowed")
+
+    base, channels = closed_form_channels(sep, params, bath, finite_distance)
     couplings = CouplingSet(
-        j=j,
-        gamma_mp=base * bath.N_kq * j0,
-        gamma_pm=base * (bath.N_kq + 1.0) * j0,
-        gamma_pp=base * np.conj(bath.M_kq) * j0,
-        gamma_mm=base * bath.M_kq * j0,
+        *channels,
         nu=params.nu_characteristic,
         prefactor=base / params.nu_characteristic,
         geometry_digest=geometry.digest(),

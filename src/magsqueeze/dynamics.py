@@ -91,6 +91,15 @@ class QubitState:
         return self
 
 
+def density_matrix(state):
+    """Density matrix (or (..., d, d) stack) and qubit count of a QubitState
+    or an array."""
+    if isinstance(state, QubitState):
+        return state.rho, state.n_qubits
+    rho = np.asarray(state, dtype=complex)
+    return rho, int(np.log2(rho.shape[-1]))
+
+
 @dataclass
 class Trajectory:
     """Time grid plus per-step observables of one evolution."""
@@ -119,7 +128,8 @@ class Generator:
     Holds the effective Hamiltonian and the dissipator as a list of
     (weight, A, B) triples acting as A rho B, plus the collected
     anticommutator matrix; `action` applies d rho / d(Gamma_0 t) and
-    `liouvillian` materializes the row-major-vectorized superoperator.
+    `adjoint` its dual on observables, and `liouvillian` materializes the
+    row-major-vectorized superoperator.
     """
 
     def __init__(self, n_qubits, h_eff, terms, mode):
@@ -138,6 +148,14 @@ class Generator:
         for w, a_op, b_op in self.terms:
             out += w * (a_op @ rho @ b_op)
         out -= 0.5 * (self._anticom @ rho + rho @ self._anticom)
+        return out
+
+    def adjoint(self, op):
+        """Heisenberg-picture generator L^dagger, Tr[X L(rho)] = Tr[L^dagger(X) rho]."""
+        out = 1j * (self.h_eff @ op - op @ self.h_eff)
+        for w, a_op, b_op in self.terms:
+            out += w * (b_op @ op @ a_op)
+        out -= 0.5 * (self._anticom @ op + op @ self._anticom)
         return out
 
     def liouvillian(self):
@@ -232,16 +250,13 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
 
     Adaptive embedded Runge-Kutta with dense output at the grid points; each
     output state is re-validated against the QubitState invariants (an
-    out-of-band violation aborts the run).
+    out-of-band violation aborts the run).  The observables are evaluated
+    once over the whole stack of output states.
     """
-    from .observables import collective_spin_ops, perpendicular_covariance
+    # imported here: observables imports QubitState from this module
+    from .observables import trajectory_observables
 
-    if isinstance(rho0, QubitState):
-        rho_init = rho0.rho
-        n = rho0.n_qubits
-    else:
-        rho_init = np.asarray(rho0, dtype=complex)
-        n = int(np.log2(rho_init.shape[0]))
+    rho_init, n = density_matrix(rho0)
     if n != generator.n_qubits:
         raise ValueError("state and generator have different qubit counts")
     QubitState(rho_init, n).check()
@@ -256,13 +271,8 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
         flat = rho_init.ravel()[None, :].copy()
     else:
         flat = integrate_ode(rhs, rho_init.ravel(), t_grid, rtol=rtol, atol=atol)
-
-    sx, sy, sz = collective_spin_ops(n)
     npts = t_grid.size
-    mean_spin = np.empty((npts, 3))
-    min_perp = np.empty(npts)
-    inv_xi2 = np.empty(npts)
-    relax = np.empty(npts)
+    rhos = flat.reshape(npts, dim, dim)
     min_eig = np.empty(npts)
     trace_err = np.empty(npts)
     herm_err = np.empty(npts)
@@ -270,8 +280,7 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
 
     abort_tol = max(1e-6, 1e4 * atol)
     for i in range(npts):
-        rho = flat[i].reshape(dim, dim)
-        state = QubitState(rho, n, time=float(t_grid[i]))
+        state = QubitState(rhos[i], n, time=float(t_grid[i]))
         trace_err[i] = state.trace_error()
         herm_err[i] = state.hermiticity_error()
         min_eig[i] = state.min_eigenvalue()
@@ -284,33 +293,16 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
             raise StateInvariantError(
                 f"negative eigenvalue {min_eig[i]:.3e} at Gamma_0 t = {t_grid[i]:.6g}"
             )
-        spin = np.real(
-            np.array([np.trace(rho @ sx), np.trace(rho @ sy), np.trace(rho @ sz)])
-        )
-        mean_spin[i] = spin
-        norm = np.linalg.norm(spin)
-        cov = perpendicular_covariance(rho, spin, n)
-        lam_min = float(np.min(np.linalg.eigvalsh(cov)))
-        min_perp[i] = lam_min
-        if norm > 1e-8 * n and lam_min > 0:
-            inv_xi2[i] = norm ** 2 / (n * lam_min)
-        else:
-            inv_xi2[i] = 0.0
-        relax[i] = -0.5 * np.real(np.trace(sz @ generator.action(rho))) / n
         if keep_states:
             states.append(state)
 
-    final = QubitState(flat[-1].reshape(dim, dim), n, time=float(t_grid[-1]))
     return Trajectory(
-        t=t_grid.copy(),
-        mean_spin=mean_spin,
-        min_perp_var=min_perp,
-        inv_xi2=inv_xi2,
-        relaxation=relax,
+        t_grid.copy(),
+        *trajectory_observables(rhos, generator),
         min_eig=min_eig,
         trace_err=trace_err,
         herm_err=herm_err,
-        final_state=final,
+        final_state=QubitState(rhos[-1], n, time=float(t_grid[-1])),
         states=states,
     )
 

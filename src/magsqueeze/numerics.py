@@ -149,7 +149,7 @@ def _initial_step(f, t0, y0, f0, direction, rtol, atol):
     return min(100 * h0, h1)
 
 
-def integrate_ode(f, y0, t_grid, rtol=1e-8, atol=1e-10, fixed_step=None, max_step=np.inf):
+def integrate_ode(f, y0, t_grid, rtol=1e-8, atol=1e-10, fixed_step=None):
     """Integrate dy/dt = f(t, y) and return the states at the grid points.
 
     Embedded Dormand-Prince 5(4) pair: the fifth-order solution propagates,
@@ -183,13 +183,13 @@ def integrate_ode(f, y0, t_grid, rtol=1e-8, atol=1e-10, fixed_step=None, max_ste
     if fixed_step is not None:
         h = float(fixed_step)
     else:
-        h = min(_initial_step(f, t, y, k[0], 1.0, rtol, atol), max_step, t_end - t)
+        h = min(_initial_step(f, t, y, k[0], 1.0, rtol, atol), t_end - t)
 
     hmin_floor = 16.0 * np.finfo(float).eps
     while t < t_end:
         if t_end - t <= hmin_floor * max(abs(t_end), 1.0):
             break  # within roundoff of the end point
-        h = min(h, t_end - t, max_step)
+        h = min(h, t_end - t)
         if h < hmin_floor * max(abs(t), 1.0):
             raise StepSizeUnderflowError(
                 f"step size underflow at t={t!r} (h={h!r})"

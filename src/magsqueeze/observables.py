@@ -11,11 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import QubitState
+from .dynamics import QubitState, density_matrix
 from .errors import MeanSpinUndefinedError
 from .operators import collective_spin_ops
 
 MEAN_SPIN_FLOOR = 1e-8  # relative to N
+_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))  # (S_a S_b + S_b S_a)/2
+_PAIR_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])  # slot of (a, b) in _PAIRS
 
 
 @dataclass(frozen=True)
@@ -28,11 +30,25 @@ class SpinSummary:
     squeezing_angle: float    # rad, minimizing direction in the (e1, e2) frame
 
 
-def _as_rho(state):
-    if isinstance(state, QubitState):
-        return state.rho, state.n_qubits
-    rho = np.asarray(state, dtype=complex)
-    return rho, int(np.log2(rho.shape[0]))
+def _expectations(rho, ops):
+    """Tr[rho op], shape (..., len(ops)), for a (..., d, d) stack: one product
+    vec(rho) @ [vec(op^T)] that reads a contiguous stack in place."""
+    basis = np.stack([op.T for op in ops]).reshape(len(ops), -1)
+    vals = rho.reshape(-1, basis.shape[1]) @ basis.T
+    return vals.reshape(rho.shape[:-2] + (len(ops),))
+
+
+def _spin_moments(rho, n_qubits):
+    """Complex <S> (..., 3) and <(S_a S_b + S_b S_a)/2> (..., 3, 3)."""
+    s = collective_spin_ops(n_qubits)
+    vals = _expectations(rho, s + tuple(0.5 * (s[a] @ s[b] + s[b] @ s[a]) for a, b in _PAIRS))
+    return vals[..., :3], vals[..., 3:][..., _PAIR_INDEX]
+
+
+def _real_spin(spin):
+    if np.max(np.abs(spin.imag)) > 1e-10 * max(1.0, np.max(np.abs(spin.real))):
+        raise ValueError("collective spin came out complex; state is not Hermitian")
+    return spin.real
 
 
 def perpendicular_frame(direction):
@@ -40,44 +56,42 @@ def perpendicular_frame(direction):
 
     e1 is the lab x-hat Gram-Schmidt-projected off the mean-spin axis,
     falling back to y-hat when the two are parallel; e2 completes the
-    right-handed triad.
+    right-handed triad.  Works on stacks of directions (..., 3).
     """
     n_hat = np.asarray(direction, dtype=float)
-    n_hat = n_hat / np.linalg.norm(n_hat)
-    seed = np.array([1.0, 0.0, 0.0])
-    if abs(np.dot(seed, n_hat)) > 1.0 - 1e-12:
-        seed = np.array([0.0, 1.0, 0.0])
-    e1 = seed - np.dot(seed, n_hat) * n_hat
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(n_hat, e1)
-    return e1, e2
+    n_hat = n_hat / np.linalg.norm(n_hat, axis=-1, keepdims=True)
+    parallel = np.abs(n_hat[..., :1]) > 1.0 - 1e-12
+    seed = np.where(parallel, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+    e1 = seed - np.sum(seed * n_hat, axis=-1, keepdims=True) * n_hat
+    e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
+    return e1, np.cross(n_hat, e1)
+
+
+def perpendicular_covariance(mean, second):
+    """Symmetrized 2x2 covariance E^T (M2 - m m^T) E of the spin components
+    perpendicular to the mean spin m (z-hat where m vanishes), E = (e1, e2)
+    from `perpendicular_frame`; works on stacks."""
+    norm = np.linalg.norm(mean, axis=-1, keepdims=True)
+    frame = np.stack(perpendicular_frame(np.where(norm > 0, mean, [0.0, 0.0, 1.0])), -1)
+    cov = second - mean[..., :, None] * mean[..., None, :]
+    return np.swapaxes(frame, -1, -2) @ cov @ frame
+
+
+def _squeezing(mean, second, n_qubits):
+    """Minimum perpendicular variance, 1/xi_R^2 = |<S>|^2 / (N min_var) and
+    the minimizing angle; 1/xi_R^2 is 0 where |<S>| <= 1e-8 N (no squeezing
+    plane) or the minimum variance is not positive."""
+    vals, vecs = np.linalg.eigh(perpendicular_covariance(mean, second))
+    min_var, norm = vals[..., 0], np.linalg.norm(mean, axis=-1)
+    defined = (norm > MEAN_SPIN_FLOOR * n_qubits) & (min_var > 0)
+    inv_xi2 = np.where(defined, norm ** 2 / (n_qubits * np.where(defined, min_var, 1.0)), 0.0)
+    return min_var, inv_xi2, np.arctan2(vecs[..., 1, 0], vecs[..., 0, 0]) % np.pi
 
 
 def collective_spin(state):
     """(<S_x>, <S_y>, <S_z>) as a real 3-vector."""
-    rho, n = _as_rho(state)
-    ops = collective_spin_ops(n)
-    vals = np.array([np.trace(rho @ op) for op in ops])
-    if np.max(np.abs(vals.imag)) > 1e-10 * max(1.0, np.max(np.abs(vals.real))):
-        raise ValueError("collective spin came out complex; state is not Hermitian")
-    return vals.real
-
-
-def perpendicular_covariance(rho, spin, n_qubits):
-    """Symmetrized 2x2 covariance of the spin components perpendicular to
-    `spin` (taken along z-hat if the mean spin vanishes)."""
-    norm = np.linalg.norm(spin)
-    direction = spin / norm if norm > 0 else np.array([0.0, 0.0, 1.0])
-    e1, e2 = perpendicular_frame(direction)
-    sx, sy, sz = collective_spin_ops(n_qubits)
-    s1 = e1[0] * sx + e1[1] * sy + e1[2] * sz
-    s2 = e2[0] * sx + e2[1] * sy + e2[2] * sz
-    m1 = float(np.real(np.trace(rho @ s1)))
-    m2 = float(np.real(np.trace(rho @ s2)))
-    c11 = np.real(np.trace(rho @ (s1 @ s1))) - m1 * m1
-    c22 = np.real(np.trace(rho @ (s2 @ s2))) - m2 * m2
-    c12 = 0.5 * np.real(np.trace(rho @ (s1 @ s2 + s2 @ s1))) - m1 * m2
-    return np.array([[c11, c12], [c12, c22]])
+    rho, n = density_matrix(state)
+    return _real_spin(_spin_moments(rho, n)[0])
 
 
 def wineland_xi2(state):
@@ -87,34 +101,39 @@ def wineland_xi2(state):
     Raises MeanSpinUndefinedError when |<S>| <= 1e-8 N (no mean-spin
     direction, hence no perpendicular plane).
     """
-    rho, n = _as_rho(state)
-    spin = collective_spin(state)
+    rho, n = density_matrix(state)
+    mean, second = _spin_moments(rho, n)
+    spin = _real_spin(mean)
     norm = np.linalg.norm(spin)
     if norm <= MEAN_SPIN_FLOOR * n:
         raise MeanSpinUndefinedError(
             f"|<S>| = {norm:.3e} is too small to define the squeezing plane"
         )
-    cov = perpendicular_covariance(rho, spin, n)
-    vals, vecs = np.linalg.eigh(cov)
-    min_var = float(vals[0])
-    angle = float(np.arctan2(vecs[1, 0], vecs[0, 0])) % np.pi
-    return SpinSummary(
-        mean_spin=spin,
-        min_perp_var=min_var,
-        xi_r_squared=n * min_var / norm ** 2,
-        squeezing_angle=angle,
-    )
+    min_var, _, angle = (float(x) for x in _squeezing(spin, second.real, n))
+    return SpinSummary(spin, min_var, n * min_var / norm ** 2, angle)
 
 
 def relaxation_rate(state, generator):
     """Collective relaxation rate -(1/2) d<S_z>/d(Gamma_0 t), per qubit.
 
-    Evaluated as -(1/2) Tr[S_z L(rho)] / N with the dimensionless generator,
-    so N independently decaying excited qubits give exactly 1 at t = 0.
+    Evaluated as -(1/2) Tr[L^dagger(S_z) rho] / N with the dimensionless
+    generator, so N independently decaying excited qubits give exactly 1 at
+    t = 0.  A (..., d, d) stack of states gives one rate per state.
     """
-    rho, n = _as_rho(state)
-    _, _, sz = collective_spin_ops(n)
-    return float(-0.5 * np.real(np.trace(sz @ generator.action(rho))) / n)
+    rho, n = density_matrix(state)
+    heisenberg_sz = generator.adjoint(collective_spin_ops(n)[2])
+    rate = -0.5 * _expectations(rho, [heisenberg_sz])[..., 0].real / n
+    return rate if rate.ndim else float(rate)
+
+
+def trajectory_observables(rho, generator):
+    """Mean spin (m, 3), minimum perpendicular variance, 1/xi_R^2 (0 where
+    undefined) and relaxation rate (m,) of every state of an (m, d, d) stack,
+    in Trajectory column order, by the same code as `collective_spin`,
+    `wineland_xi2` and `relaxation_rate`."""
+    mean, second = _spin_moments(rho, generator.n_qubits)
+    min_var, inv_xi2, _ = _squeezing(mean.real, second.real, generator.n_qubits)
+    return mean.real, min_var, inv_xi2, relaxation_rate(rho, generator)
 
 
 def initial_state(kind, n_qubits, theta=None, phi=0.0):

@@ -93,11 +93,6 @@ class PhysicalParams:
         return _TWO_PI * self.gyromagnetic_gamma * 1e6
 
     @property
-    def gamma_qubit(self):
-        """Qubit gyromagnetic ratio in rad/(s G)."""
-        return _TWO_PI * self.gyromagnetic_gamma_tilde * 1e6
-
-    @property
     def bias_field_G(self):
         return self.bias_field_B0 * 10.0
 
@@ -123,10 +118,6 @@ class PhysicalParams:
     @property
     def bandwidth_angular(self):
         return _TWO_PI * self.squeeze_bandwidth_Dbar * 1e6
-
-    @property
-    def magnetoelastic_angular(self):
-        return _TWO_PI * self.magnetoelastic_Bxy * 1e9
 
     @property
     def thickness_cm(self):
@@ -281,7 +272,16 @@ def load_config(path):
 
 
 def serialize_config(params, geometry):
-    """Render params + geometry as config text; load() of it is bit-exact."""
+    """Render params + geometry as config text; load() of it is bit-exact.
+
+    Config text describes only `ArrayGeometry.chain` layouts; any other
+    geometry raises ConfigError instead of reloading as a different one.
+    """
+    n, a = geometry.n_qubits, geometry.lattice_const_a_over_lambda
+    if (n > 1 and not a > 0) or not np.array_equal(
+        geometry.positions, ArrayGeometry.chain(n, a).positions
+    ):
+        raise ConfigError("only ArrayGeometry.chain layouts can be written as config text")
     lines = []
     for key, name in _PARAM_KEYS.items():
         lines.append(f"{key} = {getattr(params, name)!r}")

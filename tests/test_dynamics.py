@@ -108,6 +108,19 @@ class TestGenerator:
         via_l = (lmat @ rho.ravel()).reshape(4, 4)
         assert np.max(np.abs(direct - via_l)) < 1e-12
 
+    @pytest.mark.parametrize("mode", ["jump_operator", "four_channel"])
+    def test_adjoint_is_dual_of_action(self, mode):
+        rng = np.random.default_rng(11)
+        geometry = ArrayGeometry(positions=rng.uniform(0.0, 1.5, size=(3, 2)))
+        bs = bath_from_params(P, r_override=0.3)
+        gen = build_generator(build_couplings(geometry, P, bs), mode)
+        for _ in range(5):
+            rho = random_density(rng, 8)
+            x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+            lhs = np.trace(x @ gen.action(rho))
+            rhs = np.trace(gen.adjoint(x) @ rho)
+            assert abs(lhs - rhs) < 1e-12 * np.linalg.norm(x) * np.linalg.norm(gen.liouvillian())
+
     def test_mode_and_size_validation(self):
         bs = bath_from_params(P, r_override=0.1)
         cs = build_couplings(ArrayGeometry.chain(2, 0.5), P, bs)

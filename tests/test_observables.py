@@ -188,6 +188,29 @@ class TestRelaxationRate:
         assert integral == pytest.approx(lost, rel=1e-3)
 
 
+class TestTrajectoryColumns:
+    @pytest.mark.parametrize("mode", ["jump_operator", "four_channel"])
+    def test_columns_match_single_state_functions(self, mode):
+        bs = bath_from_params(P, r_override=0.25)
+        gen = build_generator(build_couplings(ArrayGeometry.chain(3, 0.5), P, bs), mode)
+        t = np.linspace(0.0, 10.0, 41)
+        traj = evolve(initial_state("all_excited", 3), gen, t, keep_states=True)
+        for i, state in enumerate(traj.states):
+            assert np.max(np.abs(traj.mean_spin[i] - collective_spin(state))) < 1e-12
+            assert abs(traj.relaxation[i] - relaxation_rate(state, gen)) < 1e-12
+            summary = wineland_xi2(state)
+            assert abs(traj.min_perp_var[i] - summary.min_perp_var) < 1e-12
+            assert traj.inv_xi2[i] == pytest.approx(1.0 / summary.xi_r_squared, rel=1e-12)
+
+    def test_maximally_mixed_start_has_no_squeezing(self):
+        rho = np.eye(4, dtype=complex) / 4
+        traj = evolve(rho, generator_for(2, 0.5, 0.25), np.array([0.0, 1.0]), keep_states=True)
+        assert traj.inv_xi2[0] == 0.0
+        assert np.isinf(traj.xi2[0])
+        with pytest.raises(MeanSpinUndefinedError):
+            wineland_xi2(traj.states[0])
+
+
 class TestInitialStates:
     def test_all_ground_single(self):
         s = initial_state("all_ground", 1)

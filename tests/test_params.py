@@ -145,6 +145,13 @@ class TestRoundTrip:
         assert params2 == params
         assert np.array_equal(geometry2.positions, geometry.positions)
 
+    def test_non_chain_geometry_refused(self, defaults):
+        triangle = ArrayGeometry(
+            positions=np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(0.75)]])
+        )
+        with pytest.raises(ConfigError, match="chain"):
+            serialize_config(defaults[0], triangle)
+
 
 class TestGeometry:
     def test_single_qubit(self):
