@@ -11,6 +11,7 @@ Conventions fixed here and relied on elsewhere:
   treated as (k, -k) and the dispersion as isotropic.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,10 +189,20 @@ def field_correlator(kind, rho_ab, t, t_prime, params, bath, tol=1e-8):
     the normal kinds also carry the broadband vacuum term, which requires a
     positive film-qubit distance for ultraviolet convergence.  `tol` is the
     relative quadrature tolerance; failure raises QuadratureConvergenceError
-    with the achieved estimate.
+    with the achieved estimate.  A separation that is negative or not finite,
+    a time that is not finite, or a tolerance that is not positive and finite
+    raises ConfigError.
     """
     if kind not in FIELD_KINDS:
         raise ValueError(f"unknown field correlator kind {kind!r}")
+    rho_ab, t, t_prime = float(rho_ab), float(t), float(t_prime)
+    if not np.isfinite(rho_ab) or rho_ab < 0:
+        raise ConfigError(f"correlator separation must be finite and >= 0, got {rho_ab!r}")
+    if not (np.isfinite(t) and np.isfinite(t_prime)):
+        raise ConfigError(f"correlator times must be finite, got t={t!r}, t'={t_prime!r}")
+    tol = float(tol)
+    if not np.isfinite(tol) or tol <= 0:
+        raise ConfigError(f"correlator tolerance must be finite and > 0, got {tol!r}")
     d = params.distance_cm
     dh = params.stiffness_over_hbar
     omega_q = params.omega_q
@@ -224,8 +235,27 @@ def field_correlator(kind, rho_ab, t, t_prime, params, bath, tol=1e-8):
             "field_correlator needs qubit_film_distance_d > 0 for the "
             "broadband vacuum term"
         )
-    k_cut = 0.5 * np.log(1e12) / d  # e^{-2kd} below 1e-12 past here
     tau = t - t_prime
+    vac = _vacuum_term(rho_ab, tau, params, tol)
+    if bath.N_kq == 0.0:
+        return vac
+    occ_minus = band_part(lambda w: bath.N_kq * np.exp(-1j * w * tau))
+    occ_plus = band_part(lambda w: bath.N_kq * np.exp(1j * w * tau))
+    return vac + occ_minus + occ_plus
+
+
+@functools.lru_cache(maxsize=256)
+def _vacuum_term(rho_ab, tau, params, tol):
+    """Broadband vacuum emission term of the normal correlators at separation
+    rho_ab (cm) and lag tau (s): the radial weight times exp(-i omega tau)
+    over the whole continuum, cut where e^{-2kd} falls below 1e-12.
+
+    It does not depend on the bath, and '-+' and '+-' share it, so it is
+    memoized per process; call it with float arguments, positionally, so
+    that equal inputs share one cache entry.
+    """
+    d = params.distance_cm
+    k_cut = 0.5 * np.log(1e12) / d  # e^{-2kd} below 1e-12 past here
 
     def vacuum(k):
         omega = magnon_dispersion(k, params)
@@ -237,9 +267,4 @@ def field_correlator(kind, rho_ab, t, t_prime, params, bath, tol=1e-8):
     n_osc = abs(tau) * magnon_dispersion(k_cut, params) + k_cut * rho_ab
     n_panels = min(200000, int(32 + 2.0 * n_osc))
     seed = np.linspace(0.0, k_cut, n_panels + 1)
-    vac = quad_adaptive(vacuum, 0.0, k_cut, tol * vac_scale, edges=seed).value
-    if bath.N_kq == 0.0:
-        return vac
-    occ_minus = band_part(lambda w: bath.N_kq * np.exp(-1j * w * tau))
-    occ_plus = band_part(lambda w: bath.N_kq * np.exp(1j * w * tau))
-    return vac + occ_minus + occ_plus
+    return quad_adaptive(vacuum, 0.0, k_cut, tol * vac_scale, edges=seed).value

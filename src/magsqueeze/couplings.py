@@ -10,6 +10,9 @@ exchange), the radial momentum integral numerically.  The two routes share
 only the Bessel J0 kernel evaluation and the overall normalization, which is
 carried by the characteristic rate ``nu`` because the bare correlator
 prefactor inherits the unit ambiguity of the printed material constants.
+The exchange principal-value integral does not depend on the bath, so each
+process computes it once per (separation, params, density) and keeps it in a
+bounded cache (``_pv_extrapolated.cache_clear()`` empties it).
 
 Channel labels follow the superscripts of the dissipator weights:
 
@@ -21,6 +24,7 @@ Channel labels follow the superscripts of the dissipator weights:
   coefficients, which vanish identically at pair resonance.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,7 +174,8 @@ def _neville_at_zero(xs, ys):
     return y[0]
 
 
-def _pv_extrapolated(rho_cm, params, n_scale=1.0):
+@functools.lru_cache(maxsize=256)
+def _pv_extrapolated(rho_cm, params, n_scale):
     """Abel limit of PV integral dk k^3 e^{-2kd} J0(k rho) / (k_q^2 - k^2).
 
     Split algebraically as -k + k_q^2 k/(k_q^2 - k^2).  The first (pure
@@ -178,7 +183,8 @@ def _pv_extrapolated(rho_cm, params, n_scale=1.0):
     on a separation-scaled sequence; the second converges absolutely without
     a regulator: the pole is folded symmetrically and the oscillatory tail is
     summed with half-period averaging.  `n_scale` multiplies panel densities
-    (used by convergence checks).
+    (used by convergence checks).  Memoized: call it with float arguments,
+    positionally, so that equal inputs share one cache entry.
     """
     if rho_cm <= 0:
         raise ConfigError("exchange oracle needs a positive separation")
@@ -242,14 +248,21 @@ def coupling_oracle(channel, rho_ab, params, bath, n_scale=1.0):
     omega_k = -omega_q (a static near-field contribution) is excluded, as it
     is in the closed forms.  ``Jpp``/``Jmm`` return the difference of the two
     identical time-orderings evaluated on different grids: a quadrature-level
-    zero.
+    zero.  A separation that is negative or not finite, or a panel density
+    `n_scale` that is not positive and finite, raises ConfigError.
     """
     if channel not in ORACLE_CHANNELS:
         raise ConfigError(f"unknown oracle channel {channel!r}")
+    rho_ab = float(rho_ab)
+    if not np.isfinite(rho_ab) or rho_ab < 0:
+        raise ConfigError(f"oracle separation must be finite and >= 0, got {rho_ab!r}")
+    n_scale = float(n_scale)
+    if not np.isfinite(n_scale) or n_scale <= 0:
+        raise ConfigError(f"oracle panel density must be finite and > 0, got {n_scale!r}")
     dh = params.stiffness_over_hbar
     k_q = np.sqrt(params.detuning_angular / dh)
     lam = 1.0 / k_q
-    rho_cm = float(rho_ab) * lam
+    rho_cm = rho_ab * lam
 
     if channel in GAMMA_CHANNELS:
         moment = {
@@ -268,10 +281,8 @@ def coupling_oracle(channel, rho_ab, params, bath, n_scale=1.0):
     # integrands at pair resonance; evaluate them at different quadrature
     # densities so the reported zero carries honest numerical content
     moment = np.conj(bath.M_kq) if channel == "Jpp" else bath.M_kq
-    term_a = _delta_channel(rho_cm, moment, params, 0.0) / 2.0 + 0.5j * _oracle_norm(
-        params
-    ) * moment * _pv_extrapolated(rho_cm, params, n_scale) / dh
-    term_b = _delta_channel(rho_cm, moment, params, 0.0) / 2.0 + 0.5j * _oracle_norm(
-        params
-    ) * moment * _pv_extrapolated(rho_cm, params, 1.5 * n_scale) / dh
+    half_delta = _delta_channel(rho_cm, moment, params, 0.0) / 2.0
+    pv_weight = 0.5j * _oracle_norm(params) * moment
+    term_a = half_delta + pv_weight * _pv_extrapolated(rho_cm, params, n_scale) / dh
+    term_b = half_delta + pv_weight * _pv_extrapolated(rho_cm, params, 1.5 * n_scale) / dh
     return 0.5j * (term_a - term_b)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from magsqueeze.bath import (
     BathState,
+    _vacuum_term,
     bath_from_params,
     field_correlator,
     magnon_correlator,
@@ -205,3 +206,57 @@ class TestFieldCorrelator:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             field_correlator("+z", 0.0, 0.0, 0.0, P, self.VACUUM)
+
+    @pytest.mark.parametrize(
+        "rho, t, t_prime, tol, match",
+        [
+            (np.nan, 0.0, 0.0, 1e-8, "separation"),
+            (np.inf, 0.0, 0.0, 1e-8, "separation"),
+            (-0.5 * LAMBDA, 0.0, 0.0, 1e-8, "separation"),
+            (0.5 * LAMBDA, np.nan, 0.0, 1e-8, "times"),
+            (0.5 * LAMBDA, np.inf, 0.0, 1e-8, "times"),
+            (0.5 * LAMBDA, 0.0, -np.inf, 1e-8, "times"),
+            (0.5 * LAMBDA, 0.0, 0.0, np.nan, "tolerance"),
+            (0.5 * LAMBDA, 0.0, 0.0, 0.0, "tolerance"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["+-", "--"])
+    def test_bad_arguments_rejected(self, kind, rho, t, t_prime, tol, match):
+        with pytest.raises(ConfigError, match=match):
+            field_correlator(kind, rho, t, t_prime, P, self.BS, tol=tol)
+
+    def test_zero_dim_array_arguments(self):
+        want = field_correlator("+-", 0.5 * LAMBDA, 0.0, 1e-10, P, self.BS)
+        got = field_correlator(
+            "+-", np.array(0.5 * LAMBDA), np.array(0.0), np.float64(1e-10), P, self.BS
+        )
+        assert got == want
+
+
+class TestVacuumTermCache:
+    BS = bath_from_params(P, r_override=0.25)
+
+    def test_normal_kinds_share_one_entry(self):
+        _vacuum_term.cache_clear()
+        for kind in ("-+", "+-"):
+            field_correlator(kind, 0.5 * LAMBDA, 1e-10, 0.0, P, self.BS)
+        info = _vacuum_term.cache_info()
+        assert info.misses == 1
+        assert info.hits == 1
+        assert info.maxsize is not None
+
+    def test_cached_value_is_exact(self):
+        _vacuum_term.cache_clear()
+        cached = _vacuum_term(0.5 * LAMBDA, 1e-10, P, 1e-8)
+        assert _vacuum_term(0.5 * LAMBDA, 1e-10, P, 1e-8) is cached
+        assert _vacuum_term.__wrapped__(0.5 * LAMBDA, 1e-10, P, 1e-8) == cached
+
+    def test_bath_does_not_enter(self):
+        # on the vacuum the correlator is the vacuum term alone
+        vacuum = BathState.from_squeezing(0.0, k_q=K_Q, lam=LAMBDA)
+        _vacuum_term.cache_clear()
+        squeezed = field_correlator("+-", 0.5 * LAMBDA, 1e-10, 0.0, P, self.BS)
+        bare = field_correlator("+-", 0.5 * LAMBDA, 1e-10, 0.0, P, vacuum)
+        assert _vacuum_term.cache_info().misses == 1
+        assert bare == _vacuum_term.__wrapped__(0.5 * LAMBDA, 1e-10, P, 1e-8)
+        assert squeezed != bare

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from magsqueeze.bath import BathState, bath_from_params, resonant_wavelength
-from magsqueeze.couplings import build_couplings, coupling_oracle
+from magsqueeze.couplings import _pv_extrapolated, build_couplings, coupling_oracle
 from magsqueeze.errors import ConfigError
 from magsqueeze.numerics import bessel_j0, bessel_y0
 from magsqueeze.params import ArrayGeometry, PhysicalParams
@@ -122,7 +122,10 @@ class TestOracle:
             assert abs(got - want) <= max(0.01 * abs(want), 1e-3 * g0)
 
     def test_exchange_independent_of_squeezing(self):
+        # clear the principal-value cache so that both values are computed
+        _pv_extrapolated.cache_clear()
         a = coupling_oracle("J", 0.6, P, bath_from_params(P, r_override=0.0))
+        _pv_extrapolated.cache_clear()
         b = coupling_oracle("J", 0.6, P, bath_from_params(P, r_override=1.0))
         assert a == b
 
@@ -143,8 +146,63 @@ class TestOracle:
         with pytest.raises(ConfigError):
             coupling_oracle("zz", 0.5, P, bs)
 
+    @pytest.mark.parametrize(
+        "rho, n_scale, match",
+        [
+            (np.nan, 1.0, "separation"),
+            (np.inf, 1.0, "separation"),
+            (-np.inf, 1.0, "separation"),
+            (-0.1, 1.0, "separation"),
+            (0.5, np.nan, "density"),
+            (0.5, 0.0, "density"),
+            (0.5, -1.0, "density"),
+        ],
+    )
+    @pytest.mark.parametrize("channel", ["pm", "J", "Jpp"])
+    def test_bad_arguments_rejected(self, channel, rho, n_scale, match):
+        bs = bath_from_params(P, r_override=0.25)
+        with pytest.raises(ConfigError, match=match):
+            coupling_oracle(channel, rho, P, bs, n_scale=n_scale)
+
+    @pytest.mark.parametrize("channel", ["pm", "J"])
+    def test_zero_dim_array_separation(self, channel):
+        bs = bath_from_params(P, r_override=0.25)
+        want = coupling_oracle(channel, 1.5, P, bs)
+        assert coupling_oracle(channel, np.array(1.5), P, bs) == want
+        assert coupling_oracle(channel, np.float64(1.5), P, bs) == want
+
     def test_pv_quadrature_density_converged(self):
         bs = bath_from_params(P, r_override=0.0)
         a = coupling_oracle("J", 0.45, P, bs, n_scale=1.0)
         b = coupling_oracle("J", 0.45, P, bs, n_scale=2.0)
         assert abs(a - b) < 1e-4 * abs(a)
+
+
+class TestPrincipalValueCache:
+    def test_bath_independent_misses(self):
+        _pv_extrapolated.cache_clear()
+        for r in (0.0, 0.25, 1.0):
+            bs = bath_from_params(P, r_override=r)
+            for ch in ("J", "Jpp", "Jmm"):
+                coupling_oracle(ch, 1.25, P, bs)
+        # one entry per quadrature density: n_scale 1 and 1.5
+        info = _pv_extrapolated.cache_info()
+        assert info.misses == 2
+        assert info.hits == 13
+        assert info.maxsize is not None
+
+    def test_cached_value_is_exact(self):
+        rho_cm = 1.25 * LAMBDA
+        _pv_extrapolated.cache_clear()
+        cached = _pv_extrapolated(rho_cm, P, 1.0)
+        assert _pv_extrapolated(rho_cm, P, 1.0) is cached
+        assert _pv_extrapolated.__wrapped__(rho_cm, P, 1.0) == cached
+
+    def test_keyed_on_params(self):
+        # same separation in cm, other detuning: a new entry, not a stale hit
+        rho_cm = 1.25 * LAMBDA
+        other = PhysicalParams(detuning_wq_minus_DF=150.0)
+        a = _pv_extrapolated(rho_cm, P, 1.0)
+        b = _pv_extrapolated(rho_cm, other, 1.0)
+        assert b == _pv_extrapolated.__wrapped__(rho_cm, other, 1.0)
+        assert b != a

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from magsqueeze.bath import bath_from_params
 from magsqueeze.couplings import build_couplings
@@ -129,6 +131,46 @@ class TestGenerator:
         cs9 = build_couplings(ArrayGeometry.chain(9, 0.5), P, bs)
         with pytest.raises(ValueError, match="limited"):
             build_generator(cs9)
+
+
+# random 2-d layouts: N = 2-4 qubits in a 2 x 2 lambda square, random (r, phi)
+LAYOUTS = st.lists(
+    st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)), min_size=2, max_size=4
+)
+SQUEEZING_R = st.floats(0.0, 1.5)
+SQUEEZING_PHI = st.floats(0.0, 2 * np.pi, exclude_max=True)
+
+
+def layout_couplings(points, r, phi):
+    """Couplings of a random layout; examples with a separation below
+    0.05 lambda are discarded."""
+    positions = np.array(points)
+    diff = positions[:, None, :] - positions[None, :, :]
+    sep = np.sqrt(np.sum(diff ** 2, axis=-1))
+    assume(np.min(sep[~np.eye(len(points), dtype=bool)]) >= 0.05)
+    bs = bath_from_params(P, r_override=r, phi_override=phi)
+    return build_couplings(ArrayGeometry(positions=positions), P, bs)
+
+
+class TestRandomLayoutProperties:
+    @given(LAYOUTS, SQUEEZING_R, SQUEEZING_PHI)
+    @settings(max_examples=25, deadline=None)
+    def test_dissipation_block_psd(self, points, r, phi):
+        # J0(|r_a - r_b|) is positive definite in 2-d and the moment matrix
+        # [[N+1, M*], [M, N]] is PSD, so their Kronecker product is PSD
+        block = layout_couplings(points, r, phi).dissipation_block()
+        assert np.min(np.linalg.eigvalsh(block)) >= -1e-10 * np.linalg.norm(block)
+
+    @pytest.mark.parametrize("mode", ["jump_operator", "four_channel"])
+    @given(LAYOUTS, SQUEEZING_R, SQUEEZING_PHI, st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_trace_and_hermiticity_preserved(self, mode, points, r, phi, seed):
+        gen = build_generator(layout_couplings(points, r, phi), mode)
+        rho = random_density(np.random.default_rng(seed), 2 ** len(points))
+        out = gen.action(rho)
+        scale = np.linalg.norm(out)
+        assert abs(np.trace(out)) <= 1e-10 * scale
+        assert np.max(np.abs(out - out.conj().T)) <= 1e-10 * scale
 
 
 class TestEvolve:
