@@ -41,9 +41,14 @@ class BathState:
 
     @classmethod
     def from_squeezing(cls, r, phi=DEFAULT_SQUEEZING_PHASE, k_q=0.0, lam=0.0, g_mag=0.0):
-        if r < 0:
-            raise ValueError("squeezing parameter must be >= 0")
-        n = np.sinh(r) ** 2
+        if not (np.isfinite(r) and r >= 0):
+            raise ConfigError(f"squeezing parameter must be finite and >= 0, got {r!r}")
+        if not np.isfinite(phi):
+            raise ConfigError(f"squeezing phase must be finite, got {phi!r}")
+        with np.errstate(over="ignore"):
+            n = np.sinh(r) ** 2
+        if not np.isfinite(n):
+            raise ConfigError(f"squeezing parameter {r!r} overflows the occupation sinh^2(r)")
         m = -np.cosh(r) * np.sinh(r) * np.exp(1j * phi)
         return cls(r_kq=float(r), phi=float(phi), N_kq=float(n), M_kq=complex(m),
                    k_q=float(k_q), lam=float(lam), g_mag=float(g_mag))

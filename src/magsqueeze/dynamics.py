@@ -39,6 +39,7 @@ DEFAULT_ATOL = 1e-10
 MAX_QUBITS = 8
 MAX_STEADY_QUBITS = 6
 RITZ_PROBES = 16  # random right-hand sides of the degeneracy estimate
+CHECK_CHUNK_BYTES = 256 * 1024  # states per invariant-check chunk of evolve (>= 1 state)
 
 
 @dataclass
@@ -62,13 +63,13 @@ class QubitState:
         self.rho = rho
 
     def hermiticity_error(self):
-        return float(np.max(np.abs(self.rho - self.rho.conj().T)))
+        return float(_hermiticity_errors(self.rho[None])[0])
 
     def trace_error(self):
-        return float(abs(np.trace(self.rho) - 1.0))
+        return float(_trace_errors(self.rho[None])[0])
 
     def min_eigenvalue(self):
-        return float(np.min(np.linalg.eigvalsh(0.5 * (self.rho + self.rho.conj().T))))
+        return float(_min_eigenvalues(self.rho[None])[0])
 
     def check(self):
         """Validate the invariants; raises StateInvariantError, warns on
@@ -89,6 +90,25 @@ class QubitState:
                 stacklevel=2,
             )
         return self
+
+
+def _hermiticity_errors(rhos):
+    """max |rho - rho^dagger| of each state of a (m, d, d) stack."""
+    return np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), axis=(1, 2))
+
+
+def _trace_errors(rhos):
+    """|Tr rho - 1| of each state of a (m, d, d) stack."""
+    tr = np.trace(rhos, axis1=1, axis2=2)
+    # np.hypot, not np.abs: numpy's vectorized complex abs can differ from
+    # the correctly rounded hypot in the last bit
+    return np.hypot(tr.real - 1.0, tr.imag)
+
+
+def _min_eigenvalues(rhos):
+    """Smallest eigenvalue of the Hermitian part of each state of a stack."""
+    herm = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
+    return np.min(np.linalg.eigvalsh(herm), axis=1)
 
 
 def density_matrix(state):
@@ -127,27 +147,64 @@ class Generator:
 
     Holds the effective Hamiltonian and the dissipator as a list of
     (weight, A, B) triples acting as A rho B, plus the collected
-    anticommutator matrix; `action` applies d rho / d(Gamma_0 t) and
-    `adjoint` its dual on observables, and `liouvillian` materializes the
+    anticommutator matrix G = sum w B A; `action` applies d rho / d(Gamma_0 t)
+    and `adjoint` its dual on observables, and `liouvillian` materializes the
     row-major-vectorized superoperator.
+
+    The operators are stored once, as two stacks: the left factors
+    (H, A_1..A_T, G) and the right factors (B_1..B_T); `h_eff`, `terms` and
+    `_anticom` are views into them.  `action` writes its products into work
+    arrays allocated here, so one Generator must not be applied from two
+    threads at a time.
     """
 
     def __init__(self, n_qubits, h_eff, terms, mode):
         self.n_qubits = n_qubits
         self.mode = mode
-        self.h_eff = h_eff
-        self.terms = terms
         dim = 2 ** n_qubits
-        g = np.zeros((dim, dim), dtype=complex)
-        for w, a_op, b_op in terms:
+        count = len(terms)
+        left = np.empty((count + 2, dim, dim), dtype=complex)
+        right = np.empty((count, dim, dim), dtype=complex)
+        left[0] = h_eff
+        g = left[-1]
+        g[...] = 0.0
+        self.terms = []
+        for t, (w, a_op, b_op) in enumerate(terms):
+            left[1 + t] = a_op
+            right[t] = b_op
             g += w * (b_op @ a_op)
+            self.terms.append((w, left[1 + t], right[t]))
+        self._left = left
+        self._right = right
+        self._h_and_g = left[:: count + 1]
+        self._weights = np.array([w for w, _, _ in terms], dtype=complex).reshape(count, 1, 1)
+        self.h_eff = left[0]
         self._anticom = g
+        # work arrays of `action`: (H, A_t, G) rho, rho (H, G) and A_t rho B_t
+        self._left_rho = np.empty_like(left)
+        self._rho_hg = np.empty((2, dim, dim), dtype=complex)
+        self._sandwich = np.empty_like(right)
 
     def action(self, rho):
-        out = -1j * (self.h_eff @ rho - rho @ self.h_eff)
-        for w, a_op, b_op in self.terms:
-            out += w * (a_op @ rho @ b_op)
-        out -= 0.5 * (self._anticom @ rho + rho @ self._anticom)
+        """d rho / d(Gamma_0 t) as a new array.
+
+        The sums run in the order of -i[H, rho] + sum_t w_t A_t rho B_t
+        - {G, rho}/2 written term by term, so the result is bit-identical to
+        that formula; a reordered sum would move the integrator's steps.
+        """
+        dim = rho.shape[0]
+        left_rho, rho_hg, sandwich = self._left_rho, self._rho_hg, self._sandwich
+        np.matmul(self._left.reshape(-1, dim), rho, out=left_rho.reshape(-1, dim))
+        np.matmul(rho, self._h_and_g, out=rho_hg)
+        np.matmul(left_rho[1:-1], self._right, out=sandwich)
+        sandwich *= self._weights
+        out = np.subtract(left_rho[0], rho_hg[0])
+        out *= -1j
+        for term in sandwich:
+            out += term
+        anticom = np.add(left_rho[-1], rho_hg[1], out=rho_hg[1])
+        anticom *= 0.5
+        out -= anticom
         return out
 
     def adjoint(self, op):
@@ -175,7 +232,7 @@ class Generator:
         for i in range(dim):
             l4[i, :, i, :] += right.T
         for w, a_op, b_op in self.terms:
-            b_t = w * b_op.T
+            b_t = np.ascontiguousarray(w * b_op.T)  # rows read below
             for i in range(dim):
                 l4[i] += a_op[i][None, :, None] * b_t[:, None, :]
         return mat
@@ -276,25 +333,33 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
     min_eig = np.empty(npts)
     trace_err = np.empty(npts)
     herm_err = np.empty(npts)
-    states = []
 
+    # checked chunk by chunk, in grid order: the first failing point aborts,
+    # a trace/Hermiticity violation before a negative eigenvalue at that point
     abort_tol = max(1e-6, 1e4 * atol)
-    for i in range(npts):
-        state = QubitState(rhos[i], n, time=float(t_grid[i]))
-        trace_err[i] = state.trace_error()
-        herm_err[i] = state.hermiticity_error()
-        min_eig[i] = state.min_eigenvalue()
-        if trace_err[i] > abort_tol or herm_err[i] > abort_tol:
-            raise StateInvariantError(
-                f"invariant violation at Gamma_0 t = {t_grid[i]:.6g}: "
-                f"trace {trace_err[i]:.3e}, hermiticity {herm_err[i]:.3e}"
-            )
-        if min_eig[i] < POSITIVITY_FLOOR:
+    chunk = max(1, CHECK_CHUNK_BYTES // rhos[0].nbytes)
+    for lo in range(0, npts, chunk):
+        hi = min(lo + chunk, npts)
+        trace_err[lo:hi] = _trace_errors(rhos[lo:hi])
+        herm_err[lo:hi] = _hermiticity_errors(rhos[lo:hi])
+        broken = np.flatnonzero((trace_err[lo:hi] > abort_tol) | (herm_err[lo:hi] > abort_tol))
+        stop = lo + broken[0] if broken.size else hi
+        min_eig[lo:stop] = _min_eigenvalues(rhos[lo:stop])
+        negative = np.flatnonzero(min_eig[lo:stop] < POSITIVITY_FLOOR)
+        if negative.size:
+            i = lo + negative[0]
             raise StateInvariantError(
                 f"negative eigenvalue {min_eig[i]:.3e} at Gamma_0 t = {t_grid[i]:.6g}"
             )
-        if keep_states:
-            states.append(state)
+        if broken.size:
+            raise StateInvariantError(
+                f"invariant violation at Gamma_0 t = {t_grid[stop]:.6g}: "
+                f"trace {trace_err[stop]:.3e}, hermiticity {herm_err[stop]:.3e}"
+            )
+    states = (
+        [QubitState(rho, n, time=float(t)) for rho, t in zip(rhos, t_grid)]
+        if keep_states else []
+    )
 
     return Trajectory(
         t_grid.copy(),

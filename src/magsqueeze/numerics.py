@@ -203,18 +203,21 @@ def integrate_ode(f, y0, t_grid, rtol=1e-8, atol=1e-10, fixed_step=None):
         err = np.sqrt(np.mean(np.abs(err_vec / scale) ** 2))
 
         if fixed_step is not None or err <= 1.0:
-            # dense output over [t, t+h] for any grid points inside
+            # dense output over [t, t+h] for all grid points inside at once
             t_new = t + h
-            while next_out < t_grid.size and t_grid[next_out] <= t_new + 1e-14 * max(abs(t_new), 1.0):
-                theta = (t_grid[next_out] - t) / h
+            stop = np.searchsorted(
+                t_grid, t_new + 1e-14 * max(abs(t_new), 1.0), side="right"
+            )
+            if stop > next_out:
+                theta = ((t_grid[next_out:stop] - t) / h)[:, None]
                 ydiff = y_new - y
                 r3 = h * k[0] - ydiff
                 r4 = ydiff - h * k[6] - r3
                 r5 = h * (_DP_DENSE @ k)
-                out[next_out] = y + theta * (
+                out[next_out:stop] = y + theta * (
                     ydiff + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5))
                 )
-                next_out += 1
+                next_out = stop
             k[0] = k[6]  # FSAL
             y = y_new
             t = t_new

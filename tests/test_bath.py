@@ -103,6 +103,15 @@ class TestSqueezingParameter:
         )
         assert bs.N_kq >= 0
 
+    @pytest.mark.parametrize(
+        "r,phi",
+        [(-0.5, 0.0), (np.nan, 0.0), (np.inf, 0.0), (400.0, 0.0),
+         (0.25, np.nan), (0.25, -np.inf)],
+    )
+    def test_bad_squeezing_rejected(self, r, phi):
+        with pytest.raises(ConfigError):
+            BathState.from_squeezing(r, phi=phi)
+
     def test_monotone_in_drive(self):
         gs = np.linspace(0.0, 0.99, 40)
         rs = [squeezing_parameter(g, 1.0).r_kq for g in gs]

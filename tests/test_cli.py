@@ -181,6 +181,15 @@ class TestMainExitCodes:
         assert "finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+    def test_config_error_bad_sweep_squeezing(self, tmp_path, capsys, value):
+        code = main(
+            ["--scenario", "sweep", "--set", f"sweep_r={value}", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_CONFIG
+        assert "squeezing parameter" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_error_unstable_drive(self, tmp_path, capsys):
         # strain large enough to push |g| past the bandwidth
         code = main(

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from magsqueeze.bath import bath_from_params
 from magsqueeze.couplings import build_couplings
 from magsqueeze.dynamics import (
+    CHECK_CHUNK_BYTES,
+    Generator,
     QubitState,
     build_generator,
     evolve,
@@ -19,6 +22,7 @@ from magsqueeze.errors import (
 )
 from magsqueeze.numerics import eig_smallest, matrix_exp_apply
 from magsqueeze.observables import collective_spin, initial_state
+from magsqueeze.operators import site_lower
 from magsqueeze.params import ArrayGeometry, PhysicalParams
 
 P = PhysicalParams()
@@ -34,6 +38,23 @@ def random_density(rng, dim):
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = x @ x.conj().T
     return rho / np.trace(rho)
+
+
+def random_matrix(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def per_term_action(gen, rho):
+    """The generator's action written term by term from `h_eff` and `terms`."""
+    h = gen.h_eff
+    g = np.zeros_like(h)
+    for w, a_op, b_op in gen.terms:
+        g += w * (b_op @ a_op)
+    out = -1j * (h @ rho - rho @ h)
+    for w, a_op, b_op in gen.terms:
+        out += w * (a_op @ rho @ b_op)
+    out -= 0.5 * (g @ rho + rho @ g)
+    return out
 
 
 def trace_distance(a, b):
@@ -87,6 +108,26 @@ class TestGenerator:
             rho = random_density(rng, 8)
             out = gen.action(rho)
             assert abs(np.trace(out)) < 1e-10 * np.linalg.norm(out)
+
+    @pytest.mark.parametrize("mode", ["jump_operator", "four_channel"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_action_equals_per_term_formula(self, mode, n):
+        # the stacked products do the per-term arithmetic in the same order
+        gen = generator_for(n, 0.5, 0.3, mode)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            rho = random_matrix(rng, 2 ** n)
+            assert np.array_equal(gen.action(rho), per_term_action(gen, rho))
+
+    def test_action_result_is_not_a_work_array(self):
+        gen = generator_for(3, 0.5, 0.3)
+        rng = np.random.default_rng(5)
+        out = gen.action(random_matrix(rng, 8))
+        kept = out.copy()
+        owned = [v for v in vars(gen).values() if isinstance(v, np.ndarray)]
+        assert owned and not any(np.shares_memory(out, v) for v in owned)
+        gen.action(random_matrix(rng, 8))
+        assert np.array_equal(out, kept)
 
     def test_h_eff_hermitian(self):
         gen = generator_for(3, 0.5, 0.25)
@@ -243,6 +284,40 @@ class TestEvolve:
         traj1 = evolve(initial_state("all_excited", 1), gen1, t)
         assert np.max(np.abs(traj4.mean_spin[:, 2] / 4 - traj1.mean_spin[:, 2])) < tol
         assert np.max(np.abs(traj4.relaxation - traj1.relaxation)) < tol
+
+    @pytest.mark.filterwarnings("ignore:density matrix marginally non-positive")
+    def test_invariant_columns_equal_state_methods(self):
+        # 400 states of 8 x 8 are checked in two chunks
+        t = np.linspace(0.0, 5.0, 400)
+        assert 64 * 16 * t.size > CHECK_CHUNK_BYTES >= 64 * 16 * t.size / 2
+        gen = generator_for(3, 0.5, 0.25)
+        s0 = initial_state("css", 3, theta=np.pi / 2, phi=0.3)
+        traj = evolve(s0, gen, t, keep_states=True)
+        for i, state in enumerate(traj.states):
+            assert traj.trace_err[i] == state.trace_error()
+            assert traj.herm_err[i] == state.hermiticity_error()
+            assert traj.min_eig[i] == state.min_eigenvalue()
+
+    @pytest.mark.filterwarnings("ignore:density matrix marginally non-positive")
+    def test_hermiticity_break_aborts_at_first_bad_grid_time(self):
+        # the single term s rho s (s = sigma^- of qubit 0) gives
+        # rho(t) = rho0 + t X, X = s rho0 s, so the Hermiticity error is c t;
+        # the negative eigenvalue it also opens is ~ -c^2 t, which the small
+        # polar angle keeps above the positivity floor past the abort
+        n, dim = 3, 8
+        lower = site_lower(0, n)
+        gen = Generator(n, np.zeros((dim, dim), dtype=complex), [(1.0, lower, lower)],
+                        "jump_operator")
+        s0 = initial_state("css", n, theta=0.005)
+        x = lower @ s0.rho @ lower
+        c = np.max(np.abs(x - x.conj().T))
+        abort_tol = 1e-6  # max(1e-6, 1e4 atol) at the default atol
+        # the error crosses the tolerance half-way between points 300 and
+        # 301, in the second chunk of 256 states
+        grid = np.linspace(0.0, abort_tol / c * 399 / 300.5, 400)
+        with pytest.raises(StateInvariantError,
+                           match=re.escape(f"Gamma_0 t = {grid[301]:.6g}: ")):
+            evolve(s0, gen, grid)
 
     def test_mismatched_generator_rejected(self):
         gen = generator_for(2, 0.5, 0.0)

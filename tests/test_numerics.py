@@ -162,6 +162,25 @@ class TestIntegrateOde:
             )
             assert np.max(np.abs(dense[i] - direct[-1])) < 1e-7
 
+    def test_stepping_independent_of_grid_density(self):
+        rng = np.random.default_rng(4)
+        mat = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        mat = mat - mat.conj().T
+        y0 = rng.normal(size=6) + 1j * rng.normal(size=6)
+        fine = np.linspace(0.0, 2.0, 2001)
+        coarse = fine[[0, 700, 2000]]
+        calls = []
+
+        def f(_t, y):
+            calls.append(1)
+            return mat @ y
+
+        out_coarse = integrate_ode(f, y0, coarse, 1e-10, 1e-12)
+        n_coarse = len(calls)
+        out_fine = integrate_ode(f, y0, fine, 1e-10, 1e-12)
+        assert len(calls) - n_coarse == n_coarse
+        assert np.array_equal(out_fine[[0, 700, 2000]], out_coarse)
+
     def test_zero_length_grid_is_identity(self):
         y0 = np.array([1.0 + 2.0j, -0.5j])
         ys = integrate_ode(lambda _t, y: -y, y0, np.array([0.0]), 1e-8, 1e-10)
