@@ -212,7 +212,7 @@ def field_correlator(kind, rho_ab, t, t_prime, params, bath, tol=1e-8):
     dh = params.stiffness_over_hbar
     omega_q = params.omega_q
     bw = params.bandwidth_angular
-    k_q = np.sqrt(params.detuning_angular / dh)
+    k_q, _ = resonant_wavelength(params)
 
     # band edges in k for the squeezed modes
     lo = max(omega_q - bw - params.spin_wave_gap, 0.0)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bath import resonant_wavelength
 from .errors import ConfigError
 from .numerics import bessel_j0, bessel_y0, gauss_legendre_panels
 
@@ -141,7 +142,7 @@ def _delta_channel(rho_cm, moment, params, distance_cm):
     """K * integral dk k^3 e^{-2kd} J0(k rho) * moment * 2 pi delta(omega_k - omega_q),
     with the delta smeared to a narrow Gaussian well inside the squeezing band."""
     dh = params.stiffness_over_hbar
-    k_q = np.sqrt(params.detuning_angular / dh)
+    k_q, _ = resonant_wavelength(params)
     eps = params.bandwidth_angular / 20.0
     sigma_k = eps / (2.0 * dh * k_q)
     lo = max(k_q - 8.0 * sigma_k, 0.0)
@@ -188,8 +189,7 @@ def _pv_extrapolated(rho_cm, params, n_scale):
     """
     if rho_cm <= 0:
         raise ConfigError("exchange oracle needs a positive separation")
-    dh = params.stiffness_over_hbar
-    k_q = np.sqrt(params.detuning_angular / dh)
+    k_q, _ = resonant_wavelength(params)
 
     # regulated Hankel term: 4-point extrapolation captures through d^3
     d0 = rho_cm / 40.0
@@ -260,9 +260,7 @@ def coupling_oracle(channel, rho_ab, params, bath, n_scale=1.0):
     if not np.isfinite(n_scale) or n_scale <= 0:
         raise ConfigError(f"oracle panel density must be finite and > 0, got {n_scale!r}")
     dh = params.stiffness_over_hbar
-    k_q = np.sqrt(params.detuning_angular / dh)
-    lam = 1.0 / k_q
-    rho_cm = rho_ab * lam
+    rho_cm = rho_ab * resonant_wavelength(params)[1]
 
     if channel in GAMMA_CHANNELS:
         moment = {

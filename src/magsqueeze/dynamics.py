@@ -63,27 +63,21 @@ class QubitState:
         self.rho = rho
 
     def hermiticity_error(self):
-        return float(_hermiticity_errors(self.rho[None])[0])
+        return float(_invariants(self.rho[None])[1][0])
 
     def trace_error(self):
-        return float(_trace_errors(self.rho[None])[0])
+        return float(_invariants(self.rho[None])[0][0])
 
     def min_eigenvalue(self):
-        return float(_min_eigenvalues(self.rho[None])[0])
+        return float(_invariants(self.rho[None])[2][0])
 
     def check(self):
-        """Validate the invariants; raises StateInvariantError, warns on
-        positivity drift inside the monitored band."""
-        herm = self.hermiticity_error()
-        if herm > HERMITICITY_TOL:
-            raise StateInvariantError(f"Hermiticity violated: {herm:.3e}")
-        tr = self.trace_error()
-        if tr > TRACE_TOL:
-            raise StateInvariantError(f"trace deviates from 1 by {tr:.3e}")
-        mineig = self.min_eigenvalue()
-        if mineig < POSITIVITY_FLOOR:
-            raise StateInvariantError(f"negative eigenvalue {mineig:.3e}")
-        if mineig < 0.0:
+        """Validate the invariants; raises StateInvariantError, warns on a
+        negative eigenvalue above the positivity floor but beyond round-off."""
+        mineig = _invariants(self.rho[None], [self.time], TRACE_TOL, HERMITICITY_TOL)[2][0]
+        # eigvalsh round-off puts the zero eigenvalues of a pure state at
+        # about -dim eps ||rho||; only a larger negative one is drift
+        if mineig < -self.rho.shape[0] * np.finfo(float).eps * np.linalg.norm(self.rho):
             warnings.warn(
                 f"density matrix marginally non-positive (min eig {mineig:.2e})",
                 RuntimeWarning,
@@ -92,23 +86,49 @@ class QubitState:
         return self
 
 
-def _hermiticity_errors(rhos):
-    """max |rho - rho^dagger| of each state of a (m, d, d) stack."""
-    return np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), axis=(1, 2))
+def _invariants(rhos, times=None, trace_tol=np.inf, herm_tol=np.inf):
+    """Trace error |Tr rho - 1|, Hermiticity error max |rho - rho^dagger| and
+    smallest eigenvalue of the Hermitian part of each state of a (m, d, d)
+    stack, computed CHECK_CHUNK_BYTES of states at a time (at least one).
 
-
-def _trace_errors(rhos):
-    """|Tr rho - 1| of each state of a (m, d, d) stack."""
-    tr = np.trace(rhos, axis1=1, axis2=2)
-    # np.hypot, not np.abs: numpy's vectorized complex abs can differ from
-    # the correctly rounded hypot in the last bit
-    return np.hypot(tr.real - 1.0, tr.imag)
-
-
-def _min_eigenvalues(rhos):
-    """Smallest eigenvalue of the Hermitian part of each state of a stack."""
-    herm = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
-    return np.min(np.linalg.eigvalsh(herm), axis=1)
+    Given the Gamma_0 t of each state in `times`, the states are also checked
+    in order, and the first failing one raises StateInvariantError: a trace
+    or Hermiticity error above its tolerance is reported before an
+    eigenvalue below POSITIVITY_FLOOR (the eigenvalues of such a state are
+    not computed).
+    """
+    count = len(rhos)
+    trace_err = np.empty(count)
+    herm_err = np.empty(count)
+    min_eig = np.empty(count)
+    chunk = max(1, CHECK_CHUNK_BYTES // rhos[0].nbytes)
+    for lo in range(0, count, chunk):
+        hi = min(lo + chunk, count)
+        block = rhos[lo:hi]
+        tr = np.trace(block, axis1=1, axis2=2)
+        # np.hypot, not np.abs: numpy's vectorized complex abs can differ from
+        # the correctly rounded hypot in the last bit
+        trace_err[lo:hi] = np.hypot(tr.real - 1.0, tr.imag)
+        herm_err[lo:hi] = np.max(np.abs(block - block.conj().transpose(0, 2, 1)), axis=(1, 2))
+        broken = np.flatnonzero((trace_err[lo:hi] > trace_tol) | (herm_err[lo:hi] > herm_tol))
+        stop = lo + broken[0] if broken.size else hi
+        valid = rhos[lo:stop]
+        herm = 0.5 * (valid + valid.conj().transpose(0, 2, 1))
+        min_eig[lo:stop] = np.min(np.linalg.eigvalsh(herm), axis=1)
+        if times is None:
+            continue
+        negative = np.flatnonzero(min_eig[lo:stop] < POSITIVITY_FLOOR)
+        if negative.size:
+            i = lo + negative[0]
+            raise StateInvariantError(
+                f"negative eigenvalue {min_eig[i]:.3e} at Gamma_0 t = {times[i]:.6g}"
+            )
+        if broken.size:
+            raise StateInvariantError(
+                f"invariant violation at Gamma_0 t = {times[stop]:.6g}: trace error "
+                f"{trace_err[stop]:.3e}, Hermiticity error {herm_err[stop]:.3e}"
+            )
+    return trace_err, herm_err, min_eig
 
 
 def density_matrix(state):
@@ -306,8 +326,9 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
     """Evolve a state over a grid of Gamma_0 t values; returns a Trajectory.
 
     Adaptive embedded Runge-Kutta with dense output at the grid points; each
-    output state is re-validated against the QubitState invariants (an
-    out-of-band violation aborts the run).  The observables are evaluated
+    output state is re-validated against the QubitState invariants, with
+    trace and Hermiticity tolerances max(1e-6, 1e4 atol) (a violation aborts
+    the run).  The observables are evaluated
     once over the whole stack of output states.
     """
     # imported here: observables imports QubitState from this module
@@ -324,38 +345,10 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
     def rhs(_t, y):
         return generator.action(y.reshape(dim, dim)).ravel()
 
-    if t_grid.size == 1:
-        flat = rho_init.ravel()[None, :].copy()
-    else:
-        flat = integrate_ode(rhs, rho_init.ravel(), t_grid, rtol=rtol, atol=atol)
-    npts = t_grid.size
-    rhos = flat.reshape(npts, dim, dim)
-    min_eig = np.empty(npts)
-    trace_err = np.empty(npts)
-    herm_err = np.empty(npts)
-
-    # checked chunk by chunk, in grid order: the first failing point aborts,
-    # a trace/Hermiticity violation before a negative eigenvalue at that point
+    flat = integrate_ode(rhs, rho_init.ravel(), t_grid, rtol=rtol, atol=atol)
+    rhos = flat.reshape(t_grid.size, dim, dim)
     abort_tol = max(1e-6, 1e4 * atol)
-    chunk = max(1, CHECK_CHUNK_BYTES // rhos[0].nbytes)
-    for lo in range(0, npts, chunk):
-        hi = min(lo + chunk, npts)
-        trace_err[lo:hi] = _trace_errors(rhos[lo:hi])
-        herm_err[lo:hi] = _hermiticity_errors(rhos[lo:hi])
-        broken = np.flatnonzero((trace_err[lo:hi] > abort_tol) | (herm_err[lo:hi] > abort_tol))
-        stop = lo + broken[0] if broken.size else hi
-        min_eig[lo:stop] = _min_eigenvalues(rhos[lo:stop])
-        negative = np.flatnonzero(min_eig[lo:stop] < POSITIVITY_FLOOR)
-        if negative.size:
-            i = lo + negative[0]
-            raise StateInvariantError(
-                f"negative eigenvalue {min_eig[i]:.3e} at Gamma_0 t = {t_grid[i]:.6g}"
-            )
-        if broken.size:
-            raise StateInvariantError(
-                f"invariant violation at Gamma_0 t = {t_grid[stop]:.6g}: "
-                f"trace {trace_err[stop]:.3e}, hermiticity {herm_err[stop]:.3e}"
-            )
+    trace_err, herm_err, min_eig = _invariants(rhos, t_grid, abort_tol, abort_tol)
     states = (
         [QubitState(rho, n, time=float(t)) for rho, t in zip(rhos, t_grid)]
         if keep_states else []
@@ -386,7 +379,7 @@ def steady_state(generator):
     matrix-free Arnoldi run), raises DegenerateSteadyStateError.  The
     residual ||L v|| of the normalized solution is checked against
     1e-8 ||L||_F (LinAlgError); the state is then Hermitized,
-    trace-normalized and checked against the positivity floor.
+    trace-normalized and checked like QubitState.check, without its warning.
     """
     n = generator.n_qubits
     if n > MAX_STEADY_QUBITS:
@@ -434,11 +427,8 @@ def steady_state(generator):
     rho = vec.reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho)
-    state = QubitState(rho, n, time=np.inf)
-    mineig = state.min_eigenvalue()
-    if mineig < POSITIVITY_FLOOR:
-        raise StateInvariantError(f"steady state has negative eigenvalue {mineig:.3e}")
-    return state
+    _invariants(rho[None], [np.inf], TRACE_TOL, HERMITICITY_TOL)
+    return QubitState(rho, n, time=np.inf)
 
 
 def _smallest_ritz_modulus(sol, rhs):

@@ -384,16 +384,6 @@ class QuadratureResult:
     evaluations: int
 
 
-def _gk15(f, a, b):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _GK_NODES
-    fx = np.asarray(f(x))
-    k15 = half * np.sum(_GK_WK * fx)
-    g7 = half * np.sum(_GK_WG * fx[1::2])
-    return k15, abs(k15 - g7)
-
-
 def _gk15_batch(f, lows, highs):
     """Vectorized 15-point rule over many intervals in one integrand call."""
     half = 0.5 * (highs - lows)
@@ -437,8 +427,7 @@ def quad_adaptive(f, a, b, tol=1e-10, max_subdivisions=2000, edges=None):
             break
         neg_err, _, a0, b0, val0 = heapq.heappop(heap)
         m = 0.5 * (a0 + b0)
-        v1, e1 = _gk15(f, a0, m)
-        v2, e2 = _gk15(f, m, b0)
+        (v1, v2), (e1, e2) = _gk15_batch(f, np.array([a0, m]), np.array([m, b0]))
         evals += 30
         total_val += v1 + v2 - val0
         total_err += e1 + e2 + neg_err

@@ -213,6 +213,20 @@ _GEOMETRY_KEYS = ("n_qubits", "a_over_lambda")
 _DRIVE_KEY = "omega_s_MHz"  # accepted only at exact pair resonance; never stored
 
 
+def _parse_value(key, val, where):
+    """Value of config key `key` from its text: int for n_qubits, else float.
+    Unknown keys and empty or unreadable values raise ConfigError naming
+    `where`."""
+    if key not in _PARAM_KEYS and key not in _GEOMETRY_KEYS and key != _DRIVE_KEY:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    if not val:
+        raise ConfigError(f"{where}: missing value for key {key!r}")
+    try:
+        return int(val) if key == "n_qubits" else float(val)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key!r}: {val!r}") from exc
+
+
 def parse_config_text(text):
     """Parse `key = value` lines; '#' starts a comment.  Unknown keys error."""
     values = {}
@@ -224,17 +238,10 @@ def parse_config_text(text):
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        val = val.strip()
-        if key not in _PARAM_KEYS and key not in _GEOMETRY_KEYS and key != _DRIVE_KEY:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        value = _parse_value(key, val.strip(), f"line {lineno}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if not val:
-            raise ConfigError(f"line {lineno}: missing value for key {key!r}")
-        try:
-            values[key] = int(val) if key == "n_qubits" else float(val)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
+        values[key] = value
     return values
 
 
@@ -291,19 +298,13 @@ def serialize_config(params, geometry):
 
 
 def apply_overrides(params, geometry, overrides):
-    """Apply `key=value` override strings (same keys as the config file)."""
-    values = {}
+    """Apply `key=value` override strings (same keys as the config file,
+    but no comments: the whole text after '=' is the value)."""
+    merged = parse_config_text(serialize_config(params, geometry))
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, _, val = item.partition("=")
-        values[key.strip()] = val.strip()
-    merged = parse_config_text(serialize_config(params, geometry))
-    for key, val in values.items():
-        if key not in _PARAM_KEYS and key not in _GEOMETRY_KEYS and key != _DRIVE_KEY:
-            raise ConfigError(f"unknown override key {key!r}")
-        try:
-            merged[key] = int(val) if key == "n_qubits" else float(val)
-        except ValueError as exc:
-            raise ConfigError(f"bad override value for {key!r}: {val!r}") from exc
+        key = key.strip()
+        merged[key] = _parse_value(key, val.strip(), f"override {item!r}")
     return config_from_values(merged)

@@ -172,6 +172,17 @@ class TestMainExitCodes:
         )
         assert code == EXIT_CONFIG
 
+    def test_config_error_comment_in_override(self, tmp_path, capsys):
+        # '#' starts a comment only in config files; in an override it is
+        # part of the value
+        code = main(
+            ["--scenario", "fig2a_couplings", "--set", "detuning_MHz=400#x",
+             "--out", str(tmp_path)]
+        )
+        assert code == EXIT_CONFIG
+        assert "bad value" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("override", ["nu_Hz=inf", "strain_Exy=nan", "a_over_lambda=inf"])
     def test_config_error_nonfinite_value(self, tmp_path, capsys, override):
         code = main(

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -81,10 +82,28 @@ class TestQubitState:
         with pytest.raises(StateInvariantError, match="eigenvalue"):
             QubitState(rho, 2).check()
 
+    def test_trace_reported_before_eigenvalue_with_time(self):
+        # one state breaking both: the trace test comes first, at its time
+        rho = np.diag([1.5, -0.2, 0.0, 0.0]).astype(complex)
+        with pytest.raises(StateInvariantError, match=r"Gamma_0 t = 2\.5: trace error 3"):
+            QubitState(rho, 2, time=2.5).check()
+
     def test_marginal_negativity_warns(self):
         rho = np.diag([1.0 + 1e-9, -1e-9, 0.0, 0.0]).astype(complex)
         with pytest.warns(RuntimeWarning, match="non-positive"):
             QubitState(rho, 2).check()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_pure_css_start_is_silent(self, n):
+        # eigvalsh round-off puts the zero eigenvalues of a pure state at
+        # -1e-21..-1e-16, inside the relative band that does not warn
+        gen = generator_for(n, 0.5, 0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for theta in (np.pi / 3, np.pi / 2, 0.005):
+                s0 = initial_state("css", n, theta=theta, phi=0.3)
+                s0.check()
+                evolve(s0, gen, np.linspace(0.0, 0.2, 3))
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -285,7 +304,6 @@ class TestEvolve:
         assert np.max(np.abs(traj4.mean_spin[:, 2] / 4 - traj1.mean_spin[:, 2])) < tol
         assert np.max(np.abs(traj4.relaxation - traj1.relaxation)) < tol
 
-    @pytest.mark.filterwarnings("ignore:density matrix marginally non-positive")
     def test_invariant_columns_equal_state_methods(self):
         # 400 states of 8 x 8 are checked in two chunks
         t = np.linspace(0.0, 5.0, 400)
@@ -298,7 +316,6 @@ class TestEvolve:
             assert traj.herm_err[i] == state.hermiticity_error()
             assert traj.min_eig[i] == state.min_eigenvalue()
 
-    @pytest.mark.filterwarnings("ignore:density matrix marginally non-positive")
     def test_hermiticity_break_aborts_at_first_bad_grid_time(self):
         # the single term s rho s (s = sigma^- of qubit 0) gives
         # rho(t) = rho0 + t X, X = s rho0 s, so the Hermiticity error is c t;

@@ -251,6 +251,20 @@ class TestQuadrature:
         assert res.abs_error_estimate <= 1e-12
         assert res.evaluations >= 15
 
+    def test_one_integrand_call_per_bisection(self):
+        # the start interval and then both halves of each bisected interval
+        # are evaluated by one call of the 15-point rule
+        calls = []
+
+        def f(k):
+            calls.append(k.size)
+            return k ** 3 * np.exp(-2 * k)
+
+        res = quad_adaptive(f, 0.0, 40.0, 1e-12)
+        assert len(calls) > 1
+        assert calls == [15] + [30] * (len(calls) - 1)
+        assert res.evaluations == sum(calls)
+
     def test_complex_integrand(self):
         res = quad_adaptive(lambda x: np.exp(1j * x), 0.0, np.pi, 1e-12)
         assert res.value == pytest.approx(2.0j, abs=1e-10)

@@ -202,6 +202,16 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="unknown"):
             apply_overrides(*defaults, ["nope=1"])
 
+    def test_empty_override_value_rejected(self, defaults):
+        with pytest.raises(ConfigError, match="missing value"):
+            apply_overrides(*defaults, ["detuning_MHz="])
+
+    # an override has no comments: '#' is part of the value
+    @pytest.mark.parametrize("override", ["n_qubits=3.0", "detuning_MHz=400#x"])
+    def test_bad_override_value_rejected(self, defaults, override):
+        with pytest.raises(ConfigError, match="bad value"):
+            apply_overrides(*defaults, [override])
+
     def test_malformed_override_rejected(self, defaults):
         with pytest.raises(ConfigError, match="key=value"):
             apply_overrides(*defaults, ["detuning_MHz"])
