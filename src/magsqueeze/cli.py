@@ -26,7 +26,15 @@ import numpy as np
 from . import __version__
 from .bath import bath_from_params
 from .couplings import build_couplings, closed_form_channels
-from .dynamics import DEFAULT_ATOL, DEFAULT_RTOL, build_generator, evolve, steady_state
+from .dynamics import (
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
+    MAX_QUBITS,
+    MAX_STEADY_QUBITS,
+    build_generator,
+    evolve,
+    steady_state,
+)
 from .errors import (
     ConfigError,
     DegenerateSteadyStateError,
@@ -244,6 +252,8 @@ def _sweep_axes(overrides):
 
 def run_sweep(scenario, params, geometry, written):
     _, r_axis, a_axis, n_axis = _sweep_axes(scenario.overrides)
+    if not all(1 <= n <= MAX_STEADY_QUBITS for n in n_axis):
+        raise ConfigError(f"sweep_n values must be between 1 and {MAX_STEADY_QUBITS}")
     grid = [(r, a, n) for r in r_axis for a in a_axis for n in n_axis]
 
     def point(args):
@@ -270,6 +280,8 @@ def run_sweep(scenario, params, geometry, written):
 
 
 def run_custom(scenario, params, geometry, written):
+    if geometry.n_qubits > MAX_QUBITS:
+        raise ConfigError(f"n_qubits must be at most {MAX_QUBITS}")
     bathstate = bath_from_params(params)
     coup = build_couplings(geometry, params, bathstate)
     gen = build_generator(coup)

@@ -40,6 +40,7 @@ MAX_QUBITS = 8
 MAX_STEADY_QUBITS = 6
 RITZ_PROBES = 16  # random right-hand sides of the degeneracy estimate
 CHECK_CHUNK_BYTES = 256 * 1024  # states per invariant-check chunk of evolve (>= 1 state)
+SECTOR_CHUNK_BYTES = 2 * 1024 * 1024  # complex rows per steady-state assembly chunk (>= 1 row)
 
 
 @dataclass
@@ -238,24 +239,31 @@ class Generator:
     def liouvillian(self):
         """Dense 4^N x 4^N matrix L with vec(drho/dt) = L vec(rho), row-major.
 
-        Written in place through the 4-index view L4[i, j, k, l], the weight
-        of rho[k, l] in (drho/dt)[i, j]; each call returns a new array that
-        the caller owns (at N = 6 it takes 256 MB, so none is cached).
+        The terms K rho, rho K' (K = -iH - G/2, K' = iH - G/2) and
+        w_t A_t rho B_t are all sandwiches, so L is one `_sandwich_matrix` of
+        the stacks (K, 1, w_t A_t) and (1, K', B_t), written one row index at
+        a time.  Each call returns a new array that the caller owns (at N = 6 it
+        takes 256 MB, so none is cached); `steady_state` never builds it.
         """
         dim = 2 ** self.n_qubits
-        mat = np.zeros((dim * dim, dim * dim), dtype=complex)
+        eye = np.eye(dim)
+        lefts = np.concatenate([[-1j * self.h_eff - 0.5 * self._anticom, eye],
+                                self._weights * self._left[1:-1]])
+        rights = np.concatenate([[eye, 1j * self.h_eff - 0.5 * self._anticom], self._right])
+        mat = np.empty((dim * dim, dim * dim), dtype=complex)
         l4 = mat.reshape(dim, dim, dim, dim)
-        left = -1j * self.h_eff - 0.5 * self._anticom    # K rho
-        right = 1j * self.h_eff - 0.5 * self._anticom    # rho K'
-        for j in range(dim):
-            l4[:, j, :, j] += left
         for i in range(dim):
-            l4[i, :, i, :] += right.T
-        for w, a_op, b_op in self.terms:
-            b_t = np.ascontiguousarray(w * b_op.T)  # rows read below
-            for i in range(dim):
-                l4[i] += a_op[i][None, :, None] * b_t[:, None, :]
+            _sandwich_matrix(lefts[:, i:i + 1], rights, l4[i:i + 1])
         return mat
+
+
+def _sandwich_matrix(lefts, rights, out):
+    """Write the row-major matrix of X -> sum_t A_t X B_t into `out`, as the
+    4-index array out[i, j, k, l] = sum_t A_t[i, k] B_t[l, j] (the weight of
+    X[k, l] in the result's [i, j]); `lefts` may hold a slice of the rows i."""
+    count, rows, dim = lefts.shape
+    prod = lefts.reshape(count, -1).T @ rights.reshape(count, -1)  # [(i, k), (l, j)]
+    out[...] = prod.reshape(rows, dim, dim, dim).transpose(0, 3, 1, 2)
 
 
 def build_generator(couplings, mode="jump_operator"):
@@ -366,69 +374,177 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
 
 
 def steady_state(generator):
-    """Stationary state from one LU solve of the trace-bordered Liouvillian.
+    """Stationary state from one LU solve in each parity sector of L.
 
-    The trace functional w = vec(I) is a left null vector of L, so by
-    Brauer's theorem A = L + e0 w^T (w added to row 0) has the spectrum of L
-    with the null eigenvalue moved to 1: A is singular exactly when the
-    steady state is not unique, and A vec(rho) = e0 gives the unit-trace
-    steady state.  One solve takes e0 together with a fixed-seed random
-    block Z; since A X = Z, the Ritz values of A on span(X) follow from X
-    and Z alone, and their smallest modulus estimates |lambda_2| of L.  A
-    singular solve, or |lambda_2| below 1e-8 of the spectral radius (from a
-    matrix-free Arnoldi run), raises DegenerateSteadyStateError.  The
-    residual ||L v|| of the normalized solution is checked against
-    1e-8 ||L||_F (LinAlgError); the state is then Hermitized,
-    trace-normalized and checked like QubitState.check, without its warning.
+    Let Pi = prod_i sigma_z^i.  H and G must conserve Pi and every jump
+    factor A_t, B_t must flip it (ValueError otherwise; every
+    `build_generator` output does), so L maps the parity-even operators
+    (blocks rho_ee, rho_oo) and the odd ones (rho_eo, rho_oe) into
+    themselves.  L also preserves Hermiticity, so on an orthonormal basis of
+    Hermitian operators each sector is a real 4^N/2 x 4^N/2 block.  The basis
+    is {E_ii, (S_ij + A_ij)/sqrt2, (S_ij - A_ij)/sqrt2} with
+    S_ij = (E_ij + E_ji)/sqrt2 and A_ij = i(E_ij - E_ji)/sqrt2: the operator
+    X has the coordinate Re X_ij + Im X_ij at [i, j], and a block is
+    Re M + Im M^swap of the complex rows M of L (`_sector_block`).  The
+    blocks are written from the parity-split stacks a bounded chunk of rows
+    at a time, and the complex L is never built: at N = 6 a block takes
+    32 MB, and `np.linalg.solve` copies it once.
+
+    The trace functional w (1 on the E_ii) is a left null vector of the
+    even block R_e, so by Brauer's theorem A = R_e + e0 w^T has the spectrum
+    of R_e with the null eigenvalue moved to 1: A is singular exactly when
+    the even sector holds a second stationary state, and A v = e0 gives the
+    unit-trace steady state.  One solve takes e0 together with a fixed-seed
+    random block Z; since A X = Z, the Ritz values of A on span(X) follow
+    from X and Z alone, and their smallest modulus estimates |lambda_2| in
+    the even sector.  The odd block R_o holds traceless operators only, so
+    it is solved unbordered against its own random block, and its smallest
+    Ritz modulus estimates its smallest |lambda|: an odd zero mode (a
+    coherence that never decays) is caught too.  A singular or non-finite
+    solve in either sector, or the smaller estimate below 1e-8 of the
+    spectral radius (from a matrix-free Arnoldi run on `action`), raises
+    DegenerateSteadyStateError.  The residual ||L v|| of the normalized
+    solution, on the full `action`, is checked against 1e-8 ||L||_F
+    (LinAlgError), where ||L||_F^2 = ||R_e||_F^2 + ||R_o||_F^2 (the basis is
+    orthonormal and the cross-sector blocks are 0); the state is then
+    Hermitized, trace-normalized and checked like QubitState.check, without
+    its warning.
     """
     n = generator.n_qubits
     if n > MAX_STEADY_QUBITS:
         raise ValueError(
             f"dense steady-state solve limited to {MAX_STEADY_QUBITS} qubits"
         )
+    order, stacks = _parity_split(generator)
     dim = 2 ** n
-    size = dim * dim
+    half = dim // 2
+    size = dim * dim // 2  # real coordinates per sector
 
     def apply(vec):
         return generator.action(vec.reshape(dim, dim)).ravel()
 
-    radius = spectral_radius_estimate(apply, size)
-    probes = min(RITZ_PROBES, size - 1)
+    radius = spectral_radius_estimate(apply, dim * dim)
     rng = np.random.default_rng(0)
-    rhs = np.zeros((size, 1 + probes), dtype=complex)
-    rhs[0, 0] = 1.0
-    rhs[:, 1:] = rng.standard_normal((size, probes)) + 1j * rng.standard_normal((size, probes))
 
-    mat = generator.liouvillian()
-    l_norm = np.linalg.norm(mat)
-    mat[0, :: dim + 1] += 1.0  # row 0 += vec(I): L becomes A in place
-    try:
-        sol = np.linalg.solve(mat, rhs)
-        del mat
-        if not np.all(np.isfinite(sol)):
-            raise np.linalg.LinAlgError("solution is not finite")
-        lam2 = _smallest_ritz_modulus(sol, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSteadyStateError(
-            f"bordered Liouvillian is singular ({exc}); steady state is not unique"
-        ) from exc
+    probes = min(RITZ_PROBES, size - 1)
+    rhs = np.zeros((size, 1 + probes))
+    rhs[0, 0] = 1.0
+    rhs[:, 1:] = rng.standard_normal((size, probes))
+    mat = _sector_block(*stacks, EVEN_SECTOR).reshape(size, size)
+    norm_sq = np.vdot(mat, mat)
+    mat[0].reshape(2, half * half)[:, :: half + 1] += 1.0  # row 0 += w: R_e becomes A
+    sol, lam_even = _solve_sector(mat, rhs, "even")
+    del mat
+
+    mat = _sector_block(*stacks, ODD_SECTOR).reshape(size, size)
+    norm_sq += np.vdot(mat, mat)
+    _, lam_odd = _solve_sector(mat, rng.standard_normal((size, min(RITZ_PROBES, size))), "odd")
+    del mat
+
+    lam2 = min(lam_even, lam_odd)
     if lam2 < 1e-8 * radius:
         raise DegenerateSteadyStateError(
             f"second eigenvalue |lambda_2| ~ {lam2:.3e} below 1e-8 of the "
             f"spectral radius {radius:.3e}; steady state is not unique"
         )
 
-    vec = sol[:, 0] / np.linalg.norm(sol[:, 0])
-    resid = np.linalg.norm(apply(vec))
+    l_norm = np.sqrt(norm_sq)
+    coords = sol[:, 0].reshape(2, half, half) / np.linalg.norm(sol[:, 0])
+    blocks = 0.5 * ((1 + 1j) * coords + (1 - 1j) * coords.swapaxes(1, 2))
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[order[:half, None], order[:half]] = blocks[0]
+    rho[order[half:, None], order[half:]] = blocks[1]
+    resid = np.linalg.norm(generator.action(rho))
     if l_norm > 0 and resid > 1e-8 * l_norm:
         raise np.linalg.LinAlgError(
             f"steady-state residual {resid:.2e} exceeds 1e-8*||L|| ({l_norm:.2e})"
         )
-    rho = vec.reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho)
     _invariants(rho[None], [np.inf], TRACE_TOL, HERMITICITY_TOL)
     return QubitState(rho, n, time=np.inf)
+
+
+# the (row, column) parity blocks of the operators in each sector, in the
+# basis ordered by parity (0: even states, 1: odd states)
+EVEN_SECTOR = ((0, 0), (1, 1))
+ODD_SECTOR = ((0, 1), (1, 0))
+
+
+def _parity_split(generator):
+    """The basis order that puts the states of even parity first, and the
+    stacks (K, K', w_t A_t, B_t) in that basis, with K = -iH - G/2 and
+    K' = iH - G/2 as in `action`.
+
+    Raises ValueError unless H and G conserve the parity and every A_t and
+    B_t flips it (entries that break this must be exactly 0).
+    """
+    dim = 2 ** generator.n_qubits
+    parity = np.array([bin(i).count("1") % 2 for i in range(dim)])
+    same = parity[:, None] == parity
+    left, right = generator._left, generator._right
+    if np.any(left[[0, -1]][:, ~same]) or np.any(left[1:-1][:, same]) or np.any(right[:, same]):
+        raise ValueError(
+            "steady_state needs a parity-symmetric generator: H and G must "
+            "conserve prod_i sigma_z^i and every jump factor must flip it"
+        )
+    order = np.argsort(parity, kind="stable")
+    left = left[:, order[:, None], order]
+    right = right[:, order[:, None], order]
+    k_op = -1j * left[0] - 0.5 * left[-1]
+    k_right = 1j * left[0] - 0.5 * left[-1]
+    return order, (k_op, k_right, generator._weights * left[1:-1], right)
+
+
+def _sector_block(k_op, k_right, w_a, b_op, positions):
+    """Real matrix of L on one parity sector, as out[p, i, j, q, k, l]: the
+    coordinate [i, j] of block positions[p] of L(X) against the coordinate
+    [k, l] of block positions[q] of X (coordinates as in `steady_state`).
+
+    The complex rows M of L for the block (x, y) take K X_xy + X_xy K' from
+    the same block and sum_t w_t A_t X B_t from the block (1-x, 1-y).  A
+    Hermitian X has the coordinates Q = Re X + Im X and is
+    ((1+i) Q + (1-i) Q^T)/2, so the coordinates Re((1-i) Y) of Y = L(X)
+    are Re(M Q) + Im(M Q^T): the real entry is
+    Re M[i, j, k, l] + Im M[i, j, l, k].  In the odd sector the partner
+    entry [l, k] lies in the other block.  The rows are computed
+    SECTOR_CHUNK_BYTES of complex entries at a time (at least one row
+    index i).
+    """
+    half = len(k_op) // 2
+    blocks = (slice(None, half), slice(half, None))
+    eye = np.eye(half)
+    partner = slice(None) if positions[0][0] == positions[0][1] else slice(None, None, -1)
+    out = np.empty((2, half, half, 2, half, half))
+    rows = max(1, SECTOR_CHUNK_BYTES // (32 * half ** 3))
+    chunk = np.empty((min(rows, half), half, 2, half, half), dtype=complex)
+    for p, (x, y) in enumerate(positions):
+        bx, by = blocks[x], blocks[y]
+        direct = (np.stack([k_op[bx, bx], eye]), np.stack([eye, k_right[by, by]]))
+        crossed = (w_a[:, bx, blocks[1 - x]], b_op[:, blocks[1 - y], by])
+        for lo in range(0, half, rows):
+            part = chunk[: min(rows, half - lo)]
+            hi = lo + len(part)
+            _sandwich_matrix(direct[0][:, lo:hi], direct[1], part[:, :, p])
+            _sandwich_matrix(crossed[0][:, lo:hi], crossed[1], part[:, :, 1 - p])
+            np.add(part.real, part[:, :, partner].swapaxes(-1, -2).imag, out=out[p, lo:hi])
+    return out
+
+
+def _solve_sector(mat, rhs, name):
+    """Solution of mat X = rhs and the smallest Ritz modulus of mat on
+    span(X); a singular or non-finite solve raises
+    DegenerateSteadyStateError."""
+    try:
+        sol = np.linalg.solve(mat, rhs)
+        if not np.all(np.isfinite(sol)):
+            raise np.linalg.LinAlgError("solution is not finite")
+        return sol, _smallest_ritz_modulus(sol, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSteadyStateError(
+            f"{name}-parity block of the Liouvillian is singular ({exc}); "
+            "steady state is not unique"
+        ) from exc
 
 
 def _smallest_ritz_modulus(sol, rhs):

@@ -201,6 +201,35 @@ class TestMainExitCodes:
         assert "squeezing parameter" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_config_error_sweep_qubit_limit_before_any_point(self, tmp_path, capsys,
+                                                             monkeypatch):
+        from magsqueeze import cli as cli_mod
+
+        def no_point(gen):
+            raise AssertionError("a grid point was computed")
+
+        monkeypatch.setattr(cli_mod, "steady_state", no_point)
+        code = main(
+            ["--scenario", "sweep", "--set", "sweep_n=2,7", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_CONFIG
+        assert "sweep_n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_error_custom_qubit_limit(self, tmp_path, capsys, monkeypatch):
+        from magsqueeze import cli as cli_mod
+
+        def no_couplings(*args):
+            raise AssertionError("couplings were built")
+
+        monkeypatch.setattr(cli_mod, "build_couplings", no_couplings)
+        code = main(
+            ["--scenario", "custom", "--set", "n_qubits=9", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_CONFIG
+        assert "n_qubits" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_error_unstable_drive(self, tmp_path, capsys):
         # strain large enough to push |g| past the bandwidth
         code = main(

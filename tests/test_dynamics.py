@@ -23,7 +23,7 @@ from magsqueeze.errors import (
 )
 from magsqueeze.numerics import eig_smallest, matrix_exp_apply
 from magsqueeze.observables import collective_spin, initial_state
-from magsqueeze.operators import site_lower
+from magsqueeze.operators import site_lower, site_pauli
 from magsqueeze.params import ArrayGeometry, PhysicalParams
 
 P = PhysicalParams()
@@ -194,9 +194,8 @@ class TestGenerator:
 
 
 # random 2-d layouts: N = 2-4 qubits in a 2 x 2 lambda square, random (r, phi)
-LAYOUTS = st.lists(
-    st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)), min_size=2, max_size=4
-)
+POSITIONS = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+LAYOUTS = st.lists(POSITIONS, min_size=2, max_size=4)
 SQUEEZING_R = st.floats(0.0, 1.5)
 SQUEEZING_PHI = st.floats(0.0, 2 * np.pi, exclude_max=True)
 
@@ -342,6 +341,26 @@ class TestEvolve:
             evolve(initial_state("all_excited", 3), gen, np.array([0.0, 1.0]))
 
 
+MODES = ["jump_operator", "four_channel"]
+
+# (layout, mode): seeded random 3-qubit layouts and a 4-qubit chain; a case of
+# the jump_operator mode is named by its layout alone
+NULL_VECTOR_CASES = [
+    pytest.param(layout, mode, id=str(layout) if mode == "jump_operator" else f"{mode}-{layout}")
+    for mode in MODES
+    for layout in (0, 1, 2, "chain4")
+]
+
+
+def eig_null_state(gen):
+    """Unit-trace Hermitian part of the null vector of the dense Liouvillian."""
+    dim = 2 ** gen.n_qubits
+    _, vec = eig_smallest(gen.liouvillian())
+    ref = vec.reshape(dim, dim)
+    ref = 0.5 * (ref + ref.conj().T)
+    return ref / np.trace(ref)
+
+
 class TestSteadyState:
     def test_single_qubit_vacuum_ground_state(self):
         gen = generator_for(1, 1.0, 0.0)
@@ -386,16 +405,59 @@ class TestSteadyState:
         else:
             steady_state(gen)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_eig_null_vector_on_2d_layouts(self, seed):
-        rng = np.random.default_rng(seed)
-        geometry = ArrayGeometry(positions=rng.uniform(0.0, 1.5, size=(3, 2)))
+    @pytest.mark.parametrize("layout, mode", NULL_VECTOR_CASES)
+    def test_matches_eig_null_vector_on_2d_layouts(self, layout, mode):
+        if layout == "chain4":
+            geometry = ArrayGeometry.chain(4, 0.5)
+        else:
+            rng = np.random.default_rng(layout)
+            geometry = ArrayGeometry(positions=rng.uniform(0.0, 1.5, size=(3, 2)))
         bs = bath_from_params(P, r_override=0.3)
-        gen = build_generator(build_couplings(geometry, P, bs))
-        _, vec = eig_smallest(gen.liouvillian())
-        ref = vec.reshape(8, 8)
-        ref = 0.5 * (ref + ref.conj().T)
-        ref = ref / np.trace(ref)
+        gen = build_generator(build_couplings(geometry, P, bs), mode)
+        assert trace_distance(steady_state(gen).rho, eig_null_state(gen)) <= 1e-10
+
+    @pytest.mark.parametrize("mode", MODES)
+    @given(st.lists(POSITIONS, min_size=2, max_size=3), SQUEEZING_R, SQUEEZING_PHI)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_eig_null_vector_on_random_layouts(self, mode, points, r, phi):
+        gen = build_generator(layout_couplings(points, r, phi), mode)
+        assert trace_distance(steady_state(gen).rho, eig_null_state(gen)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_odd_sector_zero_mode_detected(self, n):
+        # L(rho) = sum_i (sx_i rho sx_i - rho) keeps every product of the
+        # sx_i; the parity-odd sum_i sx_i is a zero mode that only the odd
+        # block sees at n = 1 (at n = 2 the even sx_1 sx_2 is one as well)
+        dim = 2 ** n
+        sx = [site_pauli("x", i, n) for i in range(n)]
+        gen = Generator(n, np.zeros((dim, dim), dtype=complex),
+                        [(1.0, op, op) for op in sx], "jump_operator")
+        assert np.allclose(gen.action(sum(sx)), 0.0)
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(gen)
+
+    @pytest.mark.parametrize("breaking", ["transverse_field", "dephasing_jump"])
+    def test_parity_breaking_generator_rejected(self, breaking):
+        n = 2
+        base = generator_for(n, 0.5, 0.25)
+        h_eff, terms = base.h_eff.copy(), list(base.terms)
+        if breaking == "transverse_field":
+            h_eff += sum(site_pauli("x", i, n) for i in range(n))
+        else:
+            terms.append((0.1, site_pauli("z", 0, n), site_pauli("z", 0, n)))
+        with pytest.raises(ValueError, match="parity"):
+            steady_state(Generator(n, h_eff, terms, "jump_operator"))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_never_builds_the_liouvillian(self, monkeypatch, mode, n):
+        gen = generator_for(n, 0.5, 0.25, mode)
+        ref = eig_null_state(gen)
+
+        def refuse(self):
+            raise AssertionError("steady_state built the complex Liouvillian")
+
+        monkeypatch.setattr(Generator, "liouvillian", refuse)
         assert trace_distance(steady_state(gen).rho, ref) <= 1e-10
 
     def test_size_limit(self):
