@@ -35,12 +35,11 @@ class BathState:
     phi: float             # squeezing phase (rad)
     N_kq: float            # sinh^2(r)
     M_kq: complex          # -cosh(r) sinh(r) e^{i phi}
-    k_q: float             # resonant wavevector, 1/cm
     lam: float             # resonant wavelength, cm
     g_mag: float           # magnitude of the pair-drive strength, rad/s
 
     @classmethod
-    def from_squeezing(cls, r, phi=DEFAULT_SQUEEZING_PHASE, k_q=0.0, lam=0.0, g_mag=0.0):
+    def from_squeezing(cls, r, phi=DEFAULT_SQUEEZING_PHASE, lam=0.0, g_mag=0.0):
         if not (np.isfinite(r) and r >= 0):
             raise ConfigError(f"squeezing parameter must be finite and >= 0, got {r!r}")
         if not np.isfinite(phi):
@@ -51,7 +50,7 @@ class BathState:
             raise ConfigError(f"squeezing parameter {r!r} overflows the occupation sinh^2(r)")
         m = -np.cosh(r) * np.sinh(r) * np.exp(1j * phi)
         return cls(r_kq=float(r), phi=float(phi), N_kq=float(n), M_kq=complex(m),
-                   k_q=float(k_q), lam=float(lam), g_mag=float(g_mag))
+                   lam=float(lam), g_mag=float(g_mag))
 
 
 def magnon_dispersion(k, params):
@@ -97,7 +96,7 @@ def saw_coupling(params):
     return -1j * 2.0 * np.pi * mag_hz
 
 
-def squeezing_parameter(g, bandwidth, k_q=0.0, lam=0.0):
+def squeezing_parameter(g, bandwidth, lam=0.0):
     """BathState produced by a pair drive of amplitude g within `bandwidth`.
 
     r = (1/2) arctanh(|g| / Dbar); the squeezing phase is the phase angle of
@@ -113,7 +112,7 @@ def squeezing_parameter(g, bandwidth, k_q=0.0, lam=0.0):
         )
     r = 0.5 * np.arctanh(gmag / bandwidth)
     phi = DEFAULT_SQUEEZING_PHASE if gmag == 0 else float(np.angle(g))
-    return BathState.from_squeezing(r, phi, k_q=k_q, lam=lam, g_mag=gmag)
+    return BathState.from_squeezing(r, phi, lam=lam, g_mag=gmag)
 
 
 def bath_from_params(params, r_override=None, phi_override=None):
@@ -123,14 +122,12 @@ def bath_from_params(params, r_override=None, phi_override=None):
     parameter directly (used by the scenario runner); the implied |g| is then
     Dbar*tanh(2r).
     """
-    k_q, lam = resonant_wavelength(params)
+    _, lam = resonant_wavelength(params)
     if r_override is None:
-        return squeezing_parameter(
-            saw_coupling(params), params.bandwidth_angular, k_q=k_q, lam=lam
-        )
+        return squeezing_parameter(saw_coupling(params), params.bandwidth_angular, lam=lam)
     phi = DEFAULT_SQUEEZING_PHASE if phi_override is None else phi_override
     g_mag = params.bandwidth_angular * np.tanh(2.0 * float(r_override))
-    return BathState.from_squeezing(r_override, phi, k_q=k_q, lam=lam, g_mag=g_mag)
+    return BathState.from_squeezing(r_override, phi, lam=lam, g_mag=g_mag)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,12 @@ class Scenario:
     def __post_init__(self):
         if self.name not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.name!r}")
+        for name in ("rtol", "atol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads!r}")
 
 
 def _fmt(x):
@@ -120,12 +126,12 @@ def write_csv(path, header_comments, columns, rows):
     return path
 
 
-def write_trajectory_csv(path, traj, header_comments, label="trajectory"):
+def write_trajectory_csv(path, traj, header_comments):
     cols = [
         "Gamma0_t", "Sx", "Sy", "Sz", "min_perp_var", "inv_xi_R_squared",
         "relaxation_rate_per_qubit", "min_eig_rho", "trace_error", "herm_error",
     ]
-    comments = header_comments + [f"# columns: dimensionless ({label})"]
+    comments = header_comments + ["# columns: dimensionless (trajectory)"]
     rows = zip(
         traj.t, *traj.mean_spin.T, traj.min_perp_var, traj.inv_xi2,
         traj.relaxation, traj.min_eig, traj.trace_err, traj.herm_err,

@@ -73,6 +73,13 @@ class CouplingSet:
         return np.vstack([top, bot])
 
 
+def _channel_moments(bath):
+    """The bath moment weighting each dissipative channel (module docstring),
+    keyed by channel in the order of GAMMA_CHANNELS."""
+    moments = (bath.N_kq, bath.N_kq + 1.0, np.conj(bath.M_kq), bath.M_kq)
+    return dict(zip(GAMMA_CHANNELS, moments))
+
+
 def closed_form_channels(sep, params, bath, finite_distance=False):
     """Rate scale Gamma_0 = nu pi (omega_q - Delta_F) / Delta_0 (Hz) and the
     channels (J, gamma_mp, gamma_pm, gamma_pp, gamma_mm) at an array of
@@ -92,8 +99,7 @@ def closed_form_channels(sep, params, bath, finite_distance=False):
     j = np.zeros(sep.shape)
     apart = sep > 0
     j[apart] = -0.5 * base * bessel_y0(sep[apart])
-    moments = (bath.N_kq, bath.N_kq + 1.0, np.conj(bath.M_kq), bath.M_kq)
-    return base, (j,) + tuple(base * m * j0 for m in moments)
+    return base, (j,) + tuple(base * m * j0 for m in _channel_moments(bath).values())
 
 
 def build_couplings(geometry, params, bath, finite_distance=False):
@@ -138,9 +144,10 @@ def _oracle_norm(params):
     )
 
 
-def _delta_channel(rho_cm, moment, params, distance_cm):
-    """K * integral dk k^3 e^{-2kd} J0(k rho) * moment * 2 pi delta(omega_k - omega_q),
-    with the delta smeared to a narrow Gaussian well inside the squeezing band."""
+def _delta_channel(rho_cm, moment, params):
+    """K * integral dk k^3 J0(k rho) * moment * 2 pi delta(omega_k - omega_q),
+    with the delta smeared to a narrow Gaussian well inside the squeezing band
+    (at d = 0, as in the closed forms)."""
     dh = params.stiffness_over_hbar
     k_q, _ = resonant_wavelength(params)
     eps = params.bandwidth_angular / 20.0
@@ -152,12 +159,7 @@ def _delta_channel(rho_cm, moment, params, distance_cm):
     def integrand(k):
         omega = dh * k ** 2 + params.spin_wave_gap
         delta = np.exp(-0.5 * ((omega - omega_q) / eps) ** 2) / (eps * np.sqrt(2 * np.pi))
-        return (
-            k ** 3
-            * np.exp(-2.0 * k * distance_cm)
-            * bessel_j0(k * rho_cm)
-            * delta
-        )
+        return k ** 3 * bessel_j0(k * rho_cm) * delta
 
     edges = np.linspace(lo, hi, 61)
     return _oracle_norm(params) * moment * 2.0 * np.pi * gauss_legendre_panels(integrand, edges)
@@ -262,14 +264,9 @@ def coupling_oracle(channel, rho_ab, params, bath, n_scale=1.0):
     dh = params.stiffness_over_hbar
     rho_cm = rho_ab * resonant_wavelength(params)[1]
 
+    moments = _channel_moments(bath)
     if channel in GAMMA_CHANNELS:
-        moment = {
-            "mp": bath.N_kq,
-            "pm": bath.N_kq + 1.0,
-            "pp": np.conj(bath.M_kq),
-            "mm": bath.M_kq,
-        }[channel]
-        return _delta_channel(rho_cm, moment, params, 0.0)
+        return _delta_channel(rho_cm, moments[channel], params)
 
     if channel == "J":
         pv = _pv_extrapolated(rho_cm, params, n_scale)
@@ -278,8 +275,8 @@ def coupling_oracle(channel, rho_ab, params, bath, n_scale=1.0):
     # pair-exchange coefficients: the two time-orderings give identical
     # integrands at pair resonance; evaluate them at different quadrature
     # densities so the reported zero carries honest numerical content
-    moment = np.conj(bath.M_kq) if channel == "Jpp" else bath.M_kq
-    half_delta = _delta_channel(rho_cm, moment, params, 0.0) / 2.0
+    moment = moments[channel[1:]]
+    half_delta = _delta_channel(rho_cm, moment, params) / 2.0
     pv_weight = 0.5j * _oracle_norm(params) * moment
     term_a = half_delta + pv_weight * _pv_extrapolated(rho_cm, params, n_scale) / dh
     term_b = half_delta + pv_weight * _pv_extrapolated(rho_cm, params, 1.5 * n_scale) / dh

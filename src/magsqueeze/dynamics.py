@@ -179,9 +179,8 @@ class Generator:
     threads at a time.
     """
 
-    def __init__(self, n_qubits, h_eff, terms, mode):
+    def __init__(self, n_qubits, h_eff, terms):
         self.n_qubits = n_qubits
-        self.mode = mode
         dim = 2 ** n_qubits
         count = len(terms)
         left = np.empty((count + 2, dim, dim), dtype=complex)
@@ -204,7 +203,7 @@ class Generator:
         # work arrays of `action`: (H, A_t, G) rho, rho (H, G) and A_t rho B_t
         self._left_rho = np.empty_like(left)
         self._rho_hg = np.empty((2, dim, dim), dtype=complex)
-        self._sandwich = np.empty_like(right)
+        self._a_rho_b = np.empty_like(right)
 
     def action(self, rho):
         """d rho / d(Gamma_0 t) as a new array.
@@ -214,14 +213,14 @@ class Generator:
         that formula; a reordered sum would move the integrator's steps.
         """
         dim = rho.shape[0]
-        left_rho, rho_hg, sandwich = self._left_rho, self._rho_hg, self._sandwich
+        left_rho, rho_hg, a_rho_b = self._left_rho, self._rho_hg, self._a_rho_b
         np.matmul(self._left.reshape(-1, dim), rho, out=left_rho.reshape(-1, dim))
         np.matmul(rho, self._h_and_g, out=rho_hg)
-        np.matmul(left_rho[1:-1], self._right, out=sandwich)
-        sandwich *= self._weights
+        np.matmul(left_rho[1:-1], self._right, out=a_rho_b)
+        a_rho_b *= self._weights
         out = np.subtract(left_rho[0], rho_hg[0])
         out *= -1j
-        for term in sandwich:
+        for term in a_rho_b:
             out += term
         anticom = np.add(left_rho[-1], rho_hg[1], out=rho_hg[1])
         anticom *= 0.5
@@ -236,20 +235,26 @@ class Generator:
         out -= 0.5 * (self._anticom @ op + op @ self._anticom)
         return out
 
-    def liouvillian(self):
-        """Dense 4^N x 4^N matrix L with vec(drho/dt) = L vec(rho), row-major.
-
-        The terms K rho, rho K' (K = -iH - G/2, K' = iH - G/2) and
-        w_t A_t rho B_t are all sandwiches, so L is one `_sandwich_matrix` of
-        the stacks (K, 1, w_t A_t) and (1, K', B_t), written one row index at
-        a time.  Each call returns a new array that the caller owns (at N = 6 it
-        takes 256 MB, so none is cached); `steady_state` never builds it.
-        """
+    def _sandwich(self):
+        """New stacks lefts = (K, 1, w_t A_t), rights = (1, K', B_t) with
+        L(X) = sum_t lefts[t] X rights[t], K = -iH - G/2 and K' = iH - G/2."""
         dim = 2 ** self.n_qubits
         eye = np.eye(dim)
         lefts = np.concatenate([[-1j * self.h_eff - 0.5 * self._anticom, eye],
                                 self._weights * self._left[1:-1]])
         rights = np.concatenate([[eye, 1j * self.h_eff - 0.5 * self._anticom], self._right])
+        return lefts, rights
+
+    def liouvillian(self):
+        """Dense 4^N x 4^N matrix L with vec(drho/dt) = L vec(rho), row-major.
+
+        L is one `_sandwich_matrix` of the `_sandwich` stacks, written one row
+        index at a time.  Each call returns a new array that the caller owns
+        (at N = 6 it takes 256 MB, so none is cached); `steady_state` never
+        builds it.
+        """
+        dim = 2 ** self.n_qubits
+        lefts, rights = self._sandwich()
         mat = np.empty((dim * dim, dim * dim), dtype=complex)
         l4 = mat.reshape(dim, dim, dim, dim)
         for i in range(dim):
@@ -320,7 +325,7 @@ def build_generator(couplings, mode="jump_operator"):
             terms.append((1.0, raises_[a], _collect(mp[a], lowers)))
             terms.append((-1.0, raises_[a], _collect(mm[a], raises_)))
             terms.append((-1.0, lowers[a], _collect(pp[a], lowers)))
-    return Generator(n, h_eff, terms, mode)
+    return Generator(n, h_eff, terms)
 
 
 def _collect(row, ops):
@@ -368,7 +373,8 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
         min_eig=min_eig,
         trace_err=trace_err,
         herm_err=herm_err,
-        final_state=QubitState(rhos[-1], n, time=float(t_grid[-1])),
+        # a copy, so that without keep_states the stack of states is freed
+        final_state=QubitState(rhos[-1].copy(), n, time=float(t_grid[-1])),
         states=states,
     )
 
@@ -407,8 +413,9 @@ def steady_state(generator):
     solution, on the full `action`, is checked against 1e-8 ||L||_F
     (LinAlgError), where ||L||_F^2 = ||R_e||_F^2 + ||R_o||_F^2 (the basis is
     orthonormal and the cross-sector blocks are 0); the state is then
-    Hermitized, trace-normalized and checked like QubitState.check, without
-    its warning.
+    trace-normalized and checked like QubitState.check, without its warning.
+    It is Hermitian by construction: the entries of ((1+i) Q + (1-i) Q^T)/2
+    at [i, j] and [j, i] are exact conjugates.
     """
     n = generator.n_qubits
     if n > MAX_STEADY_QUBITS:
@@ -459,7 +466,6 @@ def steady_state(generator):
         raise np.linalg.LinAlgError(
             f"steady-state residual {resid:.2e} exceeds 1e-8*||L|| ({l_norm:.2e})"
         )
-    rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho)
     _invariants(rho[None], [np.inf], TRACE_TOL, HERMITICITY_TOL)
     return QubitState(rho, n, time=np.inf)
@@ -473,36 +479,36 @@ ODD_SECTOR = ((0, 1), (1, 0))
 
 def _parity_split(generator):
     """The basis order that puts the states of even parity first, and the
-    stacks (K, K', w_t A_t, B_t) in that basis, with K = -iH - G/2 and
-    K' = iH - G/2 as in `action`.
+    `Generator._sandwich` stacks in that basis.
 
-    Raises ValueError unless H and G conserve the parity and every A_t and
-    B_t flips it (entries that break this must be exactly 0).
+    Raises ValueError unless the terms [:2] (K X + X K') conserve the parity
+    and the jump terms [2:] flip it (entries that break this must be exactly
+    0); K and K' conserve it exactly when H and G do (K + K' = -G,
+    K' - K = 2iH).
     """
     dim = 2 ** generator.n_qubits
     parity = np.array([bin(i).count("1") % 2 for i in range(dim)])
     same = parity[:, None] == parity
-    left, right = generator._left, generator._right
-    if np.any(left[[0, -1]][:, ~same]) or np.any(left[1:-1][:, same]) or np.any(right[:, same]):
+    lefts, rights = generator._sandwich()
+    if (np.any(lefts[:2][:, ~same]) or np.any(rights[:2][:, ~same])
+            or np.any(lefts[2:][:, same]) or np.any(rights[2:][:, same])):
         raise ValueError(
             "steady_state needs a parity-symmetric generator: H and G must "
             "conserve prod_i sigma_z^i and every jump factor must flip it"
         )
     order = np.argsort(parity, kind="stable")
-    left = left[:, order[:, None], order]
-    right = right[:, order[:, None], order]
-    k_op = -1j * left[0] - 0.5 * left[-1]
-    k_right = 1j * left[0] - 0.5 * left[-1]
-    return order, (k_op, k_right, generator._weights * left[1:-1], right)
+    return order, (lefts[:, order[:, None], order], rights[:, order[:, None], order])
 
 
-def _sector_block(k_op, k_right, w_a, b_op, positions):
+def _sector_block(lefts, rights, positions):
     """Real matrix of L on one parity sector, as out[p, i, j, q, k, l]: the
     coordinate [i, j] of block positions[p] of L(X) against the coordinate
-    [k, l] of block positions[q] of X (coordinates as in `steady_state`).
+    [k, l] of block positions[q] of X (coordinates as in `steady_state`),
+    from the `_parity_split` stacks.
 
-    The complex rows M of L for the block (x, y) take K X_xy + X_xy K' from
-    the same block and sum_t w_t A_t X B_t from the block (1-x, 1-y).  A
+    The complex rows M of L for the block (x, y) take the terms [:2],
+    K X_xy + X_xy K', from the same block and the jump terms [2:] from the
+    block (1-x, 1-y).  A
     Hermitian X has the coordinates Q = Re X + Im X and is
     ((1+i) Q + (1-i) Q^T)/2, so the coordinates Re((1-i) Y) of Y = L(X)
     are Re(M Q) + Im(M Q^T): the real entry is
@@ -511,17 +517,16 @@ def _sector_block(k_op, k_right, w_a, b_op, positions):
     SECTOR_CHUNK_BYTES of complex entries at a time (at least one row
     index i).
     """
-    half = len(k_op) // 2
+    half = lefts.shape[-1] // 2
     blocks = (slice(None, half), slice(half, None))
-    eye = np.eye(half)
     partner = slice(None) if positions[0][0] == positions[0][1] else slice(None, None, -1)
     out = np.empty((2, half, half, 2, half, half))
     rows = max(1, SECTOR_CHUNK_BYTES // (32 * half ** 3))
     chunk = np.empty((min(rows, half), half, 2, half, half), dtype=complex)
     for p, (x, y) in enumerate(positions):
         bx, by = blocks[x], blocks[y]
-        direct = (np.stack([k_op[bx, bx], eye]), np.stack([eye, k_right[by, by]]))
-        crossed = (w_a[:, bx, blocks[1 - x]], b_op[:, blocks[1 - y], by])
+        direct = (lefts[:2, bx, bx], rights[:2, by, by])
+        crossed = (lefts[2:, bx, blocks[1 - x]], rights[2:, blocks[1 - y], by])
         for lo in range(0, half, rows):
             part = chunk[: min(rows, half - lo)]
             hi = lo + len(part)

@@ -24,31 +24,24 @@ _SERIES_KMAX = 80
 _ASYMP_KMAX = 26
 
 
-def _j0_series(x):
-    q = 0.25 * x * x
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(1, _SERIES_KMAX + 1):
-        term = term * (-q) / (k * k)
-        total = total + term
-        if np.all(np.abs(term) < 1e-18):
-            break
-    return total
-
-
-def _y0_series(x):
-    # Y0 = (2/pi)[(ln(x/2)+gamma_E) J0 + sum_{k>=1} (-1)^{k+1} H_k q^k/(k!)^2]
-    q = 0.25 * x * x
+def _power_series(x):
+    """Power series of J0 and the sum S of Y0 = (2/pi)[(ln(x/2)+gamma_E) J0 + S],
+    S = sum_{k>=1} (-1)^{k+1} H_k q^k/(k!)^2 with q = x^2/4 and H_k the
+    harmonic numbers; both share the terms (-q)^k/(k!)^2."""
+    minus_q = -0.25 * x * x
+    j0 = np.ones_like(x)
+    y_sum = np.zeros_like(x)
     term = np.ones_like(x)
     harmonic = 0.0
-    total = np.zeros_like(x)
     for k in range(1, _SERIES_KMAX + 1):
-        term = term * (-q) / (k * k)
+        term *= minus_q
+        term /= k * k
         harmonic += 1.0 / k
-        total = total - term * harmonic
+        j0 += term
+        y_sum -= term * harmonic
         if np.all(np.abs(term) < 1e-18):
             break
-    return (2.0 / np.pi) * ((np.log(0.5 * x) + EULER_GAMMA) * _j0_series(x) + total)
+    return j0, y_sum
 
 
 def _hankel_pq(x):
@@ -75,7 +68,11 @@ def _bessel0(x, want_y):
     small = np.abs(xv) < _BESSEL_SPLIT
     if np.any(small):
         xs = np.abs(xv[small])
-        out[small] = _y0_series(xs) if want_y else _j0_series(xs)
+        j0, y_sum = _power_series(xs)
+        if want_y:
+            out[small] = (2.0 / np.pi) * ((np.log(0.5 * xs) + EULER_GAMMA) * j0 + y_sum)
+        else:
+            out[small] = j0
     if np.any(~small):
         xl = np.abs(xv[~small])
         p, q = _hankel_pq(xl)
@@ -136,13 +133,13 @@ _DP_DENSE = np.array(
 )
 
 
-def _initial_step(f, t0, y0, f0, direction, rtol, atol):
+def _initial_step(f, t0, y0, f0, rtol, atol):
     scale = atol + rtol * np.abs(y0)
     d0 = np.sqrt(np.mean(np.abs(y0 / scale) ** 2))
     d1 = np.sqrt(np.mean(np.abs(f0 / scale) ** 2))
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    y1 = y0 + h0 * direction * f0
-    f1 = f(t0 + h0 * direction, y1)
+    y1 = y0 + h0 * f0
+    f1 = f(t0 + h0, y1)
     d2 = np.sqrt(np.mean(np.abs((f1 - f0) / scale) ** 2)) / h0
     dm = max(d1, d2)
     h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.2
@@ -158,16 +155,19 @@ def integrate_ode(f, y0, t_grid, rtol=1e-8, atol=1e-10, fixed_step=None):
     the standard fourth-order dense interpolant, so the grid never constrains
     the step size.  `fixed_step` disables adaptivity (used by order checks).
 
-    Raises StepSizeUnderflowError if the controller drives h below the
-    representable minimum.
+    Raises ValueError unless `rtol` and `atol` are finite and > 0 and the
+    grid is finite and strictly increasing, and StepSizeUnderflowError if the
+    controller drives h below the representable minimum.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a non-empty 1-d array")
-    if np.any(np.diff(t_grid) <= 0) and t_grid.size > 1:
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must be finite")
+    if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
+    if not (np.isfinite(rtol) and rtol > 0 and np.isfinite(atol) and atol > 0):
+        raise ValueError(f"tolerances must be finite and > 0, got rtol={rtol!r}, atol={atol!r}")
 
     y = np.asarray(y0, dtype=complex).copy()
     out = np.empty((t_grid.size, y.size), dtype=complex)
@@ -183,7 +183,7 @@ def integrate_ode(f, y0, t_grid, rtol=1e-8, atol=1e-10, fixed_step=None):
     if fixed_step is not None:
         h = float(fixed_step)
     else:
-        h = min(_initial_step(f, t, y, k[0], 1.0, rtol, atol), t_end - t)
+        h = min(_initial_step(f, t, y, k[0], rtol, atol), t_end - t)
 
     hmin_floor = 16.0 * np.finfo(float).eps
     while t < t_end:
@@ -338,11 +338,6 @@ def matrix_exp(mat):
     return r
 
 
-def matrix_exp_apply(mat, vec, t):
-    """exp(mat*t) @ vec for a dense matrix."""
-    return matrix_exp(np.asarray(mat, dtype=complex) * t) @ np.asarray(vec, dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # Adaptive Gauss-Kronrod quadrature
 # ---------------------------------------------------------------------------
@@ -446,15 +441,16 @@ def quad_adaptive(f, a, b, tol=1e-10, max_subdivisions=2000, edges=None):
     return QuadratureResult(value=total_val, abs_error_estimate=total_err, evaluations=evals)
 
 
-def gauss_legendre_panels(f, edges, order=12):
-    """Composite fixed-order Gauss-Legendre integral of a vectorized integrand.
+def gauss_legendre_panels(f, edges):
+    """Composite 12-point Gauss-Legendre integral of a vectorized integrand.
 
     `edges` is an increasing array of panel boundaries.  All nodes across all
     panels are evaluated in one call to `f`; intended for smooth integrands on
     structured grids (spectral k-integrals) where adaptivity is unnecessary.
     """
     edges = np.asarray(edges, dtype=float)
-    x, w = np.polynomial.legendre.leggauss(order)
+    # computed per call, not at import: importing np.polynomial takes a few ms
+    x, w = np.polynomial.legendre.leggauss(12)
     lo = edges[:-1]
     half = 0.5 * np.diff(edges)
     nodes = (lo[:, None] + half[:, None] * (x[None, :] + 1.0)).ravel()

@@ -15,7 +15,7 @@ import pytest
 from magsqueeze.bath import bath_from_params, resonant_wavelength, saw_coupling, squeezing_parameter
 from magsqueeze.couplings import build_couplings, coupling_oracle
 from magsqueeze.dynamics import build_generator, evolve, steady_state
-from magsqueeze.numerics import bessel_j0, bessel_y0, matrix_exp_apply
+from magsqueeze.numerics import bessel_j0, bessel_y0, matrix_exp
 from magsqueeze.observables import initial_state, wineland_xi2
 from magsqueeze.params import ArrayGeometry, PhysicalParams
 
@@ -251,5 +251,5 @@ def test_criterion_7_invariant_suite(fig2b_runs, fig2c_runs):
             t = np.linspace(0.0, 5.0, 11)
             traj = evolve(initial_state("all_excited", n), gen, t, keep_states=True)
             for i in range(1, 11):
-                ref = matrix_exp_apply(lmat, rho0.ravel(), t[i]).reshape(rho0.shape)
+                ref = (matrix_exp(lmat * t[i]) @ rho0.ravel()).reshape(rho0.shape)
                 assert np.max(np.abs(traj.states[i].rho - ref)) < 1e-6

@@ -143,21 +143,21 @@ class TestBathFromParams:
 
 class TestMagnonCorrelator:
     def test_pair_moment_vanishes_unsqueezed(self):
-        bs = BathState.from_squeezing(0.0, k_q=K_Q, lam=LAMBDA)
+        bs = BathState.from_squeezing(0.0, lam=LAMBDA)
         assert magnon_correlator("mm", K_Q, 0.3, 0.1, bs, P) == 0
 
     def test_vacuum_equal_time(self):
-        bs = BathState.from_squeezing(0.0, k_q=K_Q, lam=LAMBDA)
+        bs = BathState.from_squeezing(0.0, lam=LAMBDA)
         assert magnon_correlator("mmd", K_Q, 0.2, 0.2, bs, P) == pytest.approx(1.0)
 
     def test_pair_symmetric_in_time_sum(self):
-        bs = BathState.from_squeezing(0.3, k_q=K_Q, lam=LAMBDA)
+        bs = BathState.from_squeezing(0.3, lam=LAMBDA)
         a = magnon_correlator("mm", K_Q, 1e-9, 3e-9, bs, P)
         b = magnon_correlator("mm", K_Q, 3e-9, 1e-9, bs, P)
         assert a == pytest.approx(b)
 
     def test_occupation_outside_band_is_vacuum(self):
-        bs = BathState.from_squeezing(0.5, k_q=K_Q, lam=LAMBDA)
+        bs = BathState.from_squeezing(0.5, lam=LAMBDA)
         assert magnon_correlator("mdm", 2.0 * K_Q, 0.0, 0.0, bs, P) == 0
 
     def test_unknown_kind(self):
@@ -168,7 +168,7 @@ class TestMagnonCorrelator:
 
 class TestFieldCorrelator:
     BS = bath_from_params(P, r_override=0.25)
-    VACUUM = BathState.from_squeezing(0.0, k_q=K_Q, lam=LAMBDA)
+    VACUUM = BathState.from_squeezing(0.0, lam=LAMBDA)
 
     def test_anomalous_vanish_unsqueezed(self):
         for kind in ("--", "++"):
@@ -262,7 +262,7 @@ class TestVacuumTermCache:
 
     def test_bath_does_not_enter(self):
         # on the vacuum the correlator is the vacuum term alone
-        vacuum = BathState.from_squeezing(0.0, k_q=K_Q, lam=LAMBDA)
+        vacuum = BathState.from_squeezing(0.0, lam=LAMBDA)
         _vacuum_term.cache_clear()
         squeezed = field_correlator("+-", 0.5 * LAMBDA, 1e-10, 0.0, P, self.BS)
         bare = field_correlator("+-", 0.5 * LAMBDA, 1e-10, 0.0, P, vacuum)

@@ -10,6 +10,7 @@ import numpy as np
 from magsqueeze.bath import bath_from_params
 from magsqueeze.couplings import build_couplings
 from magsqueeze.dynamics import build_generator
+from magsqueeze.numerics import gauss_legendre_panels
 from magsqueeze.params import ArrayGeometry, PhysicalParams
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -42,3 +43,18 @@ def test_generator_exposes_what_the_action_counters_read(monkeypatch):
             assert a_op.shape == b_op.shape == (4, 4)
         counts = importlib.import_module("spans")._action_kernel((gen, None), {}, None)
         assert counts["matmuls"] == 2 * len(gen.terms) + 4
+
+
+def test_panel_counter_matches_the_quadrature(monkeypatch):
+    # the traced run's _panel_nodes counts the abscissae of one call
+    monkeypatch.syspath_prepend(PERFBENCH)
+    edges = np.linspace(0.0, 1.0, 8)
+    seen = []
+
+    def f(x):
+        seen.append(x.size)
+        return np.ones_like(x)
+
+    gauss_legendre_panels(f, edges)
+    counts = importlib.import_module("spans")._panel_nodes((f, edges), {}, None)
+    assert counts["nodes"] == sum(seen)

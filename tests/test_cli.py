@@ -216,6 +216,23 @@ class TestMainExitCodes:
         assert "sweep_n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("option", [
+        ["--rtol", "nan"], ["--rtol", "inf"], ["--rtol", "0"], ["--atol", "-1"],
+        ["--atol", "inf"], ["--threads", "0"], ["--threads", "-3"],
+    ])
+    def test_config_error_bad_tolerance_or_threads(self, tmp_path, capsys, monkeypatch,
+                                                   option):
+        from magsqueeze import cli as cli_mod
+
+        def no_couplings(*args):
+            raise AssertionError("couplings were built")
+
+        monkeypatch.setattr(cli_mod, "build_couplings", no_couplings)
+        code = main(["--scenario", "custom", *option, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert option[0][2:] in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_error_custom_qubit_limit(self, tmp_path, capsys, monkeypatch):
         from magsqueeze import cli as cli_mod
 

@@ -21,7 +21,7 @@ from magsqueeze.errors import (
     DegenerateSteadyStateError,
     StateInvariantError,
 )
-from magsqueeze.numerics import eig_smallest, matrix_exp_apply
+from magsqueeze.numerics import eig_smallest, matrix_exp
 from magsqueeze.observables import collective_spin, initial_state
 from magsqueeze.operators import site_lower, site_pauli
 from magsqueeze.params import ArrayGeometry, PhysicalParams
@@ -138,6 +138,19 @@ class TestGenerator:
             rho = random_matrix(rng, 2 ** n)
             assert np.array_equal(gen.action(rho), per_term_action(gen, rho))
 
+    @pytest.mark.parametrize("mode", ["jump_operator", "four_channel"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sandwich_form_equals_action(self, mode, n):
+        # the stacks the Liouvillian and the steady-state sectors are built from
+        gen = generator_for(n, 0.5, 0.3, mode)
+        lefts, rights = gen._sandwich()
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            x = random_matrix(rng, 2 ** n)
+            want = gen.action(x)
+            got = sum(l_op @ x @ r_op for l_op, r_op in zip(lefts, rights))
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_action_result_is_not_a_work_array(self):
         gen = generator_for(3, 0.5, 0.3)
         rng = np.random.default_rng(5)
@@ -239,6 +252,12 @@ class TestEvolve:
         traj = evolve(s0, gen, np.array([0.0]))
         assert np.array_equal(traj.final_state.rho, s0.rho)
 
+    def test_final_state_does_not_hold_the_trajectory(self):
+        gen = generator_for(3, 0.5, 0.25)
+        traj = evolve(initial_state("all_excited", 3), gen, np.linspace(0.0, 1.0, 200))
+        assert traj.states == []
+        assert traj.final_state.rho.flags.owndata
+
     def test_single_qubit_decay_closed_form(self):
         gen = generator_for(1, 1.0, 0.0)
         t = np.linspace(0.0, 6.0, 25)
@@ -272,7 +291,7 @@ class TestEvolve:
         t = np.linspace(0.0, 5.0, 11)
         traj = evolve(initial_state("all_excited", 3), gen, t, keep_states=True)
         for i in range(1, 11):
-            ref = matrix_exp_apply(lmat, rho0.ravel(), t[i]).reshape(8, 8)
+            ref = (matrix_exp(lmat * t[i]) @ rho0.ravel()).reshape(8, 8)
             assert np.max(np.abs(traj.states[i].rho - ref)) < 1e-6
 
     def test_initial_state_independence(self):
@@ -322,8 +341,7 @@ class TestEvolve:
         # polar angle keeps above the positivity floor past the abort
         n, dim = 3, 8
         lower = site_lower(0, n)
-        gen = Generator(n, np.zeros((dim, dim), dtype=complex), [(1.0, lower, lower)],
-                        "jump_operator")
+        gen = Generator(n, np.zeros((dim, dim), dtype=complex), [(1.0, lower, lower)])
         s0 = initial_state("css", n, theta=0.005)
         x = lower @ s0.rho @ lower
         c = np.max(np.abs(x - x.conj().T))
@@ -430,8 +448,7 @@ class TestSteadyState:
         # block sees at n = 1 (at n = 2 the even sx_1 sx_2 is one as well)
         dim = 2 ** n
         sx = [site_pauli("x", i, n) for i in range(n)]
-        gen = Generator(n, np.zeros((dim, dim), dtype=complex),
-                        [(1.0, op, op) for op in sx], "jump_operator")
+        gen = Generator(n, np.zeros((dim, dim), dtype=complex), [(1.0, op, op) for op in sx])
         assert np.allclose(gen.action(sum(sx)), 0.0)
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(gen)
@@ -446,7 +463,7 @@ class TestSteadyState:
         else:
             terms.append((0.1, site_pauli("z", 0, n), site_pauli("z", 0, n)))
         with pytest.raises(ValueError, match="parity"):
-            steady_state(Generator(n, h_eff, terms, "jump_operator"))
+            steady_state(Generator(n, h_eff, terms))
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -10,7 +10,6 @@ from magsqueeze.numerics import (
     gauss_legendre_panels,
     integrate_ode,
     matrix_exp,
-    matrix_exp_apply,
     quad_adaptive,
 )
 
@@ -79,7 +78,7 @@ class TestBessel:
         from magsqueeze import numerics
 
         x = np.linspace(12.2, 13.8, 33)
-        series = np.array([numerics._j0_series(np.atleast_1d(v))[0] for v in x])
+        series = np.array([numerics._power_series(np.atleast_1d(v))[0][0] for v in x])
         p, q = numerics._hankel_pq(x)
         chi = x - 0.25 * np.pi
         asym = np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) + q * np.sin(chi))
@@ -201,6 +200,22 @@ class TestIntegrateOde:
         with pytest.raises(ValueError):
             integrate_ode(lambda _t, y: -y, y0, np.array([0.0, 1.0]), -1e-8, 1e-10)
 
+    @pytest.mark.parametrize("rtol, atol", [
+        (np.nan, 1e-10), (np.inf, 1e-10), (1e-8, np.nan), (1e-8, np.inf),
+    ])
+    def test_rejects_non_finite_tolerance(self, rtol, atol):
+        # a NaN tolerance used to give a NaN first step that was rejected forever
+        with pytest.raises(ValueError, match="tolerances"):
+            integrate_ode(lambda _t, y: -y, np.array([1.0 + 0j]), np.array([0.0, 1.0]),
+                          rtol, atol)
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan], [0.0, np.inf], [np.nan, 1.0],
+                                      [-np.inf, 0.0]])
+    def test_rejects_non_finite_grid(self, grid):
+        # such a grid used to return uninitialized rows
+        with pytest.raises(ValueError, match="finite"):
+            integrate_ode(lambda _t, y: -y, np.array([1.0 + 0j]), np.array(grid), 1e-8, 1e-10)
+
 
 class TestEig:
     def test_diagonal_smallest(self):
@@ -218,7 +233,7 @@ class TestEig:
 class TestMatrixExp:
     def test_zero_matrix(self):
         v = np.array([1.0, 2.0, 3.0], dtype=complex)
-        assert np.array_equal(matrix_exp_apply(np.zeros((3, 3)), v, 1.7), v)
+        assert np.array_equal(matrix_exp(np.zeros((3, 3)) * 1.7) @ v, v)
 
     def test_diagonal(self):
         d = np.diag([1.0j, -0.3, 0.2 - 0.1j])
