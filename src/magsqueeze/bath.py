@@ -141,10 +141,12 @@ MAGNON_KINDS = ("mm", "mdmd", "mdm", "mmd")
 FIELD_KINDS = ("-+", "+-", "--", "++")
 
 
-def _band_moments(omega_k, omega_q, bandwidth, bath):
-    """Occupation and anomalous moment as functions of omega_k (flat band)."""
-    inside = np.abs(np.asarray(omega_k) - omega_q) <= bandwidth
-    return bath.N_kq * inside, bath.M_kq * inside
+def pair_moments(n, m):
+    """Moment of each magnon ordering of MAGNON_KINDS for occupation n and
+    anomalous moment m: <m m> = M, <m^dag m^dag> = M*, <m^dag m> = N and
+    <m m^dag> = N + 1.  The correlators and the coupling channels all read
+    the bath through this table."""
+    return {"mm": m, "mdmd": np.conj(m), "mdm": n, "mmd": n + 1.0}
 
 
 def magnon_correlator(kind, k, t, t_prime, bath, params):
@@ -152,7 +154,7 @@ def magnon_correlator(kind, k, t, t_prime, bath, params):
 
     Returns the moment-weighted phase factor; the momentum delta function is
     the caller's integration measure.  Kinds ('m' = annihilation, 'md' =
-    creation, left to right):
+    creation, left to right), with the moments of `pair_moments`:
 
     * ``mm``   -> M_k  exp(-i omega_k (t + t'))
     * ``mdmd`` -> M_k* exp(+i omega_k (t + t'))
@@ -165,14 +167,12 @@ def magnon_correlator(kind, k, t, t_prime, bath, params):
     if kind not in MAGNON_KINDS:
         raise ValueError(f"unknown magnon correlator kind {kind!r}")
     omega = magnon_dispersion(k, params)
-    n_k, m_k = _band_moments(omega, params.omega_q, params.bandwidth_angular, bath)
-    if kind == "mm":
-        return m_k * np.exp(-1j * omega * (t + t_prime))
-    if kind == "mdmd":
-        return np.conj(m_k) * np.exp(1j * omega * (t + t_prime))
-    if kind == "mdm":
-        return n_k * np.exp(1j * omega * (t - t_prime))
-    return (n_k + 1.0) * np.exp(-1j * omega * (t - t_prime))
+    inside = np.abs(omega - params.omega_q) <= params.bandwidth_angular
+    moment = pair_moments(bath.N_kq * inside, bath.M_kq * inside)[kind]
+    # pair kinds run on t + t', normal ones on t - t'; a leading m on -i omega
+    lag = t + t_prime if kind in ("mm", "mdmd") else t - t_prime
+    sign = -1j if kind in ("mm", "mmd") else 1j
+    return moment * np.exp(sign * omega * lag)
 
 
 def _radial_weight(k, rho_cm, params):
@@ -223,10 +223,11 @@ def field_correlator(kind, rho_ab, t, t_prime, params, bath, tol=1e-8):
         scale = abs(_radial_weight(k_q, 0.0, params)) * (k_hi - k_lo)
         return quad_adaptive(f, k_lo, k_hi, tol * max(scale, 1e-300)).value
 
+    moments = pair_moments(bath.N_kq, bath.M_kq)
     if kind == "--":
-        return band_part(lambda w: bath.M_kq * np.exp(1j * w * (t + t_prime)))
+        return band_part(lambda w: moments["mm"] * np.exp(1j * w * (t + t_prime)))
     if kind == "++":
-        return band_part(lambda w: np.conj(bath.M_kq) * np.exp(-1j * w * (t + t_prime)))
+        return band_part(lambda w: moments["mdmd"] * np.exp(-1j * w * (t + t_prime)))
 
     # normal kinds: broadband vacuum emission term + band-limited occupation.
     # Both '-+' and '+-' carry (N+1) on exp(-i omega tau) and N on
@@ -239,10 +240,10 @@ def field_correlator(kind, rho_ab, t, t_prime, params, bath, tol=1e-8):
         )
     tau = t - t_prime
     vac = _vacuum_term(rho_ab, tau, params, tol)
-    if bath.N_kq == 0.0:
+    if moments["mdm"] == 0.0:
         return vac
-    occ_minus = band_part(lambda w: bath.N_kq * np.exp(-1j * w * tau))
-    occ_plus = band_part(lambda w: bath.N_kq * np.exp(1j * w * tau))
+    occ_minus = band_part(lambda w: moments["mdm"] * np.exp(-1j * w * tau))
+    occ_plus = band_part(lambda w: moments["mdm"] * np.exp(1j * w * tau))
     return vac + occ_minus + occ_plus
 
 

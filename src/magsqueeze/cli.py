@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bath import bath_from_params
-from .couplings import build_couplings, closed_form_channels
+from .couplings import GAMMA_CHANNELS, build_couplings, closed_form_channels
 from .dynamics import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
@@ -37,18 +37,17 @@ from .dynamics import (
 )
 from .errors import (
     ConfigError,
-    DegenerateSteadyStateError,
     MagsqueezeError,
     MeanSpinUndefinedError,
-    QuadratureConvergenceError,
     StateInvariantError,
-    StepSizeUnderflowError,
     UnstableSqueezingError,
 )
 # the traced benchmark run (perfbench/spans.py) wraps these names
 from .numerics import bessel_j0, bessel_y0  # noqa: F401
 from .observables import collective_spin, initial_state, wineland_xi2
-from .params import ArrayGeometry, PhysicalParams, apply_overrides, load_config, serialize_config
+from .params import (
+    ArrayGeometry, apply_overrides, config_from_values, load_config, serialize_config,
+)
 
 SCENARIOS = ("fig2a_couplings", "fig2b_squeezing", "fig2c_relaxation", "sweep", "custom")
 
@@ -66,6 +65,9 @@ SWEEP_A_DEFAULT = (0.5, 1.0, 2.0)
 SWEEP_N_DEFAULT = (2, 3, 4)
 
 UNCORRELATED_A = 1000.0  # far-separation reference layout
+
+# the CouplingSet channels in field order, as CSV file and column names
+CHANNEL_NAMES = ("J",) + tuple(f"gamma_{c}" for c in GAMMA_CHANNELS)
 
 
 @dataclass
@@ -142,15 +144,9 @@ def write_trajectory_csv(path, traj, header_comments):
 def write_coupling_csvs(out_dir, couplings, header_comments):
     """One CSV per channel, row/column indices = qubit indices."""
     written = []
-    channels = {
-        "J": couplings.j,
-        "gamma_mp": couplings.gamma_mp,
-        "gamma_pm": couplings.gamma_pm,
-        "gamma_pp": couplings.gamma_pp,
-        "gamma_mm": couplings.gamma_mm,
-    }
     n = couplings.n_qubits
-    for name, mat in channels.items():
+    for name in CHANNEL_NAMES:
+        mat = getattr(couplings, name.lower())  # J is the field `j`
         path = os.path.join(out_dir, f"couplings_{name}.csv")
         cols = ["qubit"] + [f"q{j}_Hz" for j in range(n)]
         rows = [tuple([float(i)] + list(mat[i])) for i in range(n)]
@@ -162,7 +158,7 @@ def _load(scenario):
     if scenario.config_path is not None:
         params, geometry = load_config(scenario.config_path)
     else:
-        params, geometry = PhysicalParams(), ArrayGeometry.chain(2, 0.5)
+        params, geometry = config_from_values({})
     overrides = scenario.overrides
     if scenario.name == "sweep":
         overrides, *_ = _sweep_axes(overrides)
@@ -182,8 +178,7 @@ def run_fig2a(scenario, params, geometry, written):
     rho = np.linspace(0.05, 3.0, 296)
     _, channels = closed_form_channels(rho, params, bathstate)
     rows = list(zip(rho, *channels))
-    cols = ["rho_over_lambda", "J_Hz", "gamma_mp_Hz", "gamma_pm_Hz",
-            "gamma_pp_Hz", "gamma_mm_Hz"]
+    cols = ["rho_over_lambda"] + [f"{name}_Hz" for name in CHANNEL_NAMES]
     comments = _provenance(params, geometry, scenario) + [
         f"# squeezing r = {bathstate.r_kq!r}, N = {bathstate.N_kq!r}, "
         f"|M| = {abs(bathstate.M_kq)!r}"
@@ -354,7 +349,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    scenario = None
     try:
         scenario = Scenario(
             name=args.scenario,
@@ -369,22 +363,11 @@ def main(argv=None):
     except (ConfigError, UnstableSqueezingError) as exc:
         print(f"magsqueeze: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        QuadratureConvergenceError,
-        StepSizeUnderflowError,
-        DegenerateSteadyStateError,
-        MeanSpinUndefinedError,
-        np.linalg.LinAlgError,
-    ) as exc:
-        name = scenario.name if scenario else args.scenario
-        print(f"magsqueeze: numerical failure in {name}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except StateInvariantError as exc:
-        name = scenario.name if scenario else args.scenario
-        print(f"magsqueeze: invariant violation in {name}: {exc}", file=sys.stderr)
+        print(f"magsqueeze: invariant violation in {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except MagsqueezeError as exc:
-        print(f"magsqueeze: error: {exc}", file=sys.stderr)
+    except (MagsqueezeError, np.linalg.LinAlgError) as exc:
+        print(f"magsqueeze: numerical failure in {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     for path in written:
         print(path)

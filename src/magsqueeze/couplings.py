@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import resonant_wavelength
+from .bath import magnon_dispersion, pair_moments, resonant_wavelength
 from .errors import ConfigError
 from .numerics import bessel_j0, bessel_y0, gauss_legendre_panels
 
@@ -75,26 +75,22 @@ class CouplingSet:
 
 def _channel_moments(bath):
     """The bath moment weighting each dissipative channel (module docstring),
-    keyed by channel in the order of GAMMA_CHANNELS."""
-    moments = (bath.N_kq, bath.N_kq + 1.0, np.conj(bath.M_kq), bath.M_kq)
-    return dict(zip(GAMMA_CHANNELS, moments))
+    keyed by channel in the order of GAMMA_CHANNELS: mp, pm, pp and mm read
+    the magnon orderings mdm, mmd, mdmd and mm of `bath.pair_moments`."""
+    moments = pair_moments(bath.N_kq, bath.M_kq)
+    return dict(zip(GAMMA_CHANNELS, (moments[k] for k in ("mdm", "mmd", "mdmd", "mm"))))
 
 
-def closed_form_channels(sep, params, bath, finite_distance=False):
+def closed_form_channels(sep, params, bath):
     """Rate scale Gamma_0 = nu pi (omega_q - Delta_F) / Delta_0 (Hz) and the
     channels (J, gamma_mp, gamma_pm, gamma_pp, gamma_mm) at an array of
     separations `sep` (units of lambda): J = -Gamma_0 Y0 / 2 (0 at zero
     separation: no on-site exchange) and gamma = bath moment * Gamma_0 J0.
-    `finite_distance` multiplies Gamma_0 by the evanescent factor
-    exp(-2 d / lambda) of the stray field at the resonant mode.
+    These are the near-film closed forms (d = 0, no evanescent factor).
     """
     base = params.nu_characteristic * np.pi * (
         params.detuning_angular / params.zero_field_splitting_angular
     )
-    if finite_distance:
-        if bath.lam <= 0:
-            raise ConfigError("finite-distance correction needs the resonant wavelength")
-        base = base * np.exp(-2.0 * params.distance_cm / bath.lam)
     j0 = bessel_j0(sep)
     j = np.zeros(sep.shape)
     apart = sep > 0
@@ -102,19 +98,17 @@ def closed_form_channels(sep, params, bath, finite_distance=False):
     return base, (j,) + tuple(base * m * j0 for m in _channel_moments(bath).values())
 
 
-def build_couplings(geometry, params, bath, finite_distance=False):
-    """Closed-form coupling matrices for a qubit layout sharing the bath.
-
-    Separations enter in units of the resonant wavelength; `finite_distance`
-    is as in `closed_form_channels` (off by default, matching the near-film
-    closed forms).
+def build_couplings(geometry, params, bath):
+    """Closed-form coupling matrices (`closed_form_channels`) for a qubit
+    layout sharing the bath; separations enter in units of the resonant
+    wavelength.
     """
     sep = geometry.separations()
     n = geometry.n_qubits
     if n > 1 and np.any(sep[~np.eye(n, dtype=bool)] <= 0):
         raise ConfigError("coincident qubit positions are not allowed")
 
-    base, channels = closed_form_channels(sep, params, bath, finite_distance)
+    base, channels = closed_form_channels(sep, params, bath)
     couplings = CouplingSet(
         *channels,
         nu=params.nu_characteristic,
@@ -157,7 +151,7 @@ def _delta_channel(rho_cm, moment, params):
     omega_q = params.omega_q
 
     def integrand(k):
-        omega = dh * k ** 2 + params.spin_wave_gap
+        omega = magnon_dispersion(k, params)
         delta = np.exp(-0.5 * ((omega - omega_q) / eps) ** 2) / (eps * np.sqrt(2 * np.pi))
         return k ** 3 * bessel_j0(k * rho_cm) * delta
 

@@ -41,6 +41,7 @@ MAX_STEADY_QUBITS = 6
 RITZ_PROBES = 16  # random right-hand sides of the degeneracy estimate
 CHECK_CHUNK_BYTES = 256 * 1024  # states per invariant-check chunk of evolve (>= 1 state)
 SECTOR_CHUNK_BYTES = 2 * 1024 * 1024  # complex rows per steady-state assembly chunk (>= 1 row)
+_FLOAT_MAX = np.finfo(float).max
 
 
 @dataclass
@@ -87,21 +88,23 @@ class QubitState:
         return self
 
 
-def _invariants(rhos, times=None, trace_tol=np.inf, herm_tol=np.inf):
+def _invariants(rhos, times=None, trace_tol=_FLOAT_MAX, herm_tol=_FLOAT_MAX):
     """Trace error |Tr rho - 1|, Hermiticity error max |rho - rho^dagger| and
     smallest eigenvalue of the Hermitian part of each state of a (m, d, d)
     stack, computed CHECK_CHUNK_BYTES of states at a time (at least one).
 
-    Given the Gamma_0 t of each state in `times`, the states are also checked
-    in order, and the first failing one raises StateInvariantError: a trace
-    or Hermiticity error above its tolerance is reported before an
-    eigenvalue below POSITIVITY_FLOOR (the eigenvalues of such a state are
-    not computed).
+    A state is broken unless both errors are at most their tolerances, so a
+    NaN or infinite error always breaks it (the default tolerances are the
+    largest finite float).  The eigenvalues of a broken state, and of the
+    states after it in its chunk, are not computed and read NaN.  Given the
+    Gamma_0 t of each state in `times`, the states are also checked in
+    order, and the first failing one raises StateInvariantError: a broken
+    state is reported before an eigenvalue below POSITIVITY_FLOOR.
     """
     count = len(rhos)
     trace_err = np.empty(count)
     herm_err = np.empty(count)
-    min_eig = np.empty(count)
+    min_eig = np.full(count, np.nan)
     chunk = max(1, CHECK_CHUNK_BYTES // rhos[0].nbytes)
     for lo in range(0, count, chunk):
         hi = min(lo + chunk, count)
@@ -111,7 +114,8 @@ def _invariants(rhos, times=None, trace_tol=np.inf, herm_tol=np.inf):
         # the correctly rounded hypot in the last bit
         trace_err[lo:hi] = np.hypot(tr.real - 1.0, tr.imag)
         herm_err[lo:hi] = np.max(np.abs(block - block.conj().transpose(0, 2, 1)), axis=(1, 2))
-        broken = np.flatnonzero((trace_err[lo:hi] > trace_tol) | (herm_err[lo:hi] > herm_tol))
+        kept = (trace_err[lo:hi] <= trace_tol) & (herm_err[lo:hi] <= herm_tol)
+        broken = np.flatnonzero(~kept)
         stop = lo + broken[0] if broken.size else hi
         valid = rhos[lo:stop]
         herm = 0.5 * (valid + valid.conj().transpose(0, 2, 1))
@@ -304,16 +308,13 @@ def build_generator(couplings, mode="jump_operator"):
         vals, vecs = np.linalg.eigh(0.5 * (w + w.T))
         cosh_r = np.sqrt(occupation + 1.0)
         sinh_phase = -anomalous / cosh_r
-        jumps = []
         for m in range(n):
             if vals[m] <= 1e-14:
                 continue
             c_m = np.zeros((2 ** n, 2 ** n), dtype=complex)
             for a in range(n):
                 c_m += vecs[a, m] * (cosh_r * lowers[a] + sinh_phase * raises_[a])
-            jumps.append((vals[m], c_m))
-        for w_m, c_m in jumps:
-            terms.append((w_m, c_m, c_m.conj().T))
+            terms.append((vals[m], c_m, c_m.conj().T))
     else:
         pm = couplings.gamma_pm / g0
         mp = couplings.gamma_mp / g0

@@ -1,6 +1,6 @@
 """Self-contained numerical kernels: Bessel functions, adaptive Runge-Kutta
-integration, dense eigenproblems, Arnoldi spectral-radius estimates, matrix
-exponentials, and adaptive quadrature.
+integration, dense eigenproblems, Arnoldi spectral-radius estimates, and
+adaptive quadrature.
 
 Everything here is plain numpy and deterministic for fixed inputs.  The rest of
 the package consumes these kernels through the contracts documented on each
@@ -146,7 +146,7 @@ def _initial_step(f, t0, y0, f0, rtol, atol):
     return min(100 * h0, h1)
 
 
-def integrate_ode(f, y0, t_grid, rtol=1e-8, atol=1e-10, fixed_step=None):
+def integrate_ode(f, y0, t_grid, rtol, atol, fixed_step=None):
     """Integrate dy/dt = f(t, y) and return the states at the grid points.
 
     Embedded Dormand-Prince 5(4) pair: the fifth-order solution propagates,
@@ -230,7 +230,7 @@ def integrate_ode(f, y0, t_grid, rtol=1e-8, atol=1e-10, fixed_step=None):
 
 
 # ---------------------------------------------------------------------------
-# Dense eigenproblems and matrix exponential
+# Dense eigenproblems
 # ---------------------------------------------------------------------------
 
 
@@ -287,55 +287,6 @@ def spectral_radius_estimate(apply, size):
             break
         basis[j + 1] = u / hess[j + 1, j]
     return float(np.max(np.abs(np.linalg.eigvals(hess[:steps, :steps]))))
-
-
-_PADE13_B = np.array(
-    [
-        64764752532480000.0,
-        32382376266240000.0,
-        7771770303897600.0,
-        1187353796428800.0,
-        129060195264000.0,
-        10559470521600.0,
-        670442572800.0,
-        33522128640.0,
-        1323241920.0,
-        40840800.0,
-        960960.0,
-        16380.0,
-        182.0,
-        1.0,
-    ]
-)
-
-
-def matrix_exp(mat):
-    """Dense matrix exponential via 13/13 Pade with scaling and squaring."""
-    a = np.asarray(mat, dtype=complex)
-    n = a.shape[0]
-    norm = np.linalg.norm(a, 1)
-    if norm == 0.0:
-        return np.eye(n, dtype=complex)
-    theta13 = 5.371920351148152
-    s = 0 if norm <= theta13 else int(np.ceil(np.log2(norm / theta13)))
-    a = a / (2.0 ** s)
-    b = _PADE13_B
-    ident = np.eye(n, dtype=complex)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    )
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
 
 
 # ---------------------------------------------------------------------------

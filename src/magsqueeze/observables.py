@@ -152,6 +152,8 @@ def initial_state(kind, n_qubits, theta=None, phi=0.0):
     elif kind == "css":
         if theta is None:
             raise ValueError("css initial state needs a polar angle theta")
+        if not (np.isfinite(theta) and np.isfinite(phi)):
+            raise ValueError(f"css angles must be finite, got theta={theta!r}, phi={phi!r}")
         single = np.array(
             [np.cos(0.5 * theta), np.exp(1j * phi) * np.sin(0.5 * theta)],
             dtype=complex,

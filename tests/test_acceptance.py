@@ -15,9 +15,11 @@ import pytest
 from magsqueeze.bath import bath_from_params, resonant_wavelength, saw_coupling, squeezing_parameter
 from magsqueeze.couplings import build_couplings, coupling_oracle
 from magsqueeze.dynamics import build_generator, evolve, steady_state
-from magsqueeze.numerics import bessel_j0, bessel_y0, matrix_exp
+from magsqueeze.numerics import bessel_j0, bessel_y0
 from magsqueeze.observables import initial_state, wineland_xi2
 from magsqueeze.params import ArrayGeometry, PhysicalParams
+
+from oracles import matrix_exp
 
 P = PhysicalParams()
 RTOL, ATOL = 1e-8, 1e-10

@@ -1,11 +1,14 @@
 """The traced benchmark run (perfbench/spans.py) wraps package functions at
 the names listed in its SITES table; every one of them must resolve, or each
-benchmark pass fails."""
+benchmark pass fails.  Each workload's tiny pass must also run clean: it
+makes the benchmark's own calls and checks their outputs against its
+committed references."""
 
 import importlib
 import os
 
 import numpy as np
+import pytest
 
 from magsqueeze.bath import bath_from_params
 from magsqueeze.couplings import build_couplings
@@ -58,3 +61,16 @@ def test_panel_counter_matches_the_quadrature(monkeypatch):
     gauss_legendre_panels(f, edges)
     counts = importlib.import_module("spans")._panel_nodes((f, edges), {}, None)
     assert counts["nodes"] == sum(seen)
+
+
+@pytest.mark.parametrize("workload", ["figures", "trajectory_n6", "steady_sweep", "oracle_check"])
+def test_tiny_workload_passes(monkeypatch, tmp_path, workload):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    assert workload in workloads.WORKLOADS
+    prepared = workloads.prepare(workload, 0, "tiny")
+    assert prepared.operations
+    problems = []
+    for op in prepared.operations:
+        problems += op.run(str(tmp_path))[0]
+    assert not problems

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from magsqueeze import errors
 from magsqueeze.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -277,6 +278,27 @@ class TestMainExitCodes:
         code = main(["--scenario", "custom", "--out", str(tmp_path)])
         assert code == 4
         assert "invariant violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error, code", [
+        (errors.ConfigError, 2),
+        (errors.UnstableSqueezingError, 2),
+        (errors.StateInvariantError, 4),
+        (errors.MagsqueezeError, 3),
+        (errors.QuadratureConvergenceError, 3),
+        (errors.StepSizeUnderflowError, 3),
+        (errors.DegenerateSteadyStateError, 3),
+        (errors.MeanSpinUndefinedError, 3),
+        (np.linalg.LinAlgError, 3),
+    ])
+    def test_exit_code_of_each_error(self, tmp_path, capsys, monkeypatch, error, code):
+        from magsqueeze import cli as cli_mod
+
+        def boom(scenario, params, geometry, written):
+            raise error("raised by the runner")
+
+        monkeypatch.setitem(cli_mod._RUNNERS, "custom", boom)
+        assert main(["--scenario", "custom", "--out", str(tmp_path)]) == code
+        assert "raised by the runner" in capsys.readouterr().err
 
     def test_config_file_round_trips_through_cli(self, tmp_path):
         cfg = tmp_path / "ok.cfg"

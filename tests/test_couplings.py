@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
 
-from magsqueeze.bath import BathState, bath_from_params, resonant_wavelength
-from magsqueeze.couplings import _pv_extrapolated, build_couplings, coupling_oracle
+from magsqueeze.bath import (
+    BathState,
+    bath_from_params,
+    magnon_correlator,
+    pair_moments,
+    resonant_wavelength,
+)
+from magsqueeze.couplings import (
+    GAMMA_CHANNELS,
+    _channel_moments,
+    _pv_extrapolated,
+    build_couplings,
+    coupling_oracle,
+)
 from magsqueeze.errors import ConfigError
 from magsqueeze.numerics import bessel_j0, bessel_y0
 from magsqueeze.params import ArrayGeometry, PhysicalParams
@@ -12,9 +24,9 @@ K_Q, LAMBDA = resonant_wavelength(P)
 J0_FIRST_ZERO = 2.404825557695773
 
 
-def couplings_for(n=2, a=0.5, r=0.25, params=P, **kw):
+def couplings_for(n=2, a=0.5, r=0.25, params=P):
     bs = bath_from_params(params, r_override=r)
-    return build_couplings(ArrayGeometry.chain(n, a), params, bs, **kw)
+    return build_couplings(ArrayGeometry.chain(n, a), params, bs)
 
 
 class TestClosedForms:
@@ -41,13 +53,6 @@ class TestClosedForms:
     def test_exchange_matches_kernel(self):
         cs = couplings_for(a=0.8)
         assert cs.j[0, 1] == pytest.approx(-0.5 * cs.gamma0 * bessel_y0(0.8))
-
-    def test_finite_distance_factor(self):
-        cs0 = couplings_for()
-        csd = couplings_for(finite_distance=True)
-        factor = np.exp(-2.0 * P.distance_cm / LAMBDA)
-        assert csd.gamma_pm[0, 1] == pytest.approx(factor * cs0.gamma_pm[0, 1])
-        assert csd.j[0, 1] == pytest.approx(factor * cs0.j[0, 1])
 
     def test_coincident_qubits_rejected(self):
         bs = bath_from_params(P, r_override=0.1)
@@ -91,6 +96,23 @@ class TestInvariants:
     def test_geometry_digest_recorded(self):
         cs = couplings_for()
         assert cs.geometry_digest == ArrayGeometry.chain(2, 0.5).digest()
+
+
+class TestMomentTable:
+    @pytest.mark.parametrize("r, phi", [(0.0, -0.5 * np.pi), (0.5, 0.7)])
+    def test_correlator_and_channels_read_the_table(self, r, phi):
+        # on resonance at t = t' = 0 the magnon correlator is its moment
+        bs = BathState.from_squeezing(r, phi, lam=LAMBDA)
+        table = pair_moments(bs.N_kq, bs.M_kq)
+        for kind, moment in table.items():
+            assert magnon_correlator(kind, K_Q, 0.0, 0.0, bs, P) == moment
+        assert table == {"mm": bs.M_kq, "mdmd": np.conj(bs.M_kq),
+                         "mdm": bs.N_kq, "mmd": bs.N_kq + 1.0}
+        # the channel weights of the module docstring, in GAMMA_CHANNELS order
+        channels = _channel_moments(bs)
+        assert tuple(channels) == GAMMA_CHANNELS
+        assert channels == {"mp": table["mdm"], "pm": table["mmd"],
+                            "pp": table["mdmd"], "mm": table["mm"]}
 
 
 class TestOracle:

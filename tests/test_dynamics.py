@@ -21,10 +21,12 @@ from magsqueeze.errors import (
     DegenerateSteadyStateError,
     StateInvariantError,
 )
-from magsqueeze.numerics import eig_smallest, matrix_exp
+from magsqueeze.numerics import eig_smallest
 from magsqueeze.observables import collective_spin, initial_state
 from magsqueeze.operators import site_lower, site_pauli
 from magsqueeze.params import ArrayGeometry, PhysicalParams
+
+from oracles import matrix_exp
 
 P = PhysicalParams()
 
@@ -108,6 +110,30 @@ class TestQubitState:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             QubitState(np.eye(3, dtype=complex), 2)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("entry, value", [
+        pytest.param((0, 1), np.nan, id="nan-offdiag"),
+        pytest.param((0, 0), np.nan, id="nan-diag"),
+        pytest.param(None, np.nan, id="nan-all"),
+        pytest.param((0, 1), np.inf, id="inf-offdiag"),
+    ])
+    def test_non_finite_state_rejected(self, n, entry, value):
+        # a NaN error compares False against any tolerance, so a state must
+        # pass only when its errors are <= their tolerances; the skipped
+        # eigenvalues read NaN, and eigvalsh never sees a non-finite matrix
+        rho = initial_state("css", n, theta=np.pi / 3).rho.copy()
+        if entry is None:
+            rho[...] = value
+        else:
+            rho[entry] = value
+        state = QubitState(rho, n)
+        with pytest.raises(StateInvariantError, match="invariant violation"):
+            state.check()
+        with pytest.raises(StateInvariantError, match="invariant violation"):
+            evolve(state, generator_for(n, 0.5, 0.25), np.array([0.0, 0.1]))
+        assert np.isnan(state.min_eigenvalue())
+        assert not state.hermiticity_error() <= 1.0
 
 
 class TestGenerator:

@@ -9,9 +9,10 @@ from magsqueeze.numerics import (
     eig_smallest,
     gauss_legendre_panels,
     integrate_ode,
-    matrix_exp,
     quad_adaptive,
 )
+
+from oracles import matrix_exp
 
 J0_FIRST_ZERO = 2.404825557695773  # published value
 

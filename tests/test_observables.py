@@ -231,3 +231,10 @@ class TestInitialStates:
             initial_state("css", 2)
         with pytest.raises(ValueError):
             initial_state("all_ground", 0)
+
+    @pytest.mark.parametrize("theta, phi", [
+        (np.nan, 0.0), (np.inf, 0.0), (0.5, np.nan), (0.5, -np.inf),
+    ])
+    def test_css_rejects_non_finite_angles(self, theta, phi):
+        with pytest.raises(ValueError, match="finite"):
+            initial_state("css", 2, theta=theta, phi=phi)
