@@ -7,10 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from magsqueeze import dynamics
 from magsqueeze.bath import bath_from_params
+from magsqueeze.cli import EXIT_OK, main
 from magsqueeze.couplings import build_couplings
 from magsqueeze.dynamics import (
     CHECK_CHUNK_BYTES,
+    SECTOR_MIN_QUBITS,
     Generator,
     QubitState,
     build_generator,
@@ -29,6 +32,7 @@ from magsqueeze.params import ArrayGeometry, PhysicalParams
 from oracles import matrix_exp
 
 P = PhysicalParams()
+MODES = ["jump_operator", "four_channel"]
 
 
 def generator_for(n, a, r, mode="jump_operator"):
@@ -271,6 +275,153 @@ class TestRandomLayoutProperties:
         assert np.max(np.abs(out - out.conj().T)) <= 1e-10 * scale
 
 
+def basis_parity(n):
+    """Parity of each basis state, counted bit by bit."""
+    return np.array([bin(i).count("1") % 2 for i in range(2 ** n)])
+
+
+def parity_even_density(rng, n):
+    """Random density matrix with every cross-parity entry exactly 0."""
+    parity = basis_parity(n)
+    rho = random_density(rng, 2 ** n)
+    rho[parity[:, None] != parity] = 0.0
+    return rho
+
+
+def dense_generator(couplings, mode):
+    """The generator built with the parity-block path switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "SECTOR_MIN_QUBITS", couplings.n_qubits + 1)
+        return build_generator(couplings, mode)
+
+
+def spy_block_action(monkeypatch):
+    """Count the calls of the parity-block path."""
+    calls = []
+    block_action = Generator._block_action
+
+    def spy(self, rho):
+        calls.append(rho.shape)
+        return block_action(self, rho)
+
+    monkeypatch.setattr(Generator, "_block_action", spy)
+    return calls
+
+
+# N = SECTOR_MIN_QUBITS..7 qubits, on a chain or scattered in a 2 x 2 lambda square
+BLOCK_QUBITS = st.integers(SECTOR_MIN_QUBITS, 7)
+CHAIN_SPACING = st.floats(0.1, 1.5)
+
+
+class TestParityBlocks:
+    @pytest.mark.parametrize("mode", MODES)
+    @given(BLOCK_QUBITS, st.booleans(), st.data(), SQUEEZING_R, SQUEEZING_PHI,
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_block_path_equals_dense_path(self, mode, n, chain, data, r, phi, seed):
+        # the blocks keep the ascending index order of each parity, so the
+        # block path sums the same nonzero products in the same order
+        if chain:
+            bs = bath_from_params(P, r_override=r, phi_override=phi)
+            couplings = build_couplings(ArrayGeometry.chain(n, data.draw(CHAIN_SPACING)), P, bs)
+        else:
+            points = data.draw(st.lists(POSITIONS, min_size=n, max_size=n))
+            couplings = layout_couplings(points, r, phi)
+        gen = build_generator(couplings, mode)
+        dense = dense_generator(couplings, mode)
+        parity = basis_parity(n)
+        assert gen.parity_symmetric
+        assert np.array_equal(parity[gen.parity_order], np.repeat([0, 1], 2 ** (n - 1)))
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            rho = parity_even_density(rng, n)
+            assert gen._takes_blocks(rho) and not dense._takes_blocks(rho)
+            assert np.array_equal(gen.action(rho), dense.action(rho))
+
+    def test_block_path_at_eight_qubits(self):
+        # the half-size blocks split the inner sums into other panels at N = 8
+        bs = bath_from_params(P, r_override=0.5)
+        couplings = build_couplings(ArrayGeometry.chain(8, 0.5), P, bs)
+        gen = build_generator(couplings)
+        rho = parity_even_density(np.random.default_rng(8), 8)
+        assert gen._takes_blocks(rho)
+        want = dense_generator(couplings, "jump_operator").action(rho)
+        got = gen.action(rho)
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+    def test_hamiltonian_only_generator(self):
+        # no dissipator terms: empty jump stacks on the block path
+        n = SECTOR_MIN_QUBITS
+        h_eff = generator_for(n, 0.5, 0.25).h_eff
+        gen = Generator(n, h_eff, [])
+        rho = parity_even_density(np.random.default_rng(0), n)
+        assert gen._takes_blocks(rho)
+        assert np.array_equal(gen.action(rho), -1j * (h_eff @ rho - rho @ h_eff))
+
+    def test_css_start_takes_the_dense_path(self, monkeypatch):
+        # a coherent spin state has cross-parity entries: every call is dense,
+        # and the trajectory is the one without the block path
+        n = 5
+        bs = bath_from_params(P, r_override=0.25)
+        couplings = build_couplings(ArrayGeometry.chain(n, 0.5), P, bs)
+        start = initial_state("css", n, theta=1.0, phi=0.3)
+        grid = np.linspace(0.0, 1.0, 6)
+        want = evolve(start, dense_generator(couplings, "jump_operator"), grid)
+        calls = spy_block_action(monkeypatch)
+        got = evolve(start, build_generator(couplings), grid)
+        assert calls == [] and not got.parity_blocks
+        for name in ("mean_spin", "min_perp_var", "inv_xi2", "relaxation", "min_eig",
+                     "trace_err", "herm_err"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(got.final_state.rho, want.final_state.rho)
+
+    @pytest.mark.parametrize("field", [0.0, 0.3])
+    def test_symmetry_breaking_generator_takes_the_dense_path(self, monkeypatch, field):
+        # a sigma_x field breaks the parity symmetry; with the qubit threshold
+        # out of the way, only the symmetry check decides the path.  Either
+        # way evolve matches the matrix exponential, as in criterion 7
+        n = 3
+        monkeypatch.setattr(dynamics, "SECTOR_MIN_QUBITS", 1)
+        base = generator_for(n, 0.6, 0.25)
+        h_eff = base.h_eff + field * sum(site_pauli("x", i, n) for i in range(n))
+        gen = Generator(n, h_eff, base.terms)
+        assert gen.parity_symmetric == (field == 0.0)
+        calls = spy_block_action(monkeypatch)
+        rho0 = initial_state("all_excited", n).rho
+        t = np.linspace(0.0, 5.0, 11)
+        traj = evolve(initial_state("all_excited", n), gen, t, keep_states=True)
+        assert traj.parity_blocks == bool(calls) == (field == 0.0)
+        lmat = gen.liouvillian()
+        for i in range(1, 11):
+            ref = (matrix_exp(lmat * t[i]) @ rho0.ravel()).reshape(rho0.shape)
+            assert np.max(np.abs(traj.states[i].rho - ref)) < 1e-6
+
+    @pytest.mark.parametrize("start, blocks", [("all_excited", True), ("css", False)])
+    def test_trajectory_records_the_path(self, monkeypatch, start, blocks):
+        n = 6
+        gen = generator_for(n, 0.5, 0.25)
+        calls = spy_block_action(monkeypatch)
+        traj = evolve(initial_state(start, n, theta=1.0), gen, np.array([0.0, 0.2]))
+        assert traj.parity_blocks is blocks
+        assert bool(calls) is blocks
+
+    def test_custom_csvs_byte_identical(self, tmp_path, monkeypatch):
+        # the in-process CLI at the smallest N of the block path writes the
+        # same bytes with the path switched off
+        calls = spy_block_action(monkeypatch)
+        argv = ["--scenario", "custom", "--set", f"n_qubits={SECTOR_MIN_QUBITS}", "--out"]
+        assert main([*argv, str(tmp_path / "blocks")]) == EXIT_OK
+        assert calls
+        monkeypatch.setattr(dynamics, "SECTOR_MIN_QUBITS", SECTOR_MIN_QUBITS + 1)
+        assert main([*argv, str(tmp_path / "dense")]) == EXIT_OK
+        names = sorted(path.name for path in (tmp_path / "blocks").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "dense").iterdir())
+        assert len(names) == 6
+        for name in names:
+            got = (tmp_path / "blocks" / name).read_bytes()
+            assert got == (tmp_path / "dense" / name).read_bytes(), name
+
+
 class TestEvolve:
     def test_zero_time_grid_returns_input(self):
         gen = generator_for(2, 0.5, 0.25)
@@ -384,8 +535,6 @@ class TestEvolve:
         with pytest.raises(ValueError, match="qubit counts"):
             evolve(initial_state("all_excited", 3), gen, np.array([0.0, 1.0]))
 
-
-MODES = ["jump_operator", "four_channel"]
 
 # (layout, mode): seeded random 3-qubit layouts and a 4-qubit chain; a case of
 # the jump_operator mode is named by its layout alone
