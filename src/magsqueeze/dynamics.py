@@ -65,15 +65,6 @@ class QubitState:
             raise ValueError(f"rho must be {dim} x {dim} for {self.n_qubits} qubits")
         self.rho = rho
 
-    def hermiticity_error(self):
-        return float(_invariants(self.rho[None])[1][0])
-
-    def trace_error(self):
-        return float(_invariants(self.rho[None])[0][0])
-
-    def min_eigenvalue(self):
-        return float(_invariants(self.rho[None])[2][0])
-
     def check(self):
         """Validate the invariants; raises StateInvariantError, warns on a
         negative eigenvalue above the positivity floor but beyond round-off."""
@@ -139,11 +130,16 @@ def _invariants(rhos, times=None, trace_tol=_FLOAT_MAX, herm_tol=_FLOAT_MAX):
 
 def density_matrix(state):
     """Density matrix (or (..., d, d) stack) and qubit count of a QubitState
-    or an array."""
+    or an array; ValueError unless the last two axes are square with side
+    d = 2^N, N >= 1."""
     if isinstance(state, QubitState):
         return state.rho, state.n_qubits
     rho = np.asarray(state, dtype=complex)
-    return rho, int(np.log2(rho.shape[-1]))
+    side = rho.shape[-1] if rho.ndim >= 2 else 0
+    n = side.bit_length() - 1
+    if n < 1 or side != 2 ** n or rho.shape[-2] != side:
+        raise ValueError(f"not a 2^N x 2^N density matrix (N >= 1): shape {rho.shape}")
+    return rho, n
 
 
 @dataclass
@@ -179,17 +175,16 @@ class Generator:
     row-major-vectorized superoperator.
 
     The operators are stored once, as two stacks: the left factors
-    (H, A_1..A_T, G) and the right factors (B_1..B_T); `h_eff`, `terms` and
-    `_anticom` are views into them.  `action` writes its products into work
-    arrays that the Generator keeps, so one Generator must not be applied
-    from two threads at a time.
-
+    (H, A_1..A_T, G) and the right factors (B_1..B_T); `h_eff`, `terms`,
+    `_anticom` and the dense `_Layout` are views into them.
     `parity_symmetric` says whether H and G conserve the parity
     Pi = prod_i sigma_z^i of the basis states and every A_t and B_t flips it
     (every `build_generator` output does); `parity_order` lists the basis
     states of even parity, then those of odd parity, each in ascending order.
-    From SECTOR_MIN_QUBITS qubits on, a parity-symmetric Generator also keeps
-    the parity blocks of its operators for the block path of `action`.
+    A parity-symmetric Generator also keeps the parity `_Layout`, its
+    operators split once into parity blocks, for the block path of `action`
+    and for `steady_state`.  The layouts keep work arrays, so one Generator
+    must not be applied from two threads at a time.
     """
 
     def __init__(self, n_qubits, h_eff, terms):
@@ -207,15 +202,10 @@ class Generator:
             right[t] = b_op
             g += w * (b_op @ a_op)
             self.terms.append((w, left[1 + t], right[t]))
-        self._left = left
-        self._right = right
-        self._h_and_g = left[:: count + 1]
-        self._weights = np.array([w for w, _, _ in terms], dtype=complex).reshape(count, 1, 1)
+        weights = np.array([w for w, _, _ in terms], dtype=complex).reshape(count, 1, 1)
         self.h_eff = left[0]
         self._anticom = g
-        # work arrays of the dense `action`, made on its first call (a
-        # trajectory on the block path never makes one)
-        self._left_rho = self._rho_hg = self._a_rho_b = None
+        self._dense = _Layout(left[None], right[None], weights)
 
         # the basis states of even and of odd parity (an even and an odd count
         # of 1 bits), each ascending; index[p, q] holds the flat indices of
@@ -228,107 +218,58 @@ class Generator:
         self.parity_order = np.concatenate([even, odd])
         within, across = index[[0, 1], [0, 1]], index[[0, 1], [1, 0]]
         self.parity_symmetric = not (
-            any(np.take(op, across).any() for op in self._h_and_g)
+            any(np.take(op, across).any() for op in left[:: count + 1])
             or any(np.take(op, within).any() for op in (*left[1:-1], *right))
         )
-        self._block_index = None
-        if self.parity_symmetric and n_qubits >= SECTOR_MIN_QUBITS:
-            self._block_index, self._cross_index = within, across
-            self._init_blocks(index)
-
-    def _init_blocks(self, index):
-        """Parity blocks of the operators and work arrays of `_block_action`;
-        block index 0 is the even parity, 1 the odd one."""
-        count = len(self.terms)
-        half = index.shape[-1]
-        size = (2 * half) ** 2
-        # [p] multiplies rho_pp: (H_pp, A_t from p into the other parity q, G_pp)
-        # on the left, and B_t from q back into p on the right of (A_t rho)_pq
-        left = np.empty((2, count + 2, half, half), dtype=complex)
-        right = np.empty((2, count, half, half), dtype=complex)
-        for p, q in ((0, 1), (1, 0)):
-            left[p, :: count + 1] = np.take(self._h_and_g.reshape(2, size), index[p, p], axis=1)
-            left[p, 1:-1] = np.take(self._left[1:-1].reshape(count, size), index[q, p], axis=1)
-            right[p] = np.take(self._right.reshape(count, size), index[q, p], axis=1)
-        self._block_left = left
-        self._block_h_and_g = left[:, :: count + 1]
-        self._block_right = right
-        self._rho_blocks = np.empty((2, half, half), dtype=complex)
-        self._block_left_rho = np.empty_like(left)
-        self._block_rho_hg = np.empty((2, 2, half, half), dtype=complex)
-        # term-major, so that each term's two blocks are contiguous
-        self._block_a_rho_b = np.empty((count, 2, half, half), dtype=complex)
+        self._parity = None
+        if self.parity_symmetric:
+            # [p] holds (H_pp, A_t from p into q = 1 - p, G_pp) and B_t from q
+            # back into p; across[::-1] holds the flat indices of the blocks [q, p]
+            flat_left = left.reshape(count + 2, dim * dim)
+            parity_left = flat_left[:, within].swapaxes(0, 1).copy()
+            parity_left[:, 1:-1] = flat_left[1:-1, across[::-1]].swapaxes(0, 1)
+            parity_right = right.reshape(count, dim * dim)[:, across[::-1]].swapaxes(0, 1).copy()
+            self._parity = _Layout(parity_left, parity_right, weights, within)
+        # the path of `action` on a parity-even state is fixed here
+        self._cross_index = (
+            across if self.parity_symmetric and n_qubits >= SECTOR_MIN_QUBITS else None
+        )
 
     def _takes_blocks(self, rho):
         """Whether `action` applies the generator block by block to `rho`:
-        the blocks are kept and every cross-parity entry of `rho` is 0."""
-        return self._block_index is not None and not np.take(rho, self._cross_index).any()
+        the path is on and every cross-parity entry of `rho` is 0."""
+        return self._cross_index is not None and not np.take(rho, self._cross_index).any()
 
     def action(self, rho):
         """d rho / d(Gamma_0 t) as a new array.
 
-        The sums run in the order of -i[H, rho] + sum_t w_t A_t rho B_t
-        - {G, rho}/2 written term by term, so the result is bit-identical to
-        that formula; a reordered sum would move the integrator's steps.
+        The sums of `_Layout.apply` run in the order of -i[H, rho] +
+        sum_t w_t A_t rho B_t - {G, rho}/2 written term by term, so the
+        result is bit-identical to that formula; a reordered sum would move
+        the integrator's steps.
 
         A parity-even `rho` (every entry between basis states of opposite
         parity exactly 0) stays parity-even under a parity-symmetric
         generator.  From SECTOR_MIN_QUBITS qubits on, such a `rho` takes the
-        block path: the same three products on the half-size blocks rho_ee
-        and rho_oo, H and G within each block and A_t rho B_t from one block
-        into the other, at a quarter of the flops.  The blocks keep the
-        ascending index order of each parity, so each entry sums the same
-        nonzero products in the same order; the dense path only adds exact
-        zeros.  The result is bit-identical to the dense path's from
-        N = 3 to 7 on OpenBLAS; at N = 8 the half-size blocks split the inner
-        sums into other panels, which moves entries at round-off (up to
-        5e-16 of the largest).  Any other `rho` takes the dense path.
+        block path: its blocks rho_ee and rho_oo are gathered, run through
+        the parity layout at a quarter of the flops and scattered into a new
+        zeroed array.  The blocks keep the ascending index order of each
+        parity, so each entry sums the same nonzero products in the same
+        order; the dense path only adds exact zeros.  The result is
+        bit-identical to the dense path's from N = 3 to 7 on OpenBLAS; at
+        N = 8 the half-size blocks split the inner sums into other panels,
+        which moves entries at round-off (up to 5e-16 of the largest).  Any
+        other `rho` takes the dense path, as the one block of the dense
+        layout.
         """
         if self._takes_blocks(rho):
             return self._block_action(rho)
-        dim = rho.shape[0]
-        if self._left_rho is None:
-            # (H, A_t, G) rho, rho (H, G) and A_t rho B_t
-            self._left_rho = np.empty_like(self._left)
-            self._rho_hg = np.empty((2, dim, dim), dtype=complex)
-            self._a_rho_b = np.empty_like(self._right)
-        left_rho, rho_hg, a_rho_b = self._left_rho, self._rho_hg, self._a_rho_b
-        np.matmul(self._left.reshape(-1, dim), rho, out=left_rho.reshape(-1, dim))
-        np.matmul(rho, self._h_and_g, out=rho_hg)
-        np.matmul(left_rho[1:-1], self._right, out=a_rho_b)
-        a_rho_b *= self._weights
-        out = np.subtract(left_rho[0], rho_hg[0])
-        out *= -1j
-        for term in a_rho_b:
-            out += term
-        anticom = np.add(left_rho[-1], rho_hg[1], out=rho_hg[1])
-        anticom *= 0.5
-        out -= anticom
-        return out
+        return self._dense.apply(rho[None])[0]
 
     def _block_action(self, rho):
-        """`action` of a parity-even `rho` on its blocks (rho_ee, rho_oo),
-        scattered into a new zeroed array."""
-        rho_blocks, left_rho = self._rho_blocks, self._block_left_rho
-        rho_hg, a_rho_b = self._block_rho_hg, self._block_a_rho_b
-        half = rho_blocks.shape[-1]
-        np.take(rho, self._block_index, out=rho_blocks)
-        np.matmul(self._block_left.reshape(2, -1, half), rho_blocks,
-                  out=left_rho.reshape(2, -1, half))
-        np.matmul(rho_blocks[:, None], self._block_h_and_g, out=rho_hg)
-        # block p of A_t rho B_t is (A_t rho)_pq (B_t)_qp, with (A_t rho)_pq = (A_t)_pq rho_qq
-        np.matmul(left_rho[::-1, 1:-1], self._block_right, out=a_rho_b.transpose(1, 0, 2, 3))
-        a_rho_b *= self._weights[:, None]
-        blocks = np.subtract(left_rho[:, 0], rho_hg[:, 0])
-        blocks *= -1j
-        for term in a_rho_b:
-            blocks += term
-        anticom = np.add(left_rho[:, -1], rho_hg[:, 1], out=rho_hg[:, 1])
-        anticom *= 0.5
-        blocks -= anticom
-        out = np.zeros(rho.shape, dtype=complex)
-        out.reshape(-1)[self._block_index] = blocks
-        return out
+        """`action` of a parity-even `rho` on its blocks (rho_ee, rho_oo)."""
+        parity = self._parity
+        return parity.scatter(parity.apply(parity.gather(rho)))
 
     def adjoint(self, op):
         """Heisenberg-picture generator L^dagger, Tr[X L(rho)] = Tr[L^dagger(X) rho]."""
@@ -338,31 +279,97 @@ class Generator:
         out -= 0.5 * (self._anticom @ op + op @ self._anticom)
         return out
 
-    def _sandwich(self):
-        """New stacks lefts = (K, 1, w_t A_t), rights = (1, K', B_t) with
-        L(X) = sum_t lefts[t] X rights[t], K = -iH - G/2 and K' = iH - G/2."""
-        dim = 2 ** self.n_qubits
-        eye = np.eye(dim)
-        lefts = np.concatenate([[-1j * self.h_eff - 0.5 * self._anticom, eye],
-                                self._weights * self._left[1:-1]])
-        rights = np.concatenate([[eye, 1j * self.h_eff - 0.5 * self._anticom], self._right])
+    def _sandwich(self, layout):
+        """New stacks lefts[p] = (K, 1, w_t A_t), rights[p] = (1, K', B_t) of
+        each block p of `layout`, K = -iH - G/2 and K' = iH - G/2; on the
+        dense layout L(X) = sum_t lefts[0, t] X rights[0, t]."""
+        left = layout.left
+        h_eff, anticom = left[:, 0], left[:, -1]
+        eye = np.broadcast_to(np.eye(left.shape[-1]), h_eff.shape)
+        lefts = np.concatenate([np.stack([-1j * h_eff - 0.5 * anticom, eye], axis=1),
+                                layout.weights * left[:, 1:-1]], axis=1)
+        rights = np.concatenate([np.stack([eye, 1j * h_eff - 0.5 * anticom], axis=1),
+                                 layout.right], axis=1)
         return lefts, rights
 
     def liouvillian(self):
         """Dense 4^N x 4^N matrix L with vec(drho/dt) = L vec(rho), row-major.
 
-        L is one `_sandwich_matrix` of the `_sandwich` stacks, written one row
-        index at a time.  Each call returns a new array that the caller owns
-        (at N = 6 it takes 256 MB, so none is cached); `steady_state` never
-        builds it.
+        L is one `_sandwich_matrix` of the dense `_sandwich` stacks, written
+        one row index at a time.  Each call returns a new array that the
+        caller owns (at N = 6 it takes 256 MB, so none is cached);
+        `steady_state` never builds it.
         """
         dim = 2 ** self.n_qubits
-        lefts, rights = self._sandwich()
+        lefts, rights = self._sandwich(self._dense)
         mat = np.empty((dim * dim, dim * dim), dtype=complex)
         l4 = mat.reshape(dim, dim, dim, dim)
         for i in range(dim):
-            _sandwich_matrix(lefts[:, i:i + 1], rights, l4[i:i + 1])
+            _sandwich_matrix(lefts[0, :, i:i + 1], rights[0], l4[i:i + 1])
         return mat
+
+
+class _Layout:
+    """A Generator's operators on k diagonal blocks of the basis, as stacks
+    with a leading block axis: left[p] = (H, A_t, G) and right[p] = B_t.
+
+    The dense layout has one block, the whole space.  The parity layout has
+    two, the basis states of even (p = 0) and of odd parity (p = 1), each
+    ascending: H and G map block p into itself, A_t maps it into its partner
+    q = 1 - p and B_t maps q back into p, so block p of A_t rho B_t is
+    (A_t rho)_pq (B_t)_qp.  `index` holds the flat indices of the blocks in
+    a d x d array (None on the dense layout, which is never gathered).  The
+    work arrays are made on first use, so an unused layout holds none.
+    """
+
+    def __init__(self, left, right, weights, index=None):
+        self.left = left
+        self.right = right
+        self.weights = weights  # (T, 1, 1)
+        self.index = index
+        self.h_and_g = left[:, :: left.shape[1] - 1]
+        # per block, (H, A_t, G) stacked into one tall matrix
+        self.tall = left.reshape(len(left), -1, left.shape[-1])
+        self._rho = self._left_rho = self._rho_hg = self._a_rho_b = None
+
+    def apply(self, rho):
+        """The generator on a (k, h, h) stack of the blocks of a state, as a
+        new stack; left_rho[::-1] pairs each block with its partner, itself
+        on the dense layout."""
+        if self._left_rho is None:
+            # (H, A_t, G) rho, rho (H, G) and A_t rho B_t; the views are kept,
+            # as at N <= 3 making them costs about as much as a product
+            self._left_rho = np.empty_like(self.left)
+            self._tall_rho = self._left_rho.reshape(self.tall.shape)
+            self._partner_rho = self._left_rho[::-1, 1:-1]
+            self._rho_hg = np.empty(self.h_and_g.shape, dtype=complex)
+            self._a_rho_b = np.empty_like(self.right)
+        left_rho, rho_hg, a_rho_b = self._left_rho, self._rho_hg, self._a_rho_b
+        np.matmul(self.tall, rho, out=self._tall_rho)
+        np.matmul(rho[:, None], self.h_and_g, out=rho_hg)
+        np.matmul(self._partner_rho, self.right, out=a_rho_b)
+        a_rho_b *= self.weights
+        out = np.subtract(left_rho[:, 0], rho_hg[:, 0])
+        out *= -1j
+        for t in range(a_rho_b.shape[1]):
+            out += a_rho_b[:, t]
+        anticom = np.add(left_rho[:, -1], rho_hg[:, 1], out=rho_hg[:, 1])
+        anticom *= 0.5
+        out -= anticom
+        return out
+
+    def gather(self, rho):
+        """The blocks of a d x d `rho`, in a work array."""
+        if self._rho is None:
+            self._rho = np.empty(self.index.shape, dtype=complex)
+        return np.take(rho, self.index, out=self._rho)
+
+    def scatter(self, blocks):
+        """The blocks placed in a new zeroed d x d array."""
+        dim = len(self.left) * self.left.shape[-1]
+        out = np.zeros((dim, dim), dtype=complex)
+        out.reshape(-1)[self.index] = blocks
+        return out
 
 
 def _sandwich_matrix(lefts, rights, out):
@@ -494,9 +501,9 @@ def steady_state(generator):
     S_ij = (E_ij + E_ji)/sqrt2 and A_ij = i(E_ij - E_ji)/sqrt2: the operator
     X has the coordinate Re X_ij + Im X_ij at [i, j], and a block is
     Re M + Im M^swap of the complex rows M of L (`_sector_block`).  The
-    blocks are written from the parity-split stacks a bounded chunk of rows
-    at a time, and the complex L is never built: at N = 6 a block takes
-    32 MB, and `np.linalg.solve` copies it once.
+    blocks are written from the sandwich stacks of the parity layout a
+    bounded chunk of rows at a time, and the complex L is never built: at
+    N = 6 a block takes 32 MB, and `np.linalg.solve` copies it once.
 
     The trace functional w (1 on the E_ii) is a left null vector of the
     even block R_e, so by Brauer's theorem A = R_e + e0 w^T has the spectrum
@@ -524,8 +531,13 @@ def steady_state(generator):
         raise ValueError(
             f"dense steady-state solve limited to {MAX_STEADY_QUBITS} qubits"
         )
-    stacks = _parity_split(generator)
-    order = generator.parity_order
+    if not generator.parity_symmetric:
+        raise ValueError(
+            "steady_state needs a parity-symmetric generator: H and G must "
+            "conserve prod_i sigma_z^i and every jump factor must flip it"
+        )
+    parity = generator._parity
+    stacks = generator._sandwich(parity)
     dim = 2 ** n
     half = dim // 2
     size = dim * dim // 2  # real coordinates per sector
@@ -561,9 +573,7 @@ def steady_state(generator):
     l_norm = np.sqrt(norm_sq)
     coords = sol[:, 0].reshape(2, half, half) / np.linalg.norm(sol[:, 0])
     blocks = 0.5 * ((1 + 1j) * coords + (1 - 1j) * coords.swapaxes(1, 2))
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[order[:half, None], order[:half]] = blocks[0]
-    rho[order[half:, None], order[half:]] = blocks[1]
+    rho = parity.scatter(blocks)
     resid = np.linalg.norm(generator.action(rho))
     if l_norm > 0 and resid > 1e-8 * l_norm:
         raise np.linalg.LinAlgError(
@@ -574,35 +584,23 @@ def steady_state(generator):
     return QubitState(rho, n, time=np.inf)
 
 
-# the (row, column) parity blocks of the operators in each sector, in the
-# basis ordered by parity (0: even states, 1: odd states)
+# the (row, column) parity blocks (0: even states, 1: odd states) of the
+# operators in each sector
 EVEN_SECTOR = ((0, 0), (1, 1))
 ODD_SECTOR = ((0, 1), (1, 0))
-
-
-def _parity_split(generator):
-    """The `Generator._sandwich` stacks in the basis ordered by parity
-    (`Generator.parity_order`); ValueError unless the generator is
-    parity-symmetric."""
-    if not generator.parity_symmetric:
-        raise ValueError(
-            "steady_state needs a parity-symmetric generator: H and G must "
-            "conserve prod_i sigma_z^i and every jump factor must flip it"
-        )
-    order = generator.parity_order
-    lefts, rights = generator._sandwich()
-    return lefts[:, order[:, None], order], rights[:, order[:, None], order]
 
 
 def _sector_block(lefts, rights, positions):
     """Real matrix of L on one parity sector, as out[p, i, j, q, k, l]: the
     coordinate [i, j] of block positions[p] of L(X) against the coordinate
     [k, l] of block positions[q] of X (coordinates as in `steady_state`),
-    from the `_parity_split` stacks.
+    from the `Generator._sandwich` stacks of the parity layout.
 
     The complex rows M of L for the block (x, y) take the terms [:2],
-    K X_xy + X_xy K', from the same block and the jump terms [2:] from the
-    block (1-x, 1-y).  A
+    K_xx X_xy + X_xy K'_yy, from the same block, lefts[x, :2] and
+    rights[y, :2], and the jump terms [2:],
+    w_t (A_t)_{x,1-x} X_{1-x,1-y} (B_t)_{1-y,y}, from the block
+    (1-x, 1-y), lefts[1-x, 2:] and rights[y, 2:].  A
     Hermitian X has the coordinates Q = Re X + Im X and is
     ((1+i) Q + (1-i) Q^T)/2, so the coordinates Re((1-i) Y) of Y = L(X)
     are Re(M Q) + Im(M Q^T): the real entry is
@@ -611,16 +609,14 @@ def _sector_block(lefts, rights, positions):
     SECTOR_CHUNK_BYTES of complex entries at a time (at least one row
     index i).
     """
-    half = lefts.shape[-1] // 2
-    blocks = (slice(None, half), slice(half, None))
+    half = lefts.shape[-1]
     partner = slice(None) if positions[0][0] == positions[0][1] else slice(None, None, -1)
     out = np.empty((2, half, half, 2, half, half))
     rows = max(1, SECTOR_CHUNK_BYTES // (32 * half ** 3))
     chunk = np.empty((min(rows, half), half, 2, half, half), dtype=complex)
     for p, (x, y) in enumerate(positions):
-        bx, by = blocks[x], blocks[y]
-        direct = (lefts[:2, bx, bx], rights[:2, by, by])
-        crossed = (lefts[2:, bx, blocks[1 - x]], rights[2:, blocks[1 - y], by])
+        direct = (lefts[x, :2], rights[y, :2])
+        crossed = (lefts[1 - x, 2:], rights[y, 2:])
         for lo in range(0, half, rows):
             part = chunk[: min(rows, half - lo)]
             hi = lo + len(part)

@@ -16,6 +16,7 @@ from magsqueeze.dynamics import (
     SECTOR_MIN_QUBITS,
     Generator,
     QubitState,
+    _invariants,
     build_generator,
     evolve,
     steady_state,
@@ -136,8 +137,9 @@ class TestQubitState:
             state.check()
         with pytest.raises(StateInvariantError, match="invariant violation"):
             evolve(state, generator_for(n, 0.5, 0.25), np.array([0.0, 0.1]))
-        assert np.isnan(state.min_eigenvalue())
-        assert not state.hermiticity_error() <= 1.0
+        _, herm_err, min_eig = _invariants(state.rho[None])
+        assert np.isnan(min_eig[0])
+        assert not herm_err[0] <= 1.0
 
 
 class TestGenerator:
@@ -173,23 +175,58 @@ class TestGenerator:
     def test_sandwich_form_equals_action(self, mode, n):
         # the stacks the Liouvillian and the steady-state sectors are built from
         gen = generator_for(n, 0.5, 0.3, mode)
-        lefts, rights = gen._sandwich()
+        lefts, rights = gen._sandwich(gen._dense)
         rng = np.random.default_rng(n)
         for _ in range(5):
             x = random_matrix(rng, 2 ** n)
             want = gen.action(x)
-            got = sum(l_op @ x @ r_op for l_op, r_op in zip(lefts, rights))
+            got = sum(l_op @ x @ r_op for l_op, r_op in zip(lefts[0], rights[0]))
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_action_result_is_not_a_work_array(self):
-        gen = generator_for(3, 0.5, 0.3)
+        # the dense path, and the block path of a parity-even state
         rng = np.random.default_rng(5)
-        out = gen.action(random_matrix(rng, 8))
-        kept = out.copy()
-        owned = [v for v in vars(gen).values() if isinstance(v, np.ndarray)]
-        assert owned and not any(np.shares_memory(out, v) for v in owned)
-        gen.action(random_matrix(rng, 8))
-        assert np.array_equal(out, kept)
+        for n, even in ((3, False), (SECTOR_MIN_QUBITS, True)):
+            gen = generator_for(n, 0.5, 0.3)
+
+            def draw():
+                return parity_even_density(rng, n) if even else random_matrix(rng, 2 ** n)
+
+            def owned():
+                # the arrays the generator keeps, and those of its layouts
+                layouts = [v for v in vars(gen).values() if isinstance(v, dynamics._Layout)]
+                return [v for obj in (gen, *layouts) for v in vars(obj).values()
+                        if isinstance(v, np.ndarray)]
+
+            before = len(owned())
+            rho = draw()
+            assert gen._takes_blocks(rho) is even
+            out = gen.action(rho)
+            kept = out.copy()
+            # the first call made the work arrays of the layout it ran
+            assert len(owned()) > before
+            assert not any(np.shares_memory(out, v) for v in owned())
+            gen.action(draw())
+            assert np.array_equal(out, kept)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_parity_layout_is_the_permuted_dense_layout(self, mode, n):
+        # the one parity split: block p of the parity layout's sandwich stacks
+        # is the dense stacks in the basis ordered by parity, the terms [:2]
+        # within block p and the jump terms [2:] from the partner q into p
+        gen = generator_for(n, 0.5, 0.3, mode)
+        order = gen.parity_order
+        half = 2 ** (n - 1)
+        blocks = (slice(None, half), slice(half, None))
+        dense = [s[0][:, order[:, None], order] for s in gen._sandwich(gen._dense)]
+        parity = gen._sandwich(gen._parity)
+        for want, got in zip(dense, parity):
+            assert got.shape == (2, want.shape[0], half, half)
+            for p, q in ((0, 1), (1, 0)):
+                bp, bq = blocks[p], blocks[q]
+                assert np.array_equal(got[p, :2], want[:2, bp, bp])
+                assert np.array_equal(got[p, 2:], want[2:, bq, bp])
 
     def test_h_eff_hermitian(self):
         gen = generator_for(3, 0.5, 0.25)
@@ -507,9 +544,10 @@ class TestEvolve:
         s0 = initial_state("css", 3, theta=np.pi / 2, phi=0.3)
         traj = evolve(s0, gen, t, keep_states=True)
         for i, state in enumerate(traj.states):
-            assert traj.trace_err[i] == state.trace_error()
-            assert traj.herm_err[i] == state.hermiticity_error()
-            assert traj.min_eig[i] == state.min_eigenvalue()
+            trace_err, herm_err, min_eig = _invariants(state.rho[None])
+            assert traj.trace_err[i] == trace_err[0]
+            assert traj.herm_err[i] == herm_err[0]
+            assert traj.min_eig[i] == min_eig[0]
 
     def test_hermiticity_break_aborts_at_first_bad_grid_time(self):
         # the single term s rho s (s = sigma^- of qubit 0) gives

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,18 @@ class TestCollectiveSpin:
              np.cos(np.pi / 3)]
         )
         assert np.allclose(collective_spin(s), expect, atol=1e-12)
+
+    @pytest.mark.parametrize("rho", [
+        pytest.param(np.eye(3) / 3, id="side-3"),
+        pytest.param(np.eye(1), id="side-1"),
+        pytest.param(np.zeros((4, 2)), id="not-square"),
+        pytest.param(np.ones(4) / 4, id="vector"),
+        pytest.param(np.ones((2, 0, 0)), id="empty-stack"),
+    ])
+    def test_malformed_array_rejected(self, rho):
+        # fail closed, not numpy's reshape error or a silent [0, 0, 0]
+        with pytest.raises(ValueError, match=re.escape(f"shape {rho.shape}")):
+            collective_spin(rho)
 
 
 class TestWineland:
