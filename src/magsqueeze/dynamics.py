@@ -20,6 +20,7 @@ the equivalence of the two modes is asserted in the test suite.
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,10 +39,11 @@ DEFAULT_ATOL = 1e-10
 
 MAX_QUBITS = 8
 SECTOR_MIN_QUBITS = 5  # smallest N at which `action` takes the parity-block path
-MAX_STEADY_QUBITS = 6
+MAX_STEADY_QUBITS = 7
 RITZ_PROBES = 16  # random right-hand sides of the degeneracy estimate
 CHECK_CHUNK_BYTES = 256 * 1024  # states per invariant-check chunk of evolve (>= 1 state)
 SECTOR_CHUNK_BYTES = 2 * 1024 * 1024  # complex rows per steady-state assembly chunk (>= 1 row)
+REVERSAL_ULPS = 64  # coupling asymmetry still taken as site-reversal symmetry
 _FLOAT_MAX = np.finfo(float).max
 
 
@@ -59,6 +61,8 @@ class QubitState:
     time: float = 0.0
 
     def __post_init__(self):
+        if self.n_qubits < 1:
+            raise ValueError(f"a QubitState needs n_qubits >= 1, got {self.n_qubits}")
         rho = np.asarray(self.rho, dtype=complex)
         dim = 2 ** self.n_qubits
         if rho.shape != (dim, dim):
@@ -80,10 +84,14 @@ class QubitState:
         return self
 
 
-def _invariants(rhos, times=None, trace_tol=_FLOAT_MAX, herm_tol=_FLOAT_MAX):
+def _invariants(rhos, times=None, trace_tol=_FLOAT_MAX, herm_tol=_FLOAT_MAX, index=None):
     """Trace error |Tr rho - 1|, Hermiticity error max |rho - rho^dagger| and
     smallest eigenvalue of the Hermitian part of each state of a (m, d, d)
     stack, computed CHECK_CHUNK_BYTES of states at a time (at least one).
+    Given the flat block `index` of a `_Layout` whose blocks hold every
+    nonzero entry of the states, the eigenvalues are those of the blocks of
+    the Hermitian part (the spectrum of a block-diagonal matrix is the union
+    of its blocks' spectra); the two errors always read the full arrays.
 
     A state is broken unless both errors are at most their tolerances, so a
     NaN or infinite error always breaks it (the default tolerances are the
@@ -111,7 +119,10 @@ def _invariants(rhos, times=None, trace_tol=_FLOAT_MAX, herm_tol=_FLOAT_MAX):
         stop = lo + broken[0] if broken.size else hi
         valid = rhos[lo:stop]
         herm = 0.5 * (valid + valid.conj().transpose(0, 2, 1))
-        min_eig[lo:stop] = np.min(np.linalg.eigvalsh(herm), axis=1)
+        if index is not None:
+            herm = np.take(herm.reshape(len(herm), -1), index, axis=1)
+        eigs = np.linalg.eigvalsh(herm)
+        min_eig[lo:stop] = np.min(eigs, axis=tuple(range(1, eigs.ndim)))
         if times is None:
             continue
         negative = np.flatnonzero(min_eig[lo:stop] < POSITIVITY_FLOOR)
@@ -183,12 +194,15 @@ class Generator:
     states of even parity, then those of odd parity, each in ascending order.
     A parity-symmetric Generator also keeps the parity `_Layout`, its
     operators split once into parity blocks, for the block path of `action`
-    and for `steady_state`.  The layouts keep work arrays, so one Generator
-    must not be applied from two threads at a time.
+    and for `steady_state`.  `reversal_symmetric` says whether the generator
+    commutes with the site reversal i -> N-1-i; only `build_generator`
+    claims it, and only `steady_state` reads it.  The layouts keep work
+    arrays, so one Generator must not be applied from two threads at a time.
     """
 
-    def __init__(self, n_qubits, h_eff, terms):
+    def __init__(self, n_qubits, h_eff, terms, reversal_symmetric=False):
         self.n_qubits = n_qubits
+        self.reversal_symmetric = reversal_symmetric
         dim = 2 ** n_qubits
         count = len(terms)
         left = np.empty((count + 2, dim, dim), dtype=complex)
@@ -207,12 +221,9 @@ class Generator:
         self._anticom = g
         self._dense = _Layout(left[None], right[None], weights)
 
-        # the basis states of even and of odd parity (an even and an odd count
-        # of 1 bits), each ascending; index[p, q] holds the flat indices of
-        # the block of rows of parity p and columns of parity q
-        even, odd = np.zeros(1, dtype=int), np.zeros(0, dtype=int)
-        for k in range(n_qubits):
-            even, odd = np.concatenate([even, odd + 2 ** k]), np.concatenate([odd, even + 2 ** k])
+        # index[p, q] holds the flat indices of the block of rows of parity p
+        # and columns of parity q
+        even, odd = _parity_states(n_qubits)
         index = np.array([[rows[:, None] * dim + cols for cols in (even, odd)]
                           for rows in (even, odd)])
         self.parity_order = np.concatenate([even, odd])
@@ -305,8 +316,19 @@ class Generator:
         mat = np.empty((dim * dim, dim * dim), dtype=complex)
         l4 = mat.reshape(dim, dim, dim, dim)
         for i in range(dim):
-            _sandwich_matrix(lefts[0, :, i:i + 1], rights[0], l4[i:i + 1])
+            l4[i:i + 1] = _sandwich_matrix(lefts[0, :, i:i + 1], rights[0])
         return mat
+
+
+@lru_cache(maxsize=16)
+def _parity_states(n_qubits):
+    """The basis states of even and of odd parity (an even and an odd count
+    of 1 bits), each ascending, as read-only arrays."""
+    even, odd = np.zeros(1, dtype=int), np.zeros(0, dtype=int)
+    for k in range(n_qubits):
+        even, odd = np.concatenate([even, odd + 2 ** k]), np.concatenate([odd, even + 2 ** k])
+    even.flags.writeable = odd.flags.writeable = False
+    return even, odd
 
 
 class _Layout:
@@ -372,13 +394,14 @@ class _Layout:
         return out
 
 
-def _sandwich_matrix(lefts, rights, out):
-    """Write the row-major matrix of X -> sum_t A_t X B_t into `out`, as the
-    4-index array out[i, j, k, l] = sum_t A_t[i, k] B_t[l, j] (the weight of
-    X[k, l] in the result's [i, j]); `lefts` may hold a slice of the rows i."""
-    count, rows, dim = lefts.shape
+def _sandwich_matrix(lefts, rights):
+    """The row-major matrix of X -> sum_t A_t X B_t as the 4-index view
+    out[i, j, k, l] = sum_t A_t[i, k] B_t[l, j] (the weight of X[k, l] in the
+    result's [i, j]) of a new array; `lefts` and `rights` may hold any
+    slices of the indices i, k and l, j."""
+    count, rows, inner = lefts.shape
     prod = lefts.reshape(count, -1).T @ rights.reshape(count, -1)  # [(i, k), (l, j)]
-    out[...] = prod.reshape(rows, dim, dim, dim).transpose(0, 3, 1, 2)
+    return prod.reshape(rows, inner, *rights.shape[1:]).transpose(0, 3, 1, 2)
 
 
 def build_generator(couplings, mode="jump_operator"):
@@ -387,7 +410,10 @@ def build_generator(couplings, mode="jump_operator"):
     The squeezed-bath parameters are recovered from the matrices themselves
     (occupation from the absorption/emission ratio, the anomalous moment from
     the on-site pair channel), so the two modes are built from identical
-    information.
+    information.  The generator is reversal-symmetric when `j` and the four
+    `gamma` matrices equal their site-reversed copies to REVERSAL_ULPS of
+    their largest entry, as on a uniform chain, whose mirrored separations
+    i a - j a differ by an ulp unless a is a short binary fraction.
     """
     if mode not in ("jump_operator", "four_channel"):
         raise ValueError(f"unknown generator mode {mode!r}")
@@ -432,7 +458,11 @@ def build_generator(couplings, mode="jump_operator"):
             terms.append((1.0, raises_[a], _collect(mp[a], lowers)))
             terms.append((-1.0, raises_[a], _collect(mm[a], raises_)))
             terms.append((-1.0, lowers[a], _collect(pp[a], lowers)))
-    return Generator(n, h_eff, terms)
+    reversal = all(
+        np.max(np.abs(m - m[::-1, ::-1])) <= REVERSAL_ULPS * np.finfo(float).eps * np.max(np.abs(m))
+        for m in (couplings.j, couplings.gamma_pm, couplings.gamma_mp,
+                  couplings.gamma_pp, couplings.gamma_mm))
+    return Generator(n, h_eff, terms, reversal)
 
 
 def _collect(row, ops):
@@ -468,7 +498,11 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
     flat = integrate_ode(rhs, rho_init.ravel(), t_grid, rtol=rtol, atol=atol)
     rhos = flat.reshape(t_grid.size, dim, dim)
     abort_tol = max(1e-6, 1e4 * atol)
-    trace_err, herm_err, min_eig = _invariants(rhos, t_grid, abort_tol, abort_tol)
+    # a parity-even start stays parity-even, so every call takes the same path
+    blocks = generator._takes_blocks(rho_init)
+    trace_err, herm_err, min_eig = _invariants(
+        rhos, t_grid, abort_tol, abort_tol, generator._parity.index if blocks else None
+    )
     states = (
         [QubitState(rho, n, time=float(t)) for rho, t in zip(rhos, t_grid)]
         if keep_states else []
@@ -483,48 +517,59 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
         # a copy, so that without keep_states the stack of states is freed
         final_state=QubitState(rhos[-1].copy(), n, time=float(t_grid[-1])),
         states=states,
-        # a parity-even start stays parity-even, so every call takes the same path
-        parity_blocks=generator._takes_blocks(rho_init),
+        parity_blocks=blocks,
     )
 
 
 def steady_state(generator):
-    """Stationary state from one LU solve in each parity sector of L.
+    """Stationary state from one LU solve in each symmetry sector of L.
 
     Let Pi = prod_i sigma_z^i.  H and G must conserve Pi and every jump
     factor A_t, B_t must flip it (ValueError otherwise; every
     `build_generator` output does), so L maps the parity-even operators
     (blocks rho_ee, rho_oo) and the odd ones (rho_eo, rho_oe) into
     themselves.  L also preserves Hermiticity, so on an orthonormal basis of
-    Hermitian operators each sector is a real 4^N/2 x 4^N/2 block.  The basis
-    is {E_ii, (S_ij + A_ij)/sqrt2, (S_ij - A_ij)/sqrt2} with
+    Hermitian operators each parity sector is a real 4^N/2 x 4^N/2 block.
+    The basis is {E_ii, (S_ij + A_ij)/sqrt2, (S_ij - A_ij)/sqrt2} with
     S_ij = (E_ij + E_ji)/sqrt2 and A_ij = i(E_ij - E_ji)/sqrt2: the operator
-    X has the coordinate Re X_ij + Im X_ij at [i, j], and a block is
-    Re M + Im M^swap of the complex rows M of L (`_sector_block`).  The
-    blocks are written from the sandwich stacks of the parity layout a
-    bounded chunk of rows at a time, and the complex L is never built: at
-    N = 6 a block takes 32 MB, and `np.linalg.solve` copies it once.
+    X has the coordinate Re X_ij + Im X_ij at [i, j], and a real orthogonal
+    change V of the basis states maps the coordinates Q to V^T Q V.
 
-    The trace functional w (1 on the E_ii) is a left null vector of the
-    even block R_e, so by Brauer's theorem A = R_e + e0 w^T has the spectrum
-    of R_e with the null eigenvalue moved to 1: A is singular exactly when
-    the even sector holds a second stationary state, and A v = e0 gives the
-    unit-trace steady state.  One solve takes e0 together with a fixed-seed
-    random block Z; since A X = Z, the Ritz values of A on span(X) follow
-    from X and Z alone, and their smallest modulus estimates |lambda_2| in
-    the even sector.  The odd block R_o holds traceless operators only, so
-    it is solved unbordered against its own random block, and its smallest
-    Ritz modulus estimates its smallest |lambda|: an odd zero mode (a
-    coherence that never decays) is caught too.  A singular or non-finite
-    solve in either sector, or the smaller estimate below 1e-8 of the
-    spectral radius (from a matrix-free Arnoldi run on `action`), raises
-    DegenerateSteadyStateError.  The residual ||L v|| of the normalized
-    solution, on the full `action`, is checked against 1e-8 ||L||_F
-    (LinAlgError), where ||L||_F^2 = ||R_e||_F^2 + ||R_o||_F^2 (the basis is
-    orthonormal and the cross-sector blocks are 0); the state is then
-    trace-normalized and checked like QubitState.check, without its warning.
-    It is Hermitian by construction: the entries of ((1+i) Q + (1-i) Q^T)/2
-    at [i, j] and [j, i] are exact conjugates.
+    A reversal-symmetric generator (`Generator.reversal_symmetric`) also
+    commutes with X -> R X R, R the bit reversal of the basis states, which
+    keeps their parity.  On the `_reversal_basis` of each parity (the states
+    that R fixes, and (e_k +- e_r(k))/sqrt2 for each pair that R swaps,
+    even or odd under R) a coordinate [i, j] is reversal-even when i and j
+    are of the same class and reversal-odd otherwise, so each parity sector
+    splits into two real blocks, B+ and B- (`_sector_block`), each built
+    and solved on its own: for a chain at N = 5, 512 = 272 + 240.  Without
+    the symmetry every state is fixed, B+ is the parity sector and B- is
+    empty (0-size blocks are skipped): the state is the parity-only solve's,
+    bit for bit.  The complex L is never built; at N = 7 a chain's largest
+    block is 4160^2 float64 (138 MB), and `np.linalg.solve` copies it once.
+
+    The trace functional w (1 on the diagonal coordinates [i, i], all of
+    them reversal-even) is a left null vector of the parity-even B+, so by
+    Brauer's theorem A = B+ + e0 w^T (e0 the coordinate of E_00; state 0 is
+    fixed) has the spectrum of B+ with the null eigenvalue moved to 1: A
+    is singular exactly when that block holds a second stationary state,
+    and A v = e0 gives the unit-trace steady state.  One solve takes e0
+    together with a fixed-seed random block Z; since A X = Z, the Ritz
+    values of A on span(X) follow from X and Z alone, and their smallest
+    modulus estimates |lambda_2| there.  The other three blocks hold
+    traceless operators only, so each is solved unbordered against its own
+    random block for the estimate of its smallest |lambda|: a parity-odd or
+    reversal-odd operator that never decays is caught too.  A singular or
+    non-finite solve in any block, or the smallest estimate below 1e-8 of
+    the spectral radius (from a matrix-free Arnoldi run on `action`),
+    raises DegenerateSteadyStateError.  The residual ||L v|| of the
+    normalized solution, on the full `action`, is checked against
+    1e-8 ||L||_F (LinAlgError), where ||L||_F^2 sums the blocks' squared
+    norms (the basis is orthonormal; the entries between two blocks are 0,
+    and round-off under reversal), so a wrong reversal claim fails closed.
+    The state is then trace-normalized and checked like QubitState.check,
+    without its warning.  It is Hermitian by construction: the entries of
+    ((1+i) Q + (1-i) Q^T)/2 at [i, j] and [j, i] are exact conjugates.
     """
     n = generator.n_qubits
     if n > MAX_STEADY_QUBITS:
@@ -538,9 +583,12 @@ def steady_state(generator):
         )
     parity = generator._parity
     stacks = generator._sandwich(parity)
+    evens, basis = _reversal_basis(n, generator.reversal_symmetric)
+    if basis is not None:  # V^T op V; [z, :2] maps parity z into z, [z, 2:] into 1 - z
+        rows = np.array([[0], [1]]) ^ (np.arange(stacks[0].shape[1]) >= 2)
+        stacks = [basis.swapaxes(1, 2)[rows] @ stack @ basis[:, None] for stack in stacks]
     dim = 2 ** n
     half = dim // 2
-    size = dim * dim // 2  # real coordinates per sector
 
     def apply(vec):
         return generator.action(vec.reshape(dim, dim)).ravel()
@@ -548,22 +596,30 @@ def steady_state(generator):
     radius = spectral_radius_estimate(apply, dim * dim)
     rng = np.random.default_rng(0)
 
-    probes = min(RITZ_PROBES, size - 1)
-    rhs = np.zeros((size, 1 + probes))
-    rhs[0, 0] = 1.0
-    rhs[:, 1:] = rng.standard_normal((size, probes))
-    mat = _sector_block(*stacks, EVEN_SECTOR).reshape(size, size)
-    norm_sq = np.vdot(mat, mat)
-    mat[0].reshape(2, half * half)[:, :: half + 1] += 1.0  # row 0 += w: R_e becomes A
-    sol, lam_even = _solve_sector(mat, rhs, "even")
-    del mat
+    norm_sq = 0.0
+    estimates = []
+    for sector, positions in (("even", EVEN_SECTOR), ("odd", ODD_SECTOR)):
+        for sign, part in ((1, "reversal-even"), (-1, "reversal-odd")):
+            spans, coords = _sector_spans(positions, evens, half, sign)
+            size = len(coords)
+            if not size:
+                continue
+            mat = _sector_block(*stacks, positions, spans)
+            norm_sq += np.vdot(mat, mat)
+            border = int(sector == "even" and sign > 0)  # the block of the state
+            rhs = np.zeros((size, border + min(RITZ_PROBES, size - border)))
+            rhs[:, border:] = rng.standard_normal((size, rhs.shape[1] - border))
+            if border:
+                rhs[0, 0] = 1.0
+                mat[0, coords // half % half == coords % half] += 1.0  # row 0 += w: B+ becomes A
+            sol, lam = _solve_sector(mat, rhs, f"{sector}-parity, {part}")
+            del mat
+            estimates.append(lam)
+            if border:
+                vec = np.zeros(2 * half * half)
+                vec[coords] = sol[:, 0] / np.linalg.norm(sol[:, 0])
 
-    mat = _sector_block(*stacks, ODD_SECTOR).reshape(size, size)
-    norm_sq += np.vdot(mat, mat)
-    _, lam_odd = _solve_sector(mat, rng.standard_normal((size, min(RITZ_PROBES, size))), "odd")
-    del mat
-
-    lam2 = min(lam_even, lam_odd)
+    lam2 = min(estimates)
     if lam2 < 1e-8 * radius:
         raise DegenerateSteadyStateError(
             f"second eigenvalue |lambda_2| ~ {lam2:.3e} below 1e-8 of the "
@@ -571,7 +627,9 @@ def steady_state(generator):
         )
 
     l_norm = np.sqrt(norm_sq)
-    coords = sol[:, 0].reshape(2, half, half) / np.linalg.norm(sol[:, 0])
+    coords = vec.reshape(2, half, half)
+    if basis is not None:  # back to the basis states: V Q V^T
+        coords = basis @ coords @ basis.swapaxes(1, 2)
     blocks = 0.5 * ((1 + 1j) * coords + (1 - 1j) * coords.swapaxes(1, 2))
     rho = parity.scatter(blocks)
     resid = np.linalg.norm(generator.action(rho))
@@ -590,39 +648,99 @@ EVEN_SECTOR = ((0, 0), (1, 1))
 ODD_SECTOR = ((0, 1), (1, 0))
 
 
-def _sector_block(lefts, rights, positions):
-    """Real matrix of L on one parity sector, as out[p, i, j, q, k, l]: the
-    coordinate [i, j] of block positions[p] of L(X) against the coordinate
-    [k, l] of block positions[q] of X (coordinates as in `steady_state`),
-    from the `Generator._sandwich` stacks of the parity layout.
+@lru_cache(maxsize=16)
+def _reversal_basis(n_qubits, symmetric):
+    """(evens, V): the columns of V[x] are the orthonormal basis of the
+    states of parity x (ascending) that the bit reversal r maps to +-itself:
+    the e_k with r(k) = k, then (e_k + e_r(k))/sqrt2 for each pair
+    k < r(k), then (e_k - e_r(k))/sqrt2; the first evens[x] are even.  V is
+    None, the identity, when no state has a partner (N = 1, or not
+    `symmetric`).  The arrays are shared: read only."""
+    order = np.concatenate(_parity_states(n_qubits))
+    half = len(order) // 2
+    reversed_ = order
+    if symmetric:
+        reversed_ = sum(((order >> k) & 1) << (n_qubits - 1 - k) for k in range(n_qubits))
+    where = np.empty_like(order)
+    where[order] = np.arange(len(order))
+    states = np.arange(half)
+    evens, basis = [], np.zeros((2, half, half))
+    for x, r in enumerate((where[reversed_] % half).reshape(2, half)):
+        fixed, low = np.flatnonzero(states == r), np.flatnonzero(states < r)
+        evens.append(len(fixed) + len(low))
+        odd = np.arange(evens[x], half)  # the columns of the odd vectors
+        basis[x, fixed, np.arange(len(fixed))] = 1.0
+        basis[x, low, odd - len(low)] = basis[x, r[low], odd - len(low)] = np.sqrt(0.5)
+        basis[x, low, odd], basis[x, r[low], odd] = np.sqrt(0.5), -np.sqrt(0.5)
+    basis.flags.writeable = False
+    return tuple(evens), (basis if evens != [half, half] else None)
+
+
+@lru_cache(maxsize=64)
+def _sector_spans(positions, evens, half, sign):
+    """The reversal-even (sign 1) or reversal-odd (-1) block of one parity
+    sector on the `_reversal_basis`: its spans (p, rows, cols), the
+    coordinates [i, j] of block positions[p] with i in rows and j in cols,
+    both even or both odd (sign 1) or one of each (-1), and the flat
+    indices (p, i, j) of its coordinates, row-major within each span (read
+    only: the result is shared)."""
+    classes = [(slice(0, even), slice(even, half)) for even in evens]
+    flat = np.arange(2 * half * half).reshape(2, half, half)
+    spans, coords = [], []
+    for p, (x, y) in enumerate(positions):
+        for a in (0, 1):
+            rows, cols = classes[x][a], classes[y][a if sign > 0 else 1 - a]
+            coords.append(flat[p, rows, cols].ravel())
+            if coords[-1].size:
+                spans.append((p, rows, cols))
+    coords = np.concatenate(coords)
+    coords.flags.writeable = False
+    return tuple(spans), coords
+
+
+def _sector_block(lefts, rights, positions, spans):
+    """Real matrix of L on the block `spans` (`_sector_spans`) of one parity
+    sector, from the `Generator._sandwich` stacks of the parity layout on
+    the `_reversal_basis` (coordinates as in `steady_state`).
 
     The complex rows M of L for the block (x, y) take the terms [:2],
     K_xx X_xy + X_xy K'_yy, from the same block, lefts[x, :2] and
     rights[y, :2], and the jump terms [2:],
     w_t (A_t)_{x,1-x} X_{1-x,1-y} (B_t)_{1-y,y}, from the block
-    (1-x, 1-y), lefts[1-x, 2:] and rights[y, 2:].  A
-    Hermitian X has the coordinates Q = Re X + Im X and is
-    ((1+i) Q + (1-i) Q^T)/2, so the coordinates Re((1-i) Y) of Y = L(X)
-    are Re(M Q) + Im(M Q^T): the real entry is
-    Re M[i, j, k, l] + Im M[i, j, l, k].  In the odd sector the partner
-    entry [l, k] lies in the other block.  The rows are computed
-    SECTOR_CHUNK_BYTES of complex entries at a time (at least one row
-    index i).
+    (1-x, 1-y), lefts[1-x, 2:] and rights[y, 2:].  A Hermitian X has the
+    coordinates Q = Re X + Im X and is ((1+i) Q + (1-i) Q^T)/2, so the
+    coordinates Re((1-i) Y) of Y = L(X) are Re(M Q) + Im(M Q^T): the real
+    entry is Re M[i, j, k, l] + Im M[i, j, l, k].  Each span of rows meets
+    each span of columns in one product of sliced stacks, and [l, k] lies in
+    the span (q ^ flip, l-range, k-range): the same block q in the even
+    sector, the other one in the odd sector.  No entry outside the block is
+    computed.  The rows are computed SECTOR_CHUNK_BYTES of complex entries
+    at a time (at least one row index i).  On the identity basis the spans
+    are the parity blocks, and the matrix is the parity sector.
     """
-    half = lefts.shape[-1]
-    partner = slice(None) if positions[0][0] == positions[0][1] else slice(None, None, -1)
-    out = np.empty((2, half, half, 2, half, half))
-    rows = max(1, SECTOR_CHUNK_BYTES // (32 * half ** 3))
-    chunk = np.empty((min(rows, half), half, 2, half, half), dtype=complex)
-    for p, (x, y) in enumerate(positions):
-        direct = (lefts[x, :2], rights[y, :2])
-        crossed = (lefts[1 - x, 2:], rights[y, 2:])
-        for lo in range(0, half, rows):
-            part = chunk[: min(rows, half - lo)]
-            hi = lo + len(part)
-            _sandwich_matrix(direct[0][:, lo:hi], direct[1], part[:, :, p])
-            _sandwich_matrix(crossed[0][:, lo:hi], crossed[1], part[:, :, 1 - p])
-            np.add(part.real, part[:, :, partner].swapaxes(-1, -2).imag, out=out[p, lo:hi])
+    flip = 0 if positions[0][0] == positions[0][1] else 1
+    columns, size = {}, 0
+    for q, ks, ls in spans:
+        columns[q, ks.start, ls.start] = (size, ks, ls)
+        size += (ks.stop - ks.start) * (ls.stop - ls.start)
+    out = np.empty((size, size))
+    first = 0  # the next row of `out`
+    for p, rows, cols in spans:
+        x, y = positions[p]
+        factors = {p: (lefts[x, :2], rights[y, :2]), 1 - p: (lefts[1 - x, 2:], rights[y, 2:])}
+        width = cols.stop - cols.start
+        step = max(1, SECTOR_CHUNK_BYTES // (16 * width * size))  # row indices i
+        for lo in range(rows.start, rows.stop, step):
+            m = min(step, rows.stop - lo)
+            part = {key: _sandwich_matrix(factors[key[0]][0][:, lo:lo + m, ks],
+                                          factors[key[0]][1][:, ls, cols])
+                    for key, (_, ks, ls) in columns.items()}
+            for (q, k0, l0), (col, ks, ls) in columns.items():
+                shape = (m, width, ks.stop - ks.start, ls.stop - ls.start)
+                dest = out[first:first + m * width, col:col + shape[2] * shape[3]]
+                np.add(part[q, k0, l0].real, part[q ^ flip, l0, k0].imag.swapaxes(-1, -2),
+                       out=dest.reshape(shape))  # a view: rows and columns split evenly
+            first += m * width
     return out
 
 
@@ -637,7 +755,7 @@ def _solve_sector(mat, rhs, name):
         return sol, _smallest_ritz_modulus(sol, rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateSteadyStateError(
-            f"{name}-parity block of the Liouvillian is singular ({exc}); "
+            f"{name} block of the Liouvillian is singular ({exc}); "
             "steady state is not unique"
         ) from exc
 

@@ -211,11 +211,25 @@ class TestMainExitCodes:
 
         monkeypatch.setattr(cli_mod, "steady_state", no_point)
         code = main(
-            ["--scenario", "sweep", "--set", "sweep_n=2,7", "--out", str(tmp_path)]
+            ["--scenario", "sweep", "--set", "sweep_n=2,8", "--out", str(tmp_path)]
         )
         assert code == EXIT_CONFIG
         assert "sweep_n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_accepts_the_steady_state_limit(self, tmp_path, monkeypatch):
+        # N = 7 is the largest steady state; the solve itself (several
+        # seconds) is replaced by the ground state of the same generator
+        from magsqueeze import cli as cli_mod
+        from magsqueeze.observables import initial_state
+
+        monkeypatch.setattr(cli_mod, "steady_state",
+                            lambda gen: initial_state("all_ground", gen.n_qubits))
+        code = main(["--scenario", "sweep", "--set", "sweep_n=7", "--set", "sweep_r=0.25",
+                     "--set", "sweep_a=0.5", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        _, cols, data = read_table(tmp_path / "sweep_steady_state.csv")
+        assert data[:, cols.index("n_qubits")].real.tolist() == [7.0]
 
     @pytest.mark.parametrize("option", [
         ["--rtol", "nan"], ["--rtol", "inf"], ["--rtol", "0"], ["--atol", "-1"],

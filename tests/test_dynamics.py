@@ -116,6 +116,12 @@ class TestQubitState:
         with pytest.raises(ValueError):
             QubitState(np.eye(3, dtype=complex), 2)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_qubits_rejected(self, n):
+        # a 1 x 1 "state" of no qubits used to pass and give a zero spin
+        with pytest.raises(ValueError, match="n_qubits >= 1"):
+            QubitState(np.eye(1, dtype=complex), n)
+
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("entry, value", [
         pytest.param((0, 1), np.nan, id="nan-offdiag"),
@@ -442,9 +448,32 @@ class TestParityBlocks:
         assert traj.parity_blocks is blocks
         assert bool(calls) is blocks
 
+    def test_invariants_on_the_block_path(self, monkeypatch):
+        # evolve takes the smallest eigenvalue from the two parity blocks;
+        # the errors are those of the full states, bit for bit
+        n = SECTOR_MIN_QUBITS
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            shapes.append(a.shape[1:])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        traj = evolve(initial_state("all_excited", n), generator_for(n, 0.5, 0.25),
+                      np.linspace(0.0, 2.0, 9), keep_states=True)
+        assert traj.parity_blocks
+        assert shapes[-1] == (2, 2 ** (n - 1), 2 ** (n - 1))
+        trace_err, herm_err, min_eig = _invariants(np.array([s.rho for s in traj.states]))
+        assert np.array_equal(traj.trace_err, trace_err)
+        assert np.array_equal(traj.herm_err, herm_err)
+        assert np.max(np.abs(traj.min_eig - min_eig)) <= 2 ** n * np.finfo(float).eps
+
     def test_custom_csvs_byte_identical(self, tmp_path, monkeypatch):
         # the in-process CLI at the smallest N of the block path writes the
-        # same bytes with the path switched off
+        # same bytes with the path switched off, except min_eig_rho: on the
+        # block path it is the smallest eigenvalue of the two parity blocks,
+        # from another eigvalsh, equal up to the round-off dim * eps
         calls = spy_block_action(monkeypatch)
         argv = ["--scenario", "custom", "--set", f"n_qubits={SECTOR_MIN_QUBITS}", "--out"]
         assert main([*argv, str(tmp_path / "blocks")]) == EXIT_OK
@@ -454,9 +483,21 @@ class TestParityBlocks:
         names = sorted(path.name for path in (tmp_path / "blocks").iterdir())
         assert names == sorted(path.name for path in (tmp_path / "dense").iterdir())
         assert len(names) == 6
+        bound = 2 ** SECTOR_MIN_QUBITS * np.finfo(float).eps
         for name in names:
-            got = (tmp_path / "blocks" / name).read_bytes()
-            assert got == (tmp_path / "dense" / name).read_bytes(), name
+            got = (tmp_path / "blocks" / name).read_text().splitlines()
+            want = (tmp_path / "dense" / name).read_text().splitlines()
+            assert len(got) == len(want), name
+            column = None
+            for got_line, want_line in zip(got, want):
+                if column is None or got_line == want_line:
+                    assert got_line == want_line, name
+                    if want_line.startswith("Gamma0_t,"):
+                        column = want_line.split(",").index("min_eig_rho")
+                    continue
+                got_cells, want_cells = got_line.split(","), want_line.split(",")
+                assert abs(float(got_cells.pop(column)) - float(want_cells.pop(column))) <= bound
+                assert got_cells == want_cells, name
 
 
 class TestEvolve:
@@ -691,8 +732,105 @@ class TestSteadyState:
         assert trace_distance(steady_state(gen).rho, ref) <= 1e-10
 
     def test_size_limit(self):
-        gen = generator_for(7, 0.5, 0.0)
+        gen = generator_for(8, 0.5, 0.0)
         with pytest.raises(ValueError, match="limited"):
+            steady_state(gen)
+
+
+def random_layout_generator(seed, n, mode):
+    """Generator of a seeded random 2-d layout of n qubits."""
+    rng = np.random.default_rng(seed)
+    geometry = ArrayGeometry(positions=rng.uniform(0.0, 1.5, size=(n, 2)))
+    return build_generator(build_couplings(geometry, P, bath_from_params(P, r_override=0.3)), mode)
+
+
+def block_sizes(monkeypatch):
+    """Record the size of every block `steady_state` solves."""
+    sizes = []
+    solve = dynamics._solve_sector
+
+    def spy(mat, rhs, name):
+        sizes.append(len(mat))
+        return solve(mat, rhs, name)
+
+    monkeypatch.setattr(dynamics, "_solve_sector", spy)
+    return sizes
+
+
+class TestReversalSectors:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_chain_is_reversal_symmetric(self, mode, n):
+        # 0.4 and 0.8 are not short binary fractions: mirrored separations of
+        # the chain differ by an ulp, and the couplings by a few
+        for a in (0.4, 0.5, 0.8, 1.25):
+            assert generator_for(n, a, 0.25, mode).reversal_symmetric
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_random_layout_is_not(self, mode, n):
+        for seed in range(3):
+            assert not random_layout_generator(seed, n, mode).reversal_symmetric
+
+    def test_displaced_qubit_breaks_the_symmetry(self):
+        positions = ArrayGeometry.chain(5, 0.5).positions.copy()
+        positions[1, 0] += 1e-3
+        couplings = build_couplings(ArrayGeometry(positions=positions), P,
+                                    bath_from_params(P, r_override=0.25))
+        assert not build_generator(couplings).reversal_symmetric
+
+    def test_hand_built_generator_is_not(self):
+        base = generator_for(3, 0.5, 0.25)
+        assert base.reversal_symmetric
+        assert not Generator(3, base.h_eff, base.terms).reversal_symmetric
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_chain_matches_the_parity_only_solve(self, mode, n):
+        gen = generator_for(n, 0.8, 0.4, mode)
+        got = steady_state(gen).rho
+        gen.reversal_symmetric = False
+        assert trace_distance(got, steady_state(gen).rho) <= 1e-12
+
+    def test_four_blocks_on_a_chain(self, monkeypatch):
+        # each parity sector of 512 splits into 272 reversal-even and 240
+        # reversal-odd coordinates at N = 5
+        sizes = block_sizes(monkeypatch)
+        steady_state(generator_for(5, 0.5, 0.25))
+        assert sizes == [272, 240, 272, 240]
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_layout_without_symmetry_takes_the_parity_blocks(self, monkeypatch, mode, seed):
+        gen = random_layout_generator(seed, 4, mode)
+        sizes = block_sizes(monkeypatch)
+        got = steady_state(gen).rho
+        assert sizes == [128, 128]
+        gen.reversal_symmetric = False
+        assert np.array_equal(got, steady_state(gen).rho)
+
+    @pytest.mark.parametrize("block", [
+        "even-parity, reversal-odd", "odd-parity, reversal-even", "odd-parity, reversal-odd"])
+    def test_every_block_enters_the_degeneracy_test(self, monkeypatch, block):
+        # a zero Ritz estimate in any one block reports a degenerate state
+        solve = dynamics._solve_sector
+
+        def zero_mode(mat, rhs, name):
+            sol, lam = solve(mat, rhs, name)
+            return sol, 0.0 if name == block else lam
+
+        monkeypatch.setattr(dynamics, "_solve_sector", zero_mode)
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(generator_for(4, 0.5, 0.25))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n, seed", [(3, 0), (3, 1), (4, 2)])
+    def test_wrong_reversal_claim_fails_closed(self, mode, n, seed):
+        # the blocks of a wrong claim drop real entries, and the residual on
+        # the full action (or the degeneracy test) refuses the state
+        gen = random_layout_generator(seed, n, mode)
+        gen.reversal_symmetric = True
+        with pytest.raises((np.linalg.LinAlgError, DegenerateSteadyStateError)):
             steady_state(gen)
 
 
