@@ -20,7 +20,6 @@ the equivalence of the two modes is asserted in the test suite.
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,7 +37,9 @@ DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
 
 MAX_QUBITS = 8
-SECTOR_MIN_QUBITS = 5  # smallest N at which `action` takes the parity-block path
+# smallest N at which `action` takes the parity-block path and `steady_state`
+# the site-reversal blocks; below it their fixed costs outweigh the smaller products
+SECTOR_MIN_QUBITS = 5
 MAX_STEADY_QUBITS = 7
 RITZ_PROBES = 16  # random right-hand sides of the degeneracy estimate
 CHECK_CHUNK_BYTES = 256 * 1024  # states per invariant-check chunk of evolve (>= 1 state)
@@ -241,15 +242,19 @@ class Generator:
             parity_left[:, 1:-1] = flat_left[1:-1, across[::-1]].swapaxes(0, 1)
             parity_right = right.reshape(count, dim * dim)[:, across[::-1]].swapaxes(0, 1).copy()
             self._parity = _Layout(parity_left, parity_right, weights, within)
+        self._cross_index = across if self.parity_symmetric else None
         # the path of `action` on a parity-even state is fixed here
-        self._cross_index = (
-            across if self.parity_symmetric and n_qubits >= SECTOR_MIN_QUBITS else None
-        )
+        self._block_path = self.parity_symmetric and n_qubits >= SECTOR_MIN_QUBITS
+
+    def _parity_even(self, rho):
+        """Whether the generator is parity-symmetric and every cross-parity
+        entry of `rho` is 0, so that `rho` stays block-diagonal."""
+        return self._cross_index is not None and not np.take(rho, self._cross_index).any()
 
     def _takes_blocks(self, rho):
         """Whether `action` applies the generator block by block to `rho`:
-        the path is on and every cross-parity entry of `rho` is 0."""
-        return self._cross_index is not None and not np.take(rho, self._cross_index).any()
+        the path is on and `rho` is parity-even."""
+        return self._block_path and self._parity_even(rho)
 
     def action(self, rho):
         """d rho / d(Gamma_0 t) as a new array.
@@ -320,14 +325,12 @@ class Generator:
         return mat
 
 
-@lru_cache(maxsize=16)
 def _parity_states(n_qubits):
     """The basis states of even and of odd parity (an even and an odd count
-    of 1 bits), each ascending, as read-only arrays."""
+    of 1 bits), each ascending."""
     even, odd = np.zeros(1, dtype=int), np.zeros(0, dtype=int)
     for k in range(n_qubits):
         even, odd = np.concatenate([even, odd + 2 ** k]), np.concatenate([odd, even + 2 ** k])
-    even.flags.writeable = odd.flags.writeable = False
     return even, odd
 
 
@@ -498,10 +501,12 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
     flat = integrate_ode(rhs, rho_init.ravel(), t_grid, rtol=rtol, atol=atol)
     rhos = flat.reshape(t_grid.size, dim, dim)
     abort_tol = max(1e-6, 1e4 * atol)
-    # a parity-even start stays parity-even, so every call takes the same path
-    blocks = generator._takes_blocks(rho_init)
+    # a parity-even start stays parity-even on either path of `action` (the
+    # cross-parity entries of every product are exact zeros), so every call
+    # takes the same path, and every state is block-diagonal
+    even = generator._parity_even(rho_init)
     trace_err, herm_err, min_eig = _invariants(
-        rhos, t_grid, abort_tol, abort_tol, generator._parity.index if blocks else None
+        rhos, t_grid, abort_tol, abort_tol, generator._parity.index if even else None
     )
     states = (
         [QubitState(rho, n, time=float(t)) for rho, t in zip(rhos, t_grid)]
@@ -517,7 +522,7 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
         # a copy, so that without keep_states the stack of states is freed
         final_state=QubitState(rhos[-1].copy(), n, time=float(t_grid[-1])),
         states=states,
-        parity_blocks=blocks,
+        parity_blocks=generator._takes_blocks(rho_init),
     )
 
 
@@ -542,11 +547,14 @@ def steady_state(generator):
     even or odd under R) a coordinate [i, j] is reversal-even when i and j
     are of the same class and reversal-odd otherwise, so each parity sector
     splits into two real blocks, B+ and B- (`_sector_block`), each built
-    and solved on its own: for a chain at N = 5, 512 = 272 + 240.  Without
-    the symmetry every state is fixed, B+ is the parity sector and B- is
-    empty (0-size blocks are skipped): the state is the parity-only solve's,
-    bit for bit.  The complex L is never built; at N = 7 a chain's largest
-    block is 4160^2 float64 (138 MB), and `np.linalg.solve` copies it once.
+    and solved on its own: for a chain at N = 5, 512 = 272 + 240.  The
+    split is taken from SECTOR_MIN_QUBITS qubits on.  Below that, or without
+    the symmetry, the basis is the identity and B+ alone, the parity sector,
+    is built (a 0-size block is skipped).  The complex
+    L is never built; at N = 7 a chain's largest block is 4160^2 float64
+    (138 MB), and `np.linalg.solve` copies it once.  An N = 7 generator
+    without the split (ValueError) would need a parity sector of 8192^2
+    (512 MB), copied again by the solve.
 
     The trace functional w (1 on the diagonal coordinates [i, i], all of
     them reversal-even) is a left null vector of the parity-even B+, so by
@@ -572,9 +580,11 @@ def steady_state(generator):
     ((1+i) Q + (1-i) Q^T)/2 at [i, j] and [j, i] are exact conjugates.
     """
     n = generator.n_qubits
-    if n > MAX_STEADY_QUBITS:
+    reversal = generator.reversal_symmetric and n >= SECTOR_MIN_QUBITS
+    if n > MAX_STEADY_QUBITS or (n == MAX_STEADY_QUBITS and not reversal):
         raise ValueError(
-            f"dense steady-state solve limited to {MAX_STEADY_QUBITS} qubits"
+            f"dense steady-state solve limited to {MAX_STEADY_QUBITS} qubits on a "
+            f"reversal-symmetric chain and to {MAX_STEADY_QUBITS - 1} otherwise"
         )
     if not generator.parity_symmetric:
         raise ValueError(
@@ -583,12 +593,12 @@ def steady_state(generator):
         )
     parity = generator._parity
     stacks = generator._sandwich(parity)
-    evens, basis = _reversal_basis(n, generator.reversal_symmetric)
+    dim = 2 ** n
+    half = dim // 2
+    evens, basis = _reversal_basis(n) if reversal else ((half, half), None)
     if basis is not None:  # V^T op V; [z, :2] maps parity z into z, [z, 2:] into 1 - z
         rows = np.array([[0], [1]]) ^ (np.arange(stacks[0].shape[1]) >= 2)
         stacks = [basis.swapaxes(1, 2)[rows] @ stack @ basis[:, None] for stack in stacks]
-    dim = 2 ** n
-    half = dim // 2
 
     def apply(vec):
         return generator.action(vec.reshape(dim, dim)).ravel()
@@ -598,8 +608,9 @@ def steady_state(generator):
 
     norm_sq = 0.0
     estimates = []
+    parts = ((1, "reversal-even"), (-1, "reversal-odd"))[: 1 if basis is None else 2]
     for sector, positions in (("even", EVEN_SECTOR), ("odd", ODD_SECTOR)):
-        for sign, part in ((1, "reversal-even"), (-1, "reversal-odd")):
+        for sign, part in parts:
             spans, coords = _sector_spans(positions, evens, half, sign)
             size = len(coords)
             if not size:
@@ -648,19 +659,14 @@ EVEN_SECTOR = ((0, 0), (1, 1))
 ODD_SECTOR = ((0, 1), (1, 0))
 
 
-@lru_cache(maxsize=16)
-def _reversal_basis(n_qubits, symmetric):
+def _reversal_basis(n_qubits):
     """(evens, V): the columns of V[x] are the orthonormal basis of the
     states of parity x (ascending) that the bit reversal r maps to +-itself:
     the e_k with r(k) = k, then (e_k + e_r(k))/sqrt2 for each pair
-    k < r(k), then (e_k - e_r(k))/sqrt2; the first evens[x] are even.  V is
-    None, the identity, when no state has a partner (N = 1, or not
-    `symmetric`).  The arrays are shared: read only."""
+    k < r(k), then (e_k - e_r(k))/sqrt2; the first evens[x] are even."""
     order = np.concatenate(_parity_states(n_qubits))
     half = len(order) // 2
-    reversed_ = order
-    if symmetric:
-        reversed_ = sum(((order >> k) & 1) << (n_qubits - 1 - k) for k in range(n_qubits))
+    reversed_ = sum(((order >> k) & 1) << (n_qubits - 1 - k) for k in range(n_qubits))
     where = np.empty_like(order)
     where[order] = np.arange(len(order))
     states = np.arange(half)
@@ -672,18 +678,15 @@ def _reversal_basis(n_qubits, symmetric):
         basis[x, fixed, np.arange(len(fixed))] = 1.0
         basis[x, low, odd - len(low)] = basis[x, r[low], odd - len(low)] = np.sqrt(0.5)
         basis[x, low, odd], basis[x, r[low], odd] = np.sqrt(0.5), -np.sqrt(0.5)
-    basis.flags.writeable = False
-    return tuple(evens), (basis if evens != [half, half] else None)
+    return tuple(evens), basis
 
 
-@lru_cache(maxsize=64)
 def _sector_spans(positions, evens, half, sign):
     """The reversal-even (sign 1) or reversal-odd (-1) block of one parity
     sector on the `_reversal_basis`: its spans (p, rows, cols), the
     coordinates [i, j] of block positions[p] with i in rows and j in cols,
     both even or both odd (sign 1) or one of each (-1), and the flat
-    indices (p, i, j) of its coordinates, row-major within each span (read
-    only: the result is shared)."""
+    indices (p, i, j) of its coordinates, row-major within each span."""
     classes = [(slice(0, even), slice(even, half)) for even in evens]
     flat = np.arange(2 * half * half).reshape(2, half, half)
     spans, coords = [], []
@@ -693,9 +696,7 @@ def _sector_spans(positions, evens, half, sign):
             coords.append(flat[p, rows, cols].ravel())
             if coords[-1].size:
                 spans.append((p, rows, cols))
-    coords = np.concatenate(coords)
-    coords.flags.writeable = False
-    return tuple(spans), coords
+    return spans, np.concatenate(coords)
 
 
 def _sector_block(lefts, rights, positions, spans):

@@ -231,6 +231,21 @@ class TestMainExitCodes:
         _, cols, data = read_table(tmp_path / "sweep_steady_state.csv")
         assert data[:, cols.index("n_qubits")].real.tolist() == [7.0]
 
+    def test_config_error_asymmetric_chain_at_the_limit(self, tmp_path, capsys, monkeypatch):
+        # at a/lambda = 1.7 the 7-qubit chain's couplings differ from their
+        # mirrored copies by more than REVERSAL_ULPS; refused before any point
+        from magsqueeze import cli as cli_mod
+
+        def no_point(gen):
+            raise AssertionError("a grid point was computed")
+
+        monkeypatch.setattr(cli_mod, "steady_state", no_point)
+        code = main(["--scenario", "sweep", "--set", "sweep_n=2,7", "--set", "sweep_r=0.25",
+                     "--set", "sweep_a=0.5,1.7", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "sweep_a=1.7" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("option", [
         ["--rtol", "nan"], ["--rtol", "inf"], ["--rtol", "0"], ["--atol", "-1"],
         ["--atol", "inf"], ["--threads", "0"], ["--threads", "-3"],

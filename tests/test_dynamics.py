@@ -448,10 +448,11 @@ class TestParityBlocks:
         assert traj.parity_blocks is blocks
         assert bool(calls) is blocks
 
-    def test_invariants_on_the_block_path(self, monkeypatch):
-        # evolve takes the smallest eigenvalue from the two parity blocks;
-        # the errors are those of the full states, bit for bit
-        n = SECTOR_MIN_QUBITS
+    @pytest.mark.parametrize("n", [3, SECTOR_MIN_QUBITS])
+    def test_invariants_of_a_parity_even_start(self, monkeypatch, n):
+        # every state of a parity-even start is block-diagonal on either path
+        # of action, so evolve takes the smallest eigenvalue from the two
+        # parity blocks; the errors are those of the full states, bit for bit
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -462,7 +463,7 @@ class TestParityBlocks:
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         traj = evolve(initial_state("all_excited", n), generator_for(n, 0.5, 0.25),
                       np.linspace(0.0, 2.0, 9), keep_states=True)
-        assert traj.parity_blocks
+        assert traj.parity_blocks is (n >= SECTOR_MIN_QUBITS)
         assert shapes[-1] == (2, 2 ** (n - 1), 2 ** (n - 1))
         trace_err, herm_err, min_eig = _invariants(np.array([s.rho for s in traj.states]))
         assert np.array_equal(traj.trace_err, trace_err)
@@ -471,9 +472,7 @@ class TestParityBlocks:
 
     def test_custom_csvs_byte_identical(self, tmp_path, monkeypatch):
         # the in-process CLI at the smallest N of the block path writes the
-        # same bytes with the path switched off, except min_eig_rho: on the
-        # block path it is the smallest eigenvalue of the two parity blocks,
-        # from another eigvalsh, equal up to the round-off dim * eps
+        # same bytes with the path switched off
         calls = spy_block_action(monkeypatch)
         argv = ["--scenario", "custom", "--set", f"n_qubits={SECTOR_MIN_QUBITS}", "--out"]
         assert main([*argv, str(tmp_path / "blocks")]) == EXIT_OK
@@ -483,21 +482,9 @@ class TestParityBlocks:
         names = sorted(path.name for path in (tmp_path / "blocks").iterdir())
         assert names == sorted(path.name for path in (tmp_path / "dense").iterdir())
         assert len(names) == 6
-        bound = 2 ** SECTOR_MIN_QUBITS * np.finfo(float).eps
         for name in names:
-            got = (tmp_path / "blocks" / name).read_text().splitlines()
-            want = (tmp_path / "dense" / name).read_text().splitlines()
-            assert len(got) == len(want), name
-            column = None
-            for got_line, want_line in zip(got, want):
-                if column is None or got_line == want_line:
-                    assert got_line == want_line, name
-                    if want_line.startswith("Gamma0_t,"):
-                        column = want_line.split(",").index("min_eig_rho")
-                    continue
-                got_cells, want_cells = got_line.split(","), want_line.split(",")
-                assert abs(float(got_cells.pop(column)) - float(want_cells.pop(column))) <= bound
-                assert got_cells == want_cells, name
+            got = (tmp_path / "blocks" / name).read_bytes()
+            assert got == (tmp_path / "dense" / name).read_bytes(), name
 
 
 class TestEvolve:
@@ -736,6 +723,25 @@ class TestSteadyState:
         with pytest.raises(ValueError, match="limited"):
             steady_state(gen)
 
+    @pytest.mark.parametrize("build", ["layout", "hand-built"])
+    def test_seven_qubits_need_the_reversal_blocks(self, monkeypatch, build):
+        # without the site-reversal split an N = 7 parity sector is 8192^2
+        # float64; it is refused before any work
+        if build == "layout":
+            gen = random_layout_generator(0, 7, "jump_operator")
+        else:
+            chain = generator_for(7, 0.5, 0.25)
+            gen = Generator(7, chain.h_eff, chain.terms)
+        assert not gen.reversal_symmetric
+
+        def no_work(*args):
+            raise AssertionError("steady_state started work")
+
+        monkeypatch.setattr(dynamics, "spectral_radius_estimate", no_work)
+        monkeypatch.setattr(dynamics, "_sector_block", no_work)
+        with pytest.raises(ValueError, match="limited"):
+            steady_state(gen)
+
 
 def random_layout_generator(seed, n, mode):
     """Generator of a seeded random 2-d layout of n qubits."""
@@ -786,7 +792,9 @@ class TestReversalSectors:
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_chain_matches_the_parity_only_solve(self, mode, n):
+    def test_chain_matches_the_parity_only_solve(self, monkeypatch, mode, n):
+        # with the qubit threshold out of the way, the split runs at every N
+        monkeypatch.setattr(dynamics, "SECTOR_MIN_QUBITS", 1)
         gen = generator_for(n, 0.8, 0.4, mode)
         got = steady_state(gen).rho
         gen.reversal_symmetric = False
@@ -799,13 +807,22 @@ class TestReversalSectors:
         steady_state(generator_for(5, 0.5, 0.25))
         assert sizes == [272, 240, 272, 240]
 
+    def test_small_chain_takes_the_parity_blocks(self, monkeypatch):
+        # below SECTOR_MIN_QUBITS the split's fixed costs outweigh its gain
+        n = SECTOR_MIN_QUBITS - 1
+        gen = generator_for(n, 0.5, 0.25)
+        assert gen.reversal_symmetric
+        sizes = block_sizes(monkeypatch)
+        steady_state(gen)
+        assert sizes == [2 ** (2 * n - 1)] * 2
+
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_layout_without_symmetry_takes_the_parity_blocks(self, monkeypatch, mode, seed):
-        gen = random_layout_generator(seed, 4, mode)
+        gen = random_layout_generator(seed, SECTOR_MIN_QUBITS, mode)
         sizes = block_sizes(monkeypatch)
         got = steady_state(gen).rho
-        assert sizes == [128, 128]
+        assert sizes == [2 ** (2 * SECTOR_MIN_QUBITS - 1)] * 2
         gen.reversal_symmetric = False
         assert np.array_equal(got, steady_state(gen).rho)
 
@@ -821,13 +838,14 @@ class TestReversalSectors:
 
         monkeypatch.setattr(dynamics, "_solve_sector", zero_mode)
         with pytest.raises(DegenerateSteadyStateError):
-            steady_state(generator_for(4, 0.5, 0.25))
+            steady_state(generator_for(SECTOR_MIN_QUBITS, 0.5, 0.25))
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("n, seed", [(3, 0), (3, 1), (4, 2)])
-    def test_wrong_reversal_claim_fails_closed(self, mode, n, seed):
+    @pytest.mark.parametrize("n, seed", [(3, 0), (4, 1), (5, 2)])
+    def test_wrong_reversal_claim_fails_closed(self, monkeypatch, mode, n, seed):
         # the blocks of a wrong claim drop real entries, and the residual on
         # the full action (or the degeneracy test) refuses the state
+        monkeypatch.setattr(dynamics, "SECTOR_MIN_QUBITS", 1)
         gen = random_layout_generator(seed, n, mode)
         gen.reversal_symmetric = True
         with pytest.raises((np.linalg.LinAlgError, DegenerateSteadyStateError)):
