@@ -1,8 +1,13 @@
-"""Dense matrix exponential: the independent oracle that the evolution tests
-compare `evolve` against.  It is test code, kept apart from the package so
-that no runtime path can route through it and check itself."""
+"""Independent references the tests compare the package against, kept apart
+from it so that no runtime path can route through them and check itself:
+the dense matrix exponential that `evolve` is checked against, and the
+four-channel form of the generator that the jump-operator form of
+`build_generator` is checked against."""
 
 import numpy as np
+
+from magsqueeze.dynamics import Generator, build_generator
+from magsqueeze.operators import site_lower, site_raise
 
 _PADE13_B = np.array(
     [
@@ -51,3 +56,38 @@ def matrix_exp(mat):
     for _ in range(s):
         r = r @ r
     return r
+
+
+def four_channel_generator(couplings):
+    """The generator of `build_generator(couplings)` with its dissipator
+    written as the channel sum over the stored coupling matrices: for each
+    qubit a, sigma_a^- rho (sum_b gamma_pm[a, b] sigma_b^+) and
+    sigma_a^+ rho (sum_b gamma_mp[a, b] sigma_b^-) with weight 1, and the
+    anomalous sigma_a^+ rho (sum_b gamma_mm[a, b] sigma_b^+) and
+    sigma_a^- rho (sum_b gamma_pp[a, b] sigma_b^-) with weight -1.  The
+    effective Hamiltonian and the reversal claim are those of the
+    jump-operator form."""
+    g = build_generator(couplings)
+    n = couplings.n_qubits
+    g0 = couplings.gamma0
+    lowers = [site_lower(i, n) for i in range(n)]
+    raises_ = [site_raise(i, n) for i in range(n)]
+    terms = []
+    pm = couplings.gamma_pm / g0
+    mp = couplings.gamma_mp / g0
+    pp = couplings.gamma_pp / g0
+    mm = couplings.gamma_mm / g0
+    for a in range(n):
+        # collect the beta sums so the action costs O(N) matmuls
+        terms.append((1.0, lowers[a], _collect(pm[a], raises_)))
+        terms.append((1.0, raises_[a], _collect(mp[a], lowers)))
+        terms.append((-1.0, raises_[a], _collect(mm[a], raises_)))
+        terms.append((-1.0, lowers[a], _collect(pp[a], lowers)))
+    return Generator(n, g.h_eff, terms, g.reversal_symmetric)
+
+
+def _collect(row, ops):
+    out = np.zeros_like(ops[0])
+    for coeff, op in zip(row, ops):
+        out += coeff * op
+    return out

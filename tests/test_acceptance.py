@@ -19,7 +19,7 @@ from magsqueeze.numerics import bessel_j0, bessel_y0
 from magsqueeze.observables import initial_state, wineland_xi2
 from magsqueeze.params import ArrayGeometry, PhysicalParams
 
-from oracles import matrix_exp
+from oracles import four_channel_generator, matrix_exp
 
 P = PhysicalParams()
 RTOL, ATOL = 1e-8, 1e-10
@@ -189,8 +189,8 @@ def test_criterion_5_generator_equivalence():
         for r in (0.0, 0.25, 1.0):
             bs = bath_from_params(P, r_override=r)
             cs = build_couplings(ArrayGeometry.chain(2, 0.5), P, bs)
-            g_four = build_generator(cs, "four_channel")
-            g_jump = build_generator(cs, "jump_operator")
+            g_four = four_channel_generator(cs)
+            g_jump = build_generator(cs)
             for _ in range(20):
                 x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
                 rho = x @ x.conj().T

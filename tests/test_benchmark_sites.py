@@ -16,6 +16,8 @@ from magsqueeze.dynamics import build_generator
 from magsqueeze.numerics import gauss_legendre_panels
 from magsqueeze.params import ArrayGeometry, PhysicalParams
 
+from oracles import four_channel_generator
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
@@ -36,8 +38,8 @@ def test_generator_exposes_what_the_action_counters_read(monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
     params = PhysicalParams()
     bath = bath_from_params(params, r_override=0.25)
-    for mode in ("jump_operator", "four_channel"):
-        gen = build_generator(build_couplings(ArrayGeometry.chain(2, 0.5), params, bath), mode)
+    for build in (build_generator, four_channel_generator):
+        gen = build(build_couplings(ArrayGeometry.chain(2, 0.5), params, bath))
         assert gen.n_qubits == 2
         assert gen.terms
         for term in gen.terms:

@@ -30,16 +30,18 @@ from magsqueeze.observables import collective_spin, initial_state
 from magsqueeze.operators import site_lower, site_pauli
 from magsqueeze.params import ArrayGeometry, PhysicalParams
 
-from oracles import matrix_exp
+from oracles import four_channel_generator, matrix_exp
 
 P = PhysicalParams()
-MODES = ["jump_operator", "four_channel"]
+# the generator's jump-operator form and the channel-sum reference, by name
+FORMS = {"jump_operator": build_generator, "four_channel": four_channel_generator}
+MODES = list(FORMS)
 
 
 def generator_for(n, a, r, mode="jump_operator"):
     bs = bath_from_params(P, r_override=r)
     cs = build_couplings(ArrayGeometry.chain(n, a), P, bs)
-    return build_generator(cs, mode)
+    return FORMS[mode](cs)
 
 
 def random_density(rng, dim):
@@ -179,15 +181,24 @@ class TestGenerator:
     @pytest.mark.parametrize("mode", ["jump_operator", "four_channel"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sandwich_form_equals_action(self, mode, n):
-        # the stacks the Liouvillian and the steady-state sectors are built from
+        # the stacks the steady-state sectors are built from: in the parity
+        # order, block (x, y) of L(X) takes the terms [:2] from the block X_xy
+        # and the jump terms [2:] from X_{1-x,1-y}
         gen = generator_for(n, 0.5, 0.3, mode)
-        lefts, rights = gen._sandwich(gen._dense)
+        lefts, rights = gen._sandwich()
+        order = parity_order(n)
+        half = 2 ** (n - 1)
         rng = np.random.default_rng(n)
         for _ in range(5):
             x = random_matrix(rng, 2 ** n)
-            want = gen.action(x)
-            got = sum(l_op @ x @ r_op for l_op, r_op in zip(lefts[0], rights[0]))
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            want = per_term_action(gen, x)[order[:, None], order].reshape(2, half, 2, half)
+            blocks = x[order[:, None], order].reshape(2, half, 2, half)
+            for bx, by in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                got = sum(l_op @ blocks[bx, :, by] @ r_op
+                          for l_op, r_op in zip(lefts[bx, :2], rights[by, :2]))
+                got += sum(l_op @ blocks[1 - bx, :, 1 - by] @ r_op
+                           for l_op, r_op in zip(lefts[1 - bx, 2:], rights[by, 2:]))
+                assert np.linalg.norm(got - want[bx, :, by]) <= 1e-12 * np.linalg.norm(want)
 
     def test_action_result_is_not_a_work_array(self):
         # the dense path, and the block path of a parity-even state
@@ -219,15 +230,22 @@ class TestGenerator:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_parity_layout_is_the_permuted_dense_layout(self, mode, n):
         # the one parity split: block p of the parity layout's sandwich stacks
-        # is the dense stacks in the basis ordered by parity, the terms [:2]
-        # within block p and the jump terms [2:] from the partner q into p
+        # is the stacks of the operators in the basis ordered by parity, the
+        # terms [:2] within block p and the jump terms [2:] from the partner
+        # q into p
         gen = generator_for(n, 0.5, 0.3, mode)
-        order = gen.parity_order
+        order = parity_order(n)
         half = 2 ** (n - 1)
         blocks = (slice(None, half), slice(half, None))
-        dense = [s[0][:, order[:, None], order] for s in gen._sandwich(gen._dense)]
-        parity = gen._sandwich(gen._parity)
-        for want, got in zip(dense, parity):
+        h = gen.h_eff
+        g = np.zeros_like(h)
+        for w, a_op, b_op in gen.terms:
+            g += w * (b_op @ a_op)
+        eye = np.eye(2 ** n)
+        dense = ([-1j * h - 0.5 * g, eye, *(w * a_op for w, a_op, _ in gen.terms)],
+                 [eye, 1j * h - 0.5 * g, *(b_op for _, _, b_op in gen.terms)])
+        dense = [np.array(stack)[:, order[:, None], order] for stack in dense]
+        for want, got in zip(dense, gen._sandwich()):
             assert got.shape == (2, want.shape[0], half, half)
             for p, q in ((0, 1), (1, 0)):
                 bp, bq = blocks[p], blocks[q]
@@ -247,13 +265,15 @@ class TestGenerator:
         assert np.allclose(a_op, [[0, 0], [1, 0]])
         assert np.array_equal(b_op, a_op.conj().T)
 
-    def test_liouvillian_matches_action(self):
-        gen = generator_for(2, 0.5, 0.25)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_liouvillian_matches_action(self, mode, n):
+        gen = generator_for(n, 0.5, 0.25, mode)
         lmat = gen.liouvillian()
         rng = np.random.default_rng(7)
-        rho = random_density(rng, 4)
+        rho = random_density(rng, 2 ** n)
         direct = gen.action(rho)
-        via_l = (lmat @ rho.ravel()).reshape(4, 4)
+        via_l = (lmat @ rho.ravel()).reshape(rho.shape)
         assert np.max(np.abs(direct - via_l)) < 1e-12
 
     @pytest.mark.parametrize("mode", ["jump_operator", "four_channel"])
@@ -261,7 +281,7 @@ class TestGenerator:
         rng = np.random.default_rng(11)
         geometry = ArrayGeometry(positions=rng.uniform(0.0, 1.5, size=(3, 2)))
         bs = bath_from_params(P, r_override=0.3)
-        gen = build_generator(build_couplings(geometry, P, bs), mode)
+        gen = FORMS[mode](build_couplings(geometry, P, bs))
         for _ in range(5):
             rho = random_density(rng, 8)
             x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -269,11 +289,8 @@ class TestGenerator:
             rhs = np.trace(gen.adjoint(x) @ rho)
             assert abs(lhs - rhs) < 1e-12 * np.linalg.norm(x) * np.linalg.norm(gen.liouvillian())
 
-    def test_mode_and_size_validation(self):
+    def test_size_validation(self):
         bs = bath_from_params(P, r_override=0.1)
-        cs = build_couplings(ArrayGeometry.chain(2, 0.5), P, bs)
-        with pytest.raises(ValueError, match="mode"):
-            build_generator(cs, "nope")
         cs9 = build_couplings(ArrayGeometry.chain(9, 0.5), P, bs)
         with pytest.raises(ValueError, match="limited"):
             build_generator(cs9)
@@ -310,7 +327,7 @@ class TestRandomLayoutProperties:
     @given(LAYOUTS, SQUEEZING_R, SQUEEZING_PHI, st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_trace_and_hermiticity_preserved(self, mode, points, r, phi, seed):
-        gen = build_generator(layout_couplings(points, r, phi), mode)
+        gen = FORMS[mode](layout_couplings(points, r, phi))
         rho = random_density(np.random.default_rng(seed), 2 ** len(points))
         out = gen.action(rho)
         scale = np.linalg.norm(out)
@@ -321,6 +338,17 @@ class TestRandomLayoutProperties:
 def basis_parity(n):
     """Parity of each basis state, counted bit by bit."""
     return np.array([bin(i).count("1") % 2 for i in range(2 ** n)])
+
+
+def parity_order(n):
+    """The basis states of even parity, then those of odd parity, each
+    ascending, as `dynamics` orders them; checked against `basis_parity`."""
+    order = np.concatenate(dynamics._parity_states(n))
+    parity = basis_parity(n)[order]
+    assert np.array_equal(parity, np.repeat([0, 1], 2 ** (n - 1)))
+    for part in (order[parity == 0], order[parity == 1]):
+        assert np.all(np.diff(part) > 0)
+    return order
 
 
 def parity_even_density(rng, n):
@@ -335,7 +363,7 @@ def dense_generator(couplings, mode):
     """The generator built with the parity-block path switched off."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "SECTOR_MIN_QUBITS", couplings.n_qubits + 1)
-        return build_generator(couplings, mode)
+        return FORMS[mode](couplings)
 
 
 def spy_block_action(monkeypatch):
@@ -370,11 +398,9 @@ class TestParityBlocks:
         else:
             points = data.draw(st.lists(POSITIONS, min_size=n, max_size=n))
             couplings = layout_couplings(points, r, phi)
-        gen = build_generator(couplings, mode)
+        gen = FORMS[mode](couplings)
         dense = dense_generator(couplings, mode)
-        parity = basis_parity(n)
         assert gen.parity_symmetric
-        assert np.array_equal(parity[gen.parity_order], np.repeat([0, 1], 2 ** (n - 1)))
         rng = np.random.default_rng(seed)
         for _ in range(3):
             rho = parity_even_density(rng, n)
@@ -672,14 +698,14 @@ class TestSteadyState:
             rng = np.random.default_rng(layout)
             geometry = ArrayGeometry(positions=rng.uniform(0.0, 1.5, size=(3, 2)))
         bs = bath_from_params(P, r_override=0.3)
-        gen = build_generator(build_couplings(geometry, P, bs), mode)
+        gen = FORMS[mode](build_couplings(geometry, P, bs))
         assert trace_distance(steady_state(gen).rho, eig_null_state(gen)) <= 1e-10
 
     @pytest.mark.parametrize("mode", MODES)
     @given(st.lists(POSITIONS, min_size=2, max_size=3), SQUEEZING_R, SQUEEZING_PHI)
     @settings(max_examples=25, deadline=None)
     def test_matches_eig_null_vector_on_random_layouts(self, mode, points, r, phi):
-        gen = build_generator(layout_couplings(points, r, phi), mode)
+        gen = FORMS[mode](layout_couplings(points, r, phi))
         assert trace_distance(steady_state(gen).rho, eig_null_state(gen)) <= 1e-10
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -747,7 +773,7 @@ def random_layout_generator(seed, n, mode):
     """Generator of a seeded random 2-d layout of n qubits."""
     rng = np.random.default_rng(seed)
     geometry = ArrayGeometry(positions=rng.uniform(0.0, 1.5, size=(n, 2)))
-    return build_generator(build_couplings(geometry, P, bath_from_params(P, r_override=0.3)), mode)
+    return FORMS[mode](build_couplings(geometry, P, bath_from_params(P, r_override=0.3)))
 
 
 def block_sizes(monkeypatch):
@@ -768,9 +794,13 @@ class TestReversalSectors:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_chain_is_reversal_symmetric(self, mode, n):
         # 0.4 and 0.8 are not short binary fractions: mirrored separations of
-        # the chain differ by an ulp, and the couplings by a few
-        for a in (0.4, 0.5, 0.8, 1.25):
-            assert generator_for(n, a, 0.25, mode).reversal_symmetric
+        # the chain differ by an ulp, and the couplings by a few; from N = 5
+        # on, the couplings of the larger spacings differ from their mirrored
+        # copies by up to about 1e-10 of their largest entry (at N = 7 by 75
+        # ulps at 1.7 and by 3.2e4 ulps at 12.9742)
+        wide = (1.7, 2.1989, 4.2941, 12.9742) if n >= 5 else ()
+        for a in (0.4, 0.5, 0.8, 1.25, *wide):
+            assert generator_for(n, a, 0.25, mode).reversal_symmetric, a
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -794,11 +824,15 @@ class TestReversalSectors:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_chain_matches_the_parity_only_solve(self, monkeypatch, mode, n):
         # with the qubit threshold out of the way, the split runs at every N
+        # (at a/lambda = 4.2703 and N = 6 the couplings differ from their
+        # mirrored copies by 6.5e4 ulps of the largest entry)
         monkeypatch.setattr(dynamics, "SECTOR_MIN_QUBITS", 1)
-        gen = generator_for(n, 0.8, 0.4, mode)
-        got = steady_state(gen).rho
-        gen.reversal_symmetric = False
-        assert trace_distance(got, steady_state(gen).rho) <= 1e-12
+        for a in (0.8, 4.2703) if n >= 5 else (0.8,):
+            gen = generator_for(n, a, 0.4, mode)
+            assert gen.reversal_symmetric
+            got = steady_state(gen).rho
+            gen.reversal_symmetric = False
+            assert trace_distance(got, steady_state(gen).rho) <= 1e-12, a
 
     def test_four_blocks_on_a_chain(self, monkeypatch):
         # each parity sector of 512 splits into 272 reversal-even and 240

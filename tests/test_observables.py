@@ -19,6 +19,8 @@ from magsqueeze.observables import (
 from magsqueeze.operators import collective_spin_ops
 from magsqueeze.params import ArrayGeometry, PhysicalParams
 
+from oracles import four_channel_generator
+
 P = PhysicalParams()
 
 
@@ -203,10 +205,12 @@ class TestRelaxationRate:
 
 
 class TestTrajectoryColumns:
-    @pytest.mark.parametrize("mode", ["jump_operator", "four_channel"])
-    def test_columns_match_single_state_functions(self, mode):
+    @pytest.mark.parametrize("build", [
+        pytest.param(build_generator, id="jump_operator"),
+        pytest.param(four_channel_generator, id="four_channel")])
+    def test_columns_match_single_state_functions(self, build):
         bs = bath_from_params(P, r_override=0.25)
-        gen = build_generator(build_couplings(ArrayGeometry.chain(3, 0.5), P, bs), mode)
+        gen = build(build_couplings(ArrayGeometry.chain(3, 0.5), P, bs))
         t = np.linspace(0.0, 10.0, 41)
         traj = evolve(initial_state("all_excited", 3), gen, t, keep_states=True)
         for i, state in enumerate(traj.states):
