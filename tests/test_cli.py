@@ -218,28 +218,44 @@ class TestMainExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     def test_sweep_accepts_the_steady_state_limit(self, tmp_path, monkeypatch):
-        # N = 7 is the largest steady state, and it needs the site-reversal
-        # blocks, which every chain claims (at a/lambda = 1.7 the couplings
-        # differ from their mirrored copies by far more ulps than at 0.5);
-        # the solve itself (several seconds) is replaced by the ground state
-        # of the same generator
+        # N = 7 is the largest steady state; the solve itself (several
+        # seconds) is replaced by the ground state of the same generator
+        from magsqueeze import cli as cli_mod
+        from magsqueeze.observables import initial_state
+
+        monkeypatch.setattr(cli_mod, "steady_state",
+                            lambda gen: initial_state("all_ground", gen.n_qubits))
+        code = main(["--scenario", "sweep", "--set", "sweep_n=7", "--set", "sweep_r=0.25",
+                     "--set", "sweep_a=0.5", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        _, cols, data = read_table(tmp_path / "sweep_steady_state.csv")
+        assert data[:, cols.index("n_qubits")].real.tolist() == [7.0]
+
+    def test_config_error_asymmetric_chain_at_the_limit(self, tmp_path, capsys, monkeypatch):
+        # at a/lambda = 1.7 the 7-qubit chain's couplings differ from their
+        # mirrored copies by far more ulps than at 0.5, yet well within
+        # REVERSAL_RTOL: every chain claims site reversal, so the limit is
+        # no config error and every point runs; the solve is replaced by
+        # the ground state of the same generator
         from magsqueeze import cli as cli_mod
         from magsqueeze.observables import initial_state
 
         claims = []
 
         def ground_state(gen):
-            claims.append(gen.reversal_symmetric)
+            claims.append((gen.n_qubits, gen.reversal_symmetric))
             return initial_state("all_ground", gen.n_qubits)
 
         monkeypatch.setattr(cli_mod, "steady_state", ground_state)
-        code = main(["--scenario", "sweep", "--set", "sweep_n=7", "--set", "sweep_r=0.25",
+        code = main(["--scenario", "sweep", "--set", "sweep_n=2,7", "--set", "sweep_r=0.25",
                      "--set", "sweep_a=0.5,1.7", "--out", str(tmp_path)])
         assert code == EXIT_OK
-        assert claims == [True, True]
+        assert "sweep_a" not in capsys.readouterr().err
+        assert sorted(claims) == [(2, True), (2, True), (7, True), (7, True)]
         _, cols, data = read_table(tmp_path / "sweep_steady_state.csv")
-        assert data[:, cols.index("n_qubits")].real.tolist() == [7.0, 7.0]
-        assert data[:, cols.index("a_over_lambda")].real.tolist() == [0.5, 1.7]
+        points = sorted(zip(data[:, cols.index("n_qubits")].real.tolist(),
+                            data[:, cols.index("a_over_lambda")].real.tolist()))
+        assert points == [(2.0, 0.5), (2.0, 1.7), (7.0, 0.5), (7.0, 1.7)]
 
     @pytest.mark.parametrize("option", [
         ["--rtol", "nan"], ["--rtol", "inf"], ["--rtol", "0"], ["--atol", "-1"],
