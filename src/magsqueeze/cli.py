@@ -63,6 +63,7 @@ FIG2C_TGRID = np.linspace(0.0, 5.0, 500)
 SWEEP_R_DEFAULT = (0.0, 0.25, 0.5)
 SWEEP_A_DEFAULT = (0.5, 1.0, 2.0)
 SWEEP_N_DEFAULT = (2, 3, 4)
+SWEEP_AXES = {"sweep_r": SWEEP_R_DEFAULT, "sweep_a": SWEEP_A_DEFAULT, "sweep_n": SWEEP_N_DEFAULT}
 
 UNCORRELATED_A = 1000.0  # far-separation reference layout
 
@@ -115,16 +116,21 @@ def write_csv(path, header_comments, columns, rows):
     """Write a CSV with '#' provenance comments and a named header row.
 
     The file is written atomically (temp file + rename) so failures never
-    leave a partial CSV behind.
+    leave a partial CSV behind; on failure the temp file is removed too.
     """
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header_comments:
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            for line in header_comments:
+                fh.write(line + "\n")
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     return path
 
 
@@ -161,7 +167,8 @@ def _load(scenario):
         params, geometry = config_from_values({})
     overrides = scenario.overrides
     if scenario.name == "sweep":
-        overrides, *_ = _sweep_axes(overrides)
+        # the axes are parsed by run_sweep
+        overrides = [item for item in overrides if _override_key(item) not in SWEEP_AXES]
     if overrides:
         params, geometry = apply_overrides(params, geometry, overrides)
     return params, geometry
@@ -230,13 +237,16 @@ def run_fig2c(scenario, params, geometry, written):
     written.append(write_csv(path, comments, cols, rows))
 
 
+def _override_key(item):
+    return item.partition("=")[0].strip()
+
+
 def _sweep_axes(overrides):
-    """Extract sweep_r/sweep_a/sweep_n axis overrides (comma lists); returns
-    the remaining config overrides and the three axes."""
-    axes = {"sweep_r": SWEEP_R_DEFAULT, "sweep_a": SWEEP_A_DEFAULT, "sweep_n": SWEEP_N_DEFAULT}
-    remaining = []
+    """The sweep_r/sweep_a/sweep_n axes (comma lists) set by the overrides,
+    each defaulting to its SWEEP_AXES value."""
+    axes = dict(SWEEP_AXES)
     for item in overrides:
-        key = item.partition("=")[0].strip()
+        key = _override_key(item)
         if key in axes:
             raw = item.partition("=")[2]
             cast = int if key == "sweep_n" else float
@@ -246,21 +256,22 @@ def _sweep_axes(overrides):
                 raise ConfigError(f"bad sweep axis {item!r}") from exc
             if not axes[key]:
                 raise ConfigError(f"empty sweep axis {item!r}")
-        else:
-            remaining.append(item)
-    return remaining, axes["sweep_r"], axes["sweep_a"], axes["sweep_n"]
+    return axes["sweep_r"], axes["sweep_a"], axes["sweep_n"]
 
 
 def run_sweep(scenario, params, geometry, written):
-    _, r_axis, a_axis, n_axis = _sweep_axes(scenario.overrides)
+    r_axis, a_axis, n_axis = _sweep_axes(scenario.overrides)
     if not all(1 <= n <= MAX_STEADY_QUBITS for n in n_axis):
         raise ConfigError(f"sweep_n values must be between 1 and {MAX_STEADY_QUBITS}")
-    grid = [(r, a, n) for r in r_axis for a in a_axis for n in n_axis]
+    # every bath and chain is built, and so every axis value checked, before
+    # the first steady state
+    baths = [(r, bath_from_params(params, r_override=r)) for r in r_axis]
+    chains = [(a, n, ArrayGeometry.chain(n, a)) for a in a_axis for n in n_axis]
+    grid = [(r, bath, a, n, chain) for r, bath in baths for a, n, chain in chains]
 
     def point(args):
-        r, a, n = args
-        gen = _generator(params, n, a, r)
-        state = steady_state(gen)
+        r, bath, a, n, chain = args
+        state = steady_state(build_generator(build_couplings(chain, params, bath)))
         try:
             xi2 = wineland_xi2(state).xi_r_squared
         except MeanSpinUndefinedError:

@@ -200,10 +200,22 @@ class Generator:
     """
 
     def __init__(self, n_qubits, h_eff, terms, reversal_symmetric=False):
+        if n_qubits < 1:
+            raise ValueError(f"a Generator needs n_qubits >= 1, got {n_qubits!r}")
         self.n_qubits = n_qubits
         self.reversal_symmetric = reversal_symmetric
         dim = 2 ** n_qubits
         count = len(terms)
+        # assigning into the stacks below would broadcast a scalar or a row
+        named = [("h_eff", h_eff)] + [
+            (f"{name}_{t}", op) for t, (_, a_op, b_op) in enumerate(terms, 1)
+            for name, op in (("A", a_op), ("B", b_op))
+        ]
+        for name, op in named:
+            if np.shape(op) != (dim, dim):
+                raise ValueError(
+                    f"{name} has shape {np.shape(op)}, expected {(dim, dim)} for {n_qubits} qubits"
+                )
         left = np.empty((count + 2, dim, dim), dtype=complex)
         right = np.empty((count, dim, dim), dtype=complex)
         left[0] = h_eff

@@ -146,14 +146,14 @@ def _initial_step(f, t0, y0, f0, rtol, atol):
     return min(100 * h0, h1)
 
 
-def integrate_ode(f, y0, t_grid, rtol, atol, fixed_step=None):
+def integrate_ode(f, y0, t_grid, rtol, atol):
     """Integrate dy/dt = f(t, y) and return the states at the grid points.
 
     Embedded Dormand-Prince 5(4) pair: the fifth-order solution propagates,
     the fourth-order difference controls the local error against
     atol + rtol*|y| per component.  Output at interior grid points comes from
     the standard fourth-order dense interpolant, so the grid never constrains
-    the step size.  `fixed_step` disables adaptivity (used by order checks).
+    the step size.
 
     Raises ValueError unless `rtol` and `atol` are finite and > 0 and the
     grid is finite and strictly increasing, and StepSizeUnderflowError if the
@@ -180,10 +180,7 @@ def integrate_ode(f, y0, t_grid, rtol, atol, fixed_step=None):
 
     k = np.empty((7, y.size), dtype=complex)
     k[0] = f(t, y)
-    if fixed_step is not None:
-        h = float(fixed_step)
-    else:
-        h = min(_initial_step(f, t, y, k[0], rtol, atol), t_end - t)
+    h = min(_initial_step(f, t, y, k[0], rtol, atol), t_end - t)
 
     hmin_floor = 16.0 * np.finfo(float).eps
     while t < t_end:
@@ -202,7 +199,7 @@ def integrate_ode(f, y0, t_grid, rtol, atol, fixed_step=None):
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = np.sqrt(np.mean(np.abs(err_vec / scale) ** 2))
 
-        if fixed_step is not None or err <= 1.0:
+        if err <= 1.0:
             # dense output over [t, t+h] for all grid points inside at once
             t_new = t + h
             stop = np.searchsorted(
@@ -221,9 +218,8 @@ def integrate_ode(f, y0, t_grid, rtol, atol, fixed_step=None):
             k[0] = k[6]  # FSAL
             y = y_new
             t = t_new
-            if fixed_step is None:
-                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                h = h * factor
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            h = h * factor
         else:
             h = h * max(0.2, 0.9 * err ** -0.2)
     return out
@@ -234,31 +230,23 @@ def integrate_ode(f, y0, t_grid, rtol, atol, fixed_step=None):
 # ---------------------------------------------------------------------------
 
 
-def eig_smallest(mat, n=1, return_radius=False):
-    """Eigenpair(s) of smallest modulus of a dense complex matrix.
+def eig_smallest(mat):
+    """Eigenpair (eigenvalue, eigenvector) of smallest modulus of a dense
+    complex matrix.
 
-    Returns (eigenvalue, eigenvector) for n=1, else (values, vectors) with
-    the n smallest-|lambda| pairs sorted ascending; with `return_radius` the
-    spectral radius is appended.  The residual ||A v - lambda v|| is checked
-    against 1e-8 ||A||_F.
+    The residual ||A v - lambda v|| is checked against 1e-8 ||A||_F.
     """
     mat = np.asarray(mat, dtype=complex)
     vals, vecs = np.linalg.eig(mat)
-    order = np.argsort(np.abs(vals))
+    j = np.argsort(np.abs(vals))[0]
+    val, vec = vals[j], vecs[:, j]
     norm = np.linalg.norm(mat)
-    sel_vals = vals[order[:n]]
-    sel_vecs = vecs[:, order[:n]]
-    for j in range(n):
-        resid = np.linalg.norm(mat @ sel_vecs[:, j] - sel_vals[j] * sel_vecs[:, j])
-        if norm > 0 and resid > 1e-8 * norm:
-            raise np.linalg.LinAlgError(
-                f"eigenpair residual {resid:.2e} exceeds 1e-8*||A|| ({norm:.2e})"
-            )
-    out_vals = sel_vals[0] if n == 1 else sel_vals
-    out_vecs = sel_vecs[:, 0] if n == 1 else sel_vecs
-    if return_radius:
-        return out_vals, out_vecs, float(np.abs(vals[order[-1]]))
-    return out_vals, out_vecs
+    resid = np.linalg.norm(mat @ vec - val * vec)
+    if norm > 0 and resid > 1e-8 * norm:
+        raise np.linalg.LinAlgError(
+            f"eigenpair residual {resid:.2e} exceeds 1e-8*||A|| ({norm:.2e})"
+        )
+    return val, vec
 
 
 def spectral_radius_estimate(apply, size):
@@ -292,6 +280,9 @@ def spectral_radius_estimate(apply, size):
 # ---------------------------------------------------------------------------
 # Adaptive Gauss-Kronrod quadrature
 # ---------------------------------------------------------------------------
+
+# bisection budget of quad_adaptive
+QUAD_MAX_SUBDIVISIONS = 2000
 
 # Kronrod-15 nodes on [-1, 1] and weights; rows 1,3,...,13 are the Gauss-7 subset.
 _GK_NODES = np.array(
@@ -341,15 +332,15 @@ def _gk15_batch(f, lows, highs):
     return k15, np.abs(k15 - g7)
 
 
-def quad_adaptive(f, a, b, tol=1e-10, max_subdivisions=2000, edges=None):
+def quad_adaptive(f, a, b, tol, edges=None):
     """Adaptive Gauss-Kronrod (7/15) quadrature of a vectorized integrand.
 
     `f` must accept an ndarray of abscissae and return corresponding values
     (real or complex).  Bisects the worst interval until the summed error
     estimate is below `tol`; raises QuadratureConvergenceError (carrying the
-    achieved estimate) if the subdivision budget runs out first.  `edges`
-    optionally seeds the partition (useful for oscillatory integrands whose
-    phase count is known in advance).
+    achieved estimate) if `QUAD_MAX_SUBDIVISIONS` bisections do not reach it.
+    `edges` optionally seeds the partition (useful for oscillatory integrands
+    whose phase count is known in advance).
     """
     if not b > a:
         raise ValueError("quad_adaptive requires b > a")
@@ -368,7 +359,7 @@ def quad_adaptive(f, a, b, tol=1e-10, max_subdivisions=2000, edges=None):
     for i in range(edges.size - 1):
         heapq.heappush(heap, (-errs[i], counter, edges[i], edges[i + 1], vals[i]))
         counter += 1
-    for _ in range(max_subdivisions):
+    for _ in range(QUAD_MAX_SUBDIVISIONS):
         if total_err <= tol:
             break
         neg_err, _, a0, b0, val0 = heapq.heappop(heap)

@@ -10,6 +10,7 @@ from magsqueeze.cli import (
     Scenario,
     main,
     run_scenario,
+    write_csv,
 )
 from magsqueeze.errors import ConfigError
 
@@ -150,6 +151,15 @@ class TestScenarioRuns:
         with pytest.raises(ConfigError):
             Scenario("fig9_nonsense")
 
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        def rows():
+            yield (1.0, 2.0)
+            raise OSError("disk gone")
+
+        with pytest.raises(OSError, match="disk gone"):
+            write_csv(str(tmp_path / "x.csv"), ["# c"], ["a", "b"], rows())
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
@@ -215,6 +225,26 @@ class TestMainExitCodes:
         )
         assert code == EXIT_CONFIG
         assert "sweep_n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("axes", [
+        ["sweep_r=0,-1"],
+        ["sweep_a=0.5,-1", "sweep_n=2,3"],
+        ["sweep_r=0.25,nan", "sweep_a=0.5,1", "sweep_n=2"],
+    ])
+    def test_config_error_bad_sweep_value_before_any_point(self, tmp_path, capsys,
+                                                           monkeypatch, axes):
+        from magsqueeze import cli as cli_mod
+
+        def no_point(gen):
+            raise AssertionError("a grid point was computed")
+
+        monkeypatch.setattr(cli_mod, "steady_state", no_point)
+        argv = ["--scenario", "sweep", "--out", str(tmp_path)]
+        for item in axes:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_sweep_accepts_the_steady_state_limit(self, tmp_path, monkeypatch):

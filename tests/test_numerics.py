@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from magsqueeze import numerics
 from magsqueeze.errors import QuadratureConvergenceError, StepSizeUnderflowError
 from magsqueeze.numerics import (
     EULER_GAMMA,
@@ -132,18 +133,28 @@ class TestIntegrateOde:
         assert np.max(np.abs(pop - exact)) < 1e-8
 
     def test_fixed_step_order_at_least_four(self):
+        # one call per step: at tolerances this loose every call over
+        # [i h, (i+1) h] accepts its first step, which costs 8 evaluations
+        # of f (k0, the initial-step probe, six stages)
         delta, omega = 0.7, 1.3
         h = 0.5 * np.array([[delta, omega], [omega, -delta]], dtype=complex)
         w = np.hypot(delta, omega)
-        t = np.array([0.0, 8.0])
+        t_end = 8.0
 
         def err(step):
-            ys = integrate_ode(
-                lambda _t, y: -1j * (h @ y), np.array([0.0, 1.0], dtype=complex),
-                t, 1e-3, 1e-6, fixed_step=step,
-            )
-            exact = (omega / w) ** 2 * np.sin(0.5 * w * t[-1]) ** 2
-            return abs(abs(ys[-1, 0]) ** 2 - exact)
+            calls = []
+
+            def f(_t, y):
+                calls.append(1)
+                return -1j * (h @ y)
+
+            y = np.array([0.0, 1.0], dtype=complex)
+            for i in range(round(t_end / step)):
+                calls.clear()
+                y = integrate_ode(f, y, np.array([i * step, (i + 1) * step]), 1.0, 1.0)[-1]
+                assert len(calls) == 8
+            exact = (omega / w) ** 2 * np.sin(0.5 * w * t_end) ** 2
+            return abs(abs(y[0]) ** 2 - exact)
 
         e1, e2 = err(0.05), err(0.025)
         order = np.log2(e1 / e2)
@@ -224,12 +235,6 @@ class TestEig:
         assert val == 0.0
         assert np.argmax(np.abs(vec)) == 0
 
-    def test_two_smallest_with_radius(self):
-        vals, vecs, radius = eig_smallest(np.diag([3.0, -0.1, 0.02]), n=2, return_radius=True)
-        assert np.allclose(np.abs(vals), [0.02, 0.1])
-        assert radius == pytest.approx(3.0)
-        assert vecs.shape == (3, 2)
-
 
 class TestMatrixExp:
     def test_zero_matrix(self):
@@ -285,11 +290,12 @@ class TestQuadrature:
         res = quad_adaptive(lambda x: np.exp(1j * x), 0.0, np.pi, 1e-12)
         assert res.value == pytest.approx(2.0j, abs=1e-10)
 
-    def test_nonconvergence_reports_estimate(self):
+    def test_nonconvergence_reports_estimate(self, monkeypatch):
         # |x - 1/3|^{-1/2} is integrable but slow; starve the budget
+        monkeypatch.setattr(numerics, "QUAD_MAX_SUBDIVISIONS", 5)
         f = lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0) + 1e-300)
         with pytest.raises(QuadratureConvergenceError) as info:
-            quad_adaptive(f, 0.0, 1.0, 1e-14, max_subdivisions=5)
+            quad_adaptive(f, 0.0, 1.0, 1e-14)
         assert info.value.achieved > info.value.requested
 
     def test_seeded_edges(self):
