@@ -36,12 +36,12 @@ DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
 
 MAX_QUBITS = 8
-# smallest N at which `action` takes the parity-block path and `steady_state`
-# the site-reversal blocks; below it their fixed costs outweigh the smaller products
+# smallest N at which `evolve` carries the parity blocks and `steady_state`
+# solves the site-reversal blocks; below it their fixed costs outweigh the smaller products
 SECTOR_MIN_QUBITS = 5
 MAX_STEADY_QUBITS = 7
 RITZ_PROBES = 16  # random right-hand sides of the degeneracy estimate
-CHECK_CHUNK_BYTES = 256 * 1024  # states per invariant-check chunk of evolve (>= 1 state)
+CHECK_CHUNK_BYTES = 256 * 1024  # full states per check chunk (>= 1 state; >= 2 in evolve)
 SECTOR_CHUNK_BYTES = 2 * 1024 * 1024  # complex rows per steady-state assembly chunk (>= 1 row)
 REVERSAL_RTOL = 1e-9  # coupling asymmetry still taken as site-reversal symmetry
 _FLOAT_MAX = np.finfo(float).max
@@ -167,7 +167,7 @@ class Trajectory:
     herm_err: np.ndarray          # (n,)
     final_state: QubitState
     states: list = field(default_factory=list)  # populated when keep_states
-    parity_blocks: bool = False  # every rhs call took the parity-block path of `action`
+    parity_blocks: bool = False  # evolve integrated the parity blocks, not the full state
 
     @property
     def xi2(self):
@@ -192,7 +192,7 @@ class Generator:
     Pi = prod_i sigma_z^i of the basis states and every A_t and B_t flips it
     (every `build_generator` output does).  A parity-symmetric Generator
     also keeps the parity `_Layout`, its operators split once into parity
-    blocks, for the block path of `action` and for `steady_state`.
+    blocks, for `action` on parity blocks and for `steady_state`.
     `reversal_symmetric` says whether the generator commutes with the site
     reversal i -> N-1-i; only `build_generator` claims it, and only
     `steady_state` reads it.  The layouts keep work arrays, so one Generator
@@ -251,50 +251,30 @@ class Generator:
             parity_left[:, 1:-1] = flat_left[1:-1, across[::-1]].swapaxes(0, 1)
             parity_right = right.reshape(count, dim * dim)[:, across[::-1]].swapaxes(0, 1).copy()
             self._parity = _Layout(parity_left, parity_right, weights, within)
-        self._cross_index = across if self.parity_symmetric else None
-        # the path of `action` on a parity-even state is fixed here
-        self._block_path = self.parity_symmetric and n_qubits >= SECTOR_MIN_QUBITS
-
-    def _parity_even(self, rho):
-        """Whether the generator is parity-symmetric and every cross-parity
-        entry of `rho` is 0, so that `rho` stays block-diagonal."""
-        return self._cross_index is not None and not np.take(rho, self._cross_index).any()
-
-    def _takes_blocks(self, rho):
-        """Whether `action` applies the generator block by block to `rho`:
-        the path is on and `rho` is parity-even."""
-        return self._block_path and self._parity_even(rho)
 
     def action(self, rho):
-        """d rho / d(Gamma_0 t) as a new array.
+        """d rho / d(Gamma_0 t) as a new array, of a d x d `rho` on the dense
+        layout or of a (2, h, h) stack (rho_ee, rho_oo) on the parity layout.
 
         The sums of `_Layout.apply` run in the order of -i[H, rho] +
         sum_t w_t A_t rho B_t - {G, rho}/2 written term by term, so the
         result is bit-identical to that formula; a reordered sum would move
         the integrator's steps.
 
-        A parity-even `rho` (every entry between basis states of opposite
+        A parity-even state (every entry between basis states of opposite
         parity exactly 0) stays parity-even under a parity-symmetric
-        generator.  From SECTOR_MIN_QUBITS qubits on, such a `rho` takes the
-        block path: its blocks rho_ee and rho_oo are gathered, run through
-        the parity layout at a quarter of the flops and scattered into a new
-        zeroed array.  The blocks keep the ascending index order of each
-        parity, so each entry sums the same nonzero products in the same
-        order; the dense path only adds exact zeros.  The result is
-        bit-identical to the dense path's from N = 3 to 7 on OpenBLAS; at
-        N = 8 the half-size blocks split the inner sums into other panels,
-        which moves entries at round-off (up to 5e-16 of the largest).  Any
-        other `rho` takes the dense path, as the one block of the dense
-        layout.
+        generator, and its blocks hold every nonzero entry.  On them the
+        generator costs a quarter of the flops.  The blocks keep the
+        ascending index order of each parity, so each entry sums the same
+        nonzero products in the same order as on the dense layout, which
+        only adds exact zeros: the result is bit-identical to the dense
+        layout's from N = 3 to 7 on OpenBLAS.  At N = 8 the half-size blocks
+        split the inner sums into other panels, which moves entries at
+        round-off (up to 5e-16 of the largest).
         """
-        if self._takes_blocks(rho):
-            return self._block_action(rho)
+        if rho.ndim == 3:
+            return self._parity.apply(rho)
         return self._dense.apply(rho[None])[0]
-
-    def _block_action(self, rho):
-        """`action` of a parity-even `rho` on its blocks (rho_ee, rho_oo)."""
-        parity = self._parity
-        return parity.scatter(parity.apply(parity.gather(rho)))
 
     def adjoint(self, op):
         """Heisenberg-picture generator L^dagger, Tr[X L(rho)] = Tr[L^dagger(X) rho]."""
@@ -355,7 +335,7 @@ class _Layout:
     ascending: H and G map block p into itself, A_t maps it into its partner
     q = 1 - p and B_t maps q back into p, so block p of A_t rho B_t is
     (A_t rho)_pq (B_t)_qp.  `index` holds the flat indices of the blocks in
-    a d x d array (None on the dense layout, which is never gathered).  The
+    a d x d array (None on the dense layout, which is never scattered).  The
     work arrays are made on first use, so an unused layout holds none.
     """
 
@@ -367,7 +347,7 @@ class _Layout:
         self.h_and_g = left[:, :: left.shape[1] - 1]
         # per block, (H, A_t, G) stacked into one tall matrix
         self.tall = left.reshape(len(left), -1, left.shape[-1])
-        self._rho = self._left_rho = self._rho_hg = self._a_rho_b = None
+        self._left_rho = self._rho_hg = self._a_rho_b = None
 
     def apply(self, rho):
         """The generator on a (k, h, h) stack of the blocks of a state, as a
@@ -395,17 +375,15 @@ class _Layout:
         out -= anticom
         return out
 
-    def gather(self, rho):
-        """The blocks of a d x d `rho`, in a work array."""
-        if self._rho is None:
-            self._rho = np.empty(self.index.shape, dtype=complex)
-        return np.take(rho, self.index, out=self._rho)
-
-    def scatter(self, blocks):
-        """The blocks placed in a new zeroed d x d array."""
-        dim = len(self.left) * self.left.shape[-1]
-        out = np.zeros((dim, dim), dtype=complex)
-        out.reshape(-1)[self.index] = blocks
+    def scatter(self, blocks, out=None):
+        """The (..., k, h, h) `blocks` placed in `out`, a C-contiguous
+        (..., d, d) array that is 0 outside them (a new zeroed one by
+        default)."""
+        lead = blocks.shape[:-3]
+        if out is None:
+            dim = len(self.left) * self.left.shape[-1]
+            out = np.zeros(lead + (dim, dim), dtype=complex)
+        out.reshape(lead + (-1,))[..., self.index] = blocks
         return out
 
 
@@ -467,8 +445,13 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
     Adaptive embedded Runge-Kutta with dense output at the grid points; each
     output state is re-validated against the QubitState invariants, with
     trace and Hermiticity tolerances max(1e-6, 1e4 atol) (a violation aborts
-    the run).  The observables are evaluated
-    once over the whole stack of output states.
+    the run).  A parity-even start (every cross-parity entry 0) stays
+    parity-even under a parity-symmetric generator; from SECTOR_MIN_QUBITS
+    qubits on, its (2, h, h) parity blocks are integrated, with the step
+    control of the full state (`integrate_ode`'s `layout`).  The checks and
+    the observables read full states, placed CHECK_CHUNK_BYTES at a time (at
+    least 2, for one BLAS routine) into one reused zeroed array, so every
+    column is bit-identical to the dense integration's (N = 3-7, OpenBLAS).
     """
     # imported here: observables imports QubitState from this module
     from .observables import trajectory_observables
@@ -480,35 +463,52 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
 
     t_grid = np.asarray(t_grid, dtype=float)
     dim = 2 ** n
+    parity = generator._parity
+    start = None if parity is None else np.take(rho_init, parity.index)
+    # the blocks hold every nonzero entry: every state is block-diagonal
+    even = start is not None and np.array_equal(parity.scatter(start), rho_init)
+    blocks = even and n >= SECTOR_MIN_QUBITS
+    shape = start.shape if blocks else (dim, dim)
 
     def rhs(_t, y):
-        return generator.action(y.reshape(dim, dim)).ravel()
+        return generator.action(y.reshape(shape)).ravel()
 
-    flat = integrate_ode(rhs, rho_init.ravel(), t_grid, rtol=rtol, atol=atol)
-    rhos = flat.reshape(t_grid.size, dim, dim)
+    flat = integrate_ode(
+        rhs, (start if blocks else rho_init).ravel(), t_grid, rtol=rtol, atol=atol,
+        layout=(parity.index.ravel(), dim * dim) if blocks else None,
+    )
+    rhos = flat.reshape(t_grid.size, *shape)
     abort_tol = max(1e-6, 1e4 * atol)
-    # a parity-even start stays parity-even on either path of `action` (the
-    # cross-parity entries of every product are exact zeros), so every call
-    # takes the same path, and every state is block-diagonal
-    even = generator._parity_even(rho_init)
-    trace_err, herm_err, min_eig = _invariants(
-        rhos, t_grid, abort_tol, abort_tol, generator._parity.index if even else None
-    )
-    states = (
-        [QubitState(rho, n, time=float(t)) for rho, t in zip(rhos, t_grid)]
-        if keep_states else []
-    )
+    starts = list(range(0, t_grid.size, max(2, CHECK_CHUNK_BYTES // (16 * dim * dim))))
+    if t_grid.size - starts[-1] == 1 < len(starts):
+        del starts[-1]  # a one-state product would take another BLAS routine
+    ends = starts[1:] + [t_grid.size]
+    work = np.zeros((max(np.subtract(ends, starts)), dim, dim), dtype=complex) if blocks else None
+    checks = []
 
+    def full_states():
+        """The full states, chunk by chunk, each chunk checked first."""
+        for lo, hi in zip(starts, ends):
+            part = parity.scatter(rhos[lo:hi], work[:hi - lo]) if blocks else rhos[lo:hi]
+            checks.append(_invariants(part, t_grid[lo:hi], abort_tol, abort_tol,
+                                      parity.index if even else None))
+            yield part
+
+    columns = trajectory_observables(full_states(), generator)
+    trace_err, herm_err, min_eig = (np.concatenate(column) for column in zip(*checks))
+    if blocks:
+        rhos = parity.scatter(rhos if keep_states else rhos[-1:])
     return Trajectory(
         t_grid.copy(),
-        *trajectory_observables(rhos, generator),
+        *columns,
         min_eig=min_eig,
         trace_err=trace_err,
         herm_err=herm_err,
         # a copy, so that without keep_states the stack of states is freed
         final_state=QubitState(rhos[-1].copy(), n, time=float(t_grid[-1])),
-        states=states,
-        parity_blocks=generator._takes_blocks(rho_init),
+        states=[QubitState(rho, n, time=float(t)) for rho, t in zip(rhos, t_grid)]
+        if keep_states else [],
+        parity_blocks=blocks,
     )
 
 

@@ -133,20 +133,20 @@ _DP_DENSE = np.array(
 )
 
 
-def _initial_step(f, t0, y0, f0, rtol, atol):
+def _initial_step(f, t0, y0, f0, rtol, atol, rms):
     scale = atol + rtol * np.abs(y0)
-    d0 = np.sqrt(np.mean(np.abs(y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean(np.abs(f0 / scale) ** 2))
+    d0 = rms(y0 / scale)
+    d1 = rms(f0 / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     y1 = y0 + h0 * f0
     f1 = f(t0 + h0, y1)
-    d2 = np.sqrt(np.mean(np.abs((f1 - f0) / scale) ** 2)) / h0
+    d2 = rms((f1 - f0) / scale) / h0
     dm = max(d1, d2)
     h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.2
     return min(100 * h0, h1)
 
 
-def integrate_ode(f, y0, t_grid, rtol, atol):
+def integrate_ode(f, y0, t_grid, rtol, atol, layout=None):
     """Integrate dy/dt = f(t, y) and return the states at the grid points.
 
     Embedded Dormand-Prince 5(4) pair: the fifth-order solution propagates,
@@ -155,8 +155,16 @@ def integrate_ode(f, y0, t_grid, rtol, atol):
     the standard fourth-order dense interpolant, so the grid never constrains
     the step size.
 
-    Raises ValueError unless `rtol` and `atol` are finite and > 0 and the
-    grid is finite and strictly increasing, and StepSizeUnderflowError if the
+    `layout = (positions, size)` says that `y` holds the entries at the
+    distinct `positions` of a length-`size` vector whose other entries stay
+    0.  Each RMS norm is then taken over that whole vector: |x|^2 is placed
+    into a zeroed length-`size` buffer and averaged, so the sum runs in the
+    order of the full vector's and every step is the one that integrating
+    the full vector takes, bit for bit.
+
+    Raises ValueError unless `rtol` and `atol` are finite and > 0, the grid
+    is finite and strictly increasing and the `positions` are len(y0)
+    distinct indices below `size`, and StepSizeUnderflowError if the
     controller drives h below the representable minimum.
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -170,6 +178,22 @@ def integrate_ode(f, y0, t_grid, rtol, atol):
         raise ValueError(f"tolerances must be finite and > 0, got rtol={rtol!r}, atol={atol!r}")
 
     y = np.asarray(y0, dtype=complex).copy()
+    if layout is None:
+        def rms(x):
+            return np.sqrt(np.mean(np.abs(x) ** 2))
+    else:
+        positions, size = layout
+        positions = np.asarray(positions)
+        if (positions.shape != (y.size,) or not np.issubdtype(positions.dtype, np.integer)
+                or np.any((positions < 0) | (positions >= size))
+                or np.unique(positions).size != y.size):
+            raise ValueError(f"layout positions must be {y.size} distinct indices below {size}")
+        squares = np.zeros(size)
+
+        def rms(x):
+            squares[positions] = np.abs(x) ** 2
+            return np.sqrt(np.mean(squares))
+
     out = np.empty((t_grid.size, y.size), dtype=complex)
     t = t_grid[0]
     out[0] = y
@@ -180,7 +204,7 @@ def integrate_ode(f, y0, t_grid, rtol, atol):
 
     k = np.empty((7, y.size), dtype=complex)
     k[0] = f(t, y)
-    h = min(_initial_step(f, t, y, k[0], rtol, atol), t_end - t)
+    h = min(_initial_step(f, t, y, k[0], rtol, atol, rms), t_end - t)
 
     hmin_floor = 16.0 * np.finfo(float).eps
     while t < t_end:
@@ -197,7 +221,7 @@ def integrate_ode(f, y0, t_grid, rtol, atol):
         y_new = y + h * (_DP_B5 @ k)
         err_vec = h * (_DP_ERR @ k)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean(np.abs(err_vec / scale) ** 2))
+        err = rms(err_vec / scale)
 
         if err <= 1.0:
             # dense output over [t, t+h] for all grid points inside at once

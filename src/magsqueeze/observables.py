@@ -30,19 +30,34 @@ class SpinSummary:
     squeezing_angle: float    # rad, minimizing direction in the (e1, e2) frame
 
 
-def _expectations(rho, ops):
-    """Tr[rho op], shape (..., len(ops)), for a (..., d, d) stack: one product
-    vec(rho) @ [vec(op^T)] that reads a contiguous stack in place."""
-    basis = np.stack([op.T for op in ops]).reshape(len(ops), -1)
+def _basis(ops):
+    """The operators as the rows vec(op^T) that `_expectations` reads."""
+    return np.stack([op.T for op in ops]).reshape(len(ops), -1)
+
+
+def _expectations(rho, basis):
+    """Tr[rho op], shape (..., len(basis)), for a (..., d, d) stack: one
+    product vec(rho) @ basis.T that reads a contiguous stack in place."""
     vals = rho.reshape(-1, basis.shape[1]) @ basis.T
-    return vals.reshape(rho.shape[:-2] + (len(ops),))
+    return vals.reshape(rho.shape[:-2] + (len(basis),))
 
 
-def _spin_moments(rho, n_qubits):
-    """Complex <S> (..., 3) and <(S_a S_b + S_b S_a)/2> (..., 3, 3)."""
+def _moment_basis(n_qubits):
+    """`_basis` of S_a and of (S_a S_b + S_b S_a)/2 in _PAIRS order."""
     s = collective_spin_ops(n_qubits)
-    vals = _expectations(rho, s + tuple(0.5 * (s[a] @ s[b] + s[b] @ s[a]) for a, b in _PAIRS))
+    return _basis(s + tuple(0.5 * (s[a] @ s[b] + s[b] @ s[a]) for a, b in _PAIRS))
+
+
+def _spin_moments(rho, basis):
+    """Complex <S> (..., 3) and <(S_a S_b + S_b S_a)/2> (..., 3, 3), from
+    the `_moment_basis`."""
+    vals = _expectations(rho, basis)
     return vals[..., :3], vals[..., 3:][..., _PAIR_INDEX]
+
+
+def _relaxation(rho, heisenberg_sz, n_qubits):
+    """-(1/2) Tr[rho L^dagger(S_z)] / N, from the `_basis` of L^dagger(S_z)."""
+    return -0.5 * _expectations(rho, heisenberg_sz)[..., 0].real / n_qubits
 
 
 def _real_spin(spin):
@@ -91,7 +106,7 @@ def _squeezing(mean, second, n_qubits):
 def collective_spin(state):
     """(<S_x>, <S_y>, <S_z>) as a real 3-vector."""
     rho, n = density_matrix(state)
-    return _real_spin(_spin_moments(rho, n)[0])
+    return _real_spin(_spin_moments(rho, _moment_basis(n))[0])
 
 
 def wineland_xi2(state):
@@ -102,7 +117,7 @@ def wineland_xi2(state):
     direction, hence no perpendicular plane).
     """
     rho, n = density_matrix(state)
-    mean, second = _spin_moments(rho, n)
+    mean, second = _spin_moments(rho, _moment_basis(n))
     spin = _real_spin(mean)
     norm = np.linalg.norm(spin)
     if norm <= MEAN_SPIN_FLOOR * n:
@@ -121,19 +136,28 @@ def relaxation_rate(state, generator):
     t = 0.  A (..., d, d) stack of states gives one rate per state.
     """
     rho, n = density_matrix(state)
-    heisenberg_sz = generator.adjoint(collective_spin_ops(n)[2])
-    rate = -0.5 * _expectations(rho, [heisenberg_sz])[..., 0].real / n
+    rate = _relaxation(rho, _basis([generator.adjoint(collective_spin_ops(n)[2])]), n)
     return rate if rate.ndim else float(rate)
 
 
-def trajectory_observables(rho, generator):
+def trajectory_observables(chunks, generator):
     """Mean spin (m, 3), minimum perpendicular variance, 1/xi_R^2 (0 where
-    undefined) and relaxation rate (m,) of every state of an (m, d, d) stack,
-    in Trajectory column order, by the same code as `collective_spin`,
-    `wineland_xi2` and `relaxation_rate`."""
-    mean, second = _spin_moments(rho, generator.n_qubits)
-    min_var, inv_xi2, _ = _squeezing(mean.real, second.real, generator.n_qubits)
-    return mean.real, min_var, inv_xi2, relaxation_rate(rho, generator)
+    undefined) and relaxation rate (m,) of the states of the (c, d, d)
+    stacks that the iterable `chunks` yields, in order, in Trajectory column
+    order, by the same code as `collective_spin`, `wineland_xi2` and
+    `relaxation_rate`; their operators are built once."""
+    n = generator.n_qubits
+    moments = _moment_basis(n)
+    heisenberg_sz = _basis([generator.adjoint(collective_spin_ops(n)[2])])
+    means, seconds, rates = [], [], []
+    for rho in chunks:
+        mean, second = _spin_moments(rho, moments)
+        means.append(mean.real)
+        seconds.append(second.real)
+        rates.append(_relaxation(rho, heisenberg_sz, n))
+    mean = np.concatenate(means)
+    min_var, inv_xi2, _ = _squeezing(mean, np.concatenate(seconds), n)
+    return mean, min_var, inv_xi2, np.concatenate(rates)
 
 
 def initial_state(kind, n_qubits, theta=None, phi=0.0):

@@ -154,7 +154,10 @@ class ArrayGeometry:
             raise ConfigError("lattice_const_a_over_lambda must be finite")
         object.__setattr__(self, "positions", pos)
         if self.n_qubits > 1:
-            d = self.separations()
+            with np.errstate(over="ignore"):
+                d = self.separations()
+            if not np.all(np.isfinite(d)):
+                raise ConfigError("qubit separations overflow: positions too far apart")
             off = d[~np.eye(self.n_qubits, dtype=bool)]
             if np.any(off <= 0):
                 raise ConfigError("coincident qubit positions are not allowed")

@@ -10,10 +10,12 @@ import os
 import numpy as np
 import pytest
 
+from magsqueeze import dynamics
 from magsqueeze.bath import bath_from_params
 from magsqueeze.couplings import build_couplings
-from magsqueeze.dynamics import build_generator
+from magsqueeze.dynamics import build_generator, evolve
 from magsqueeze.numerics import gauss_legendre_panels
+from magsqueeze.observables import initial_state
 from magsqueeze.params import ArrayGeometry, PhysicalParams
 
 from oracles import four_channel_generator
@@ -48,6 +50,34 @@ def test_generator_exposes_what_the_action_counters_read(monkeypatch):
             assert a_op.shape == b_op.shape == (4, 4)
         counts = importlib.import_module("spans")._action_kernel((gen, None), {}, None)
         assert counts["matmuls"] == 2 * len(gen.terms) + 4
+
+
+def test_traced_action_counts_every_rhs_call(monkeypatch):
+    # the integrator of a parity-even start calls `action` on parity blocks;
+    # the traced run's wrappers count those calls as integrate calls, as
+    # many as the integration of the full state makes
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    params = PhysicalParams()
+    n = dynamics.SECTOR_MIN_QUBITS
+    couplings = build_couplings(ArrayGeometry.chain(n, 0.5), params,
+                                bath_from_params(params, r_override=0.25))
+    gen = build_generator(couplings)
+
+    def integrate_calls(min_qubits):
+        monkeypatch.setattr(dynamics, "SECTOR_MIN_QUBITS", min_qubits)
+        tracer = spans.Tracer("test")
+        tracer.install()
+        try:
+            traj = evolve(initial_state("all_excited", n), gen, np.linspace(0.0, 2.0, 21))
+        finally:
+            tracer.uninstall()
+        assert traj.parity_blocks is (min_qubits <= n)
+        return spans.summarize(tracer.spans, tracer.extras, 1.0)["dynamics.action.integrate_calls"]
+
+    blocks = integrate_calls(n)
+    assert blocks > 0
+    assert blocks == integrate_calls(n + 1)
 
 
 def test_panel_counter_matches_the_quadrature(monkeypatch):

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,19 @@ class TestMainExitCodes:
         assert code == EXIT_CONFIG
         assert "finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("spacing, code", [("1e160", EXIT_CONFIG), ("1e300", EXIT_CONFIG),
+                                               ("1e100", EXIT_OK)])
+    def test_huge_spacing_fails_closed(self, tmp_path, capsys, spacing, code):
+        # the squared separations of a chain overflow from about 1.3e154 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = main(["--scenario", "custom", "--set", f"a_over_lambda={spacing}",
+                        "--out", str(tmp_path)])
+        assert got == code
+        if code == EXIT_CONFIG:
+            assert "separations" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
     def test_config_error_bad_sweep_squeezing(self, tmp_path, capsys, value):

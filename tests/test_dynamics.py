@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -201,13 +202,16 @@ class TestGenerator:
                 assert np.linalg.norm(got - want[bx, :, by]) <= 1e-12 * np.linalg.norm(want)
 
     def test_action_result_is_not_a_work_array(self):
-        # the dense path, and the block path of a parity-even state
+        # the dense layout, and the parity layout on the blocks of a
+        # parity-even state
         rng = np.random.default_rng(5)
         for n, even in ((3, False), (SECTOR_MIN_QUBITS, True)):
             gen = generator_for(n, 0.5, 0.3)
 
             def draw():
-                return parity_even_density(rng, n) if even else random_matrix(rng, 2 ** n)
+                if even:
+                    return np.take(parity_even_density(rng, n), gen._parity.index)
+                return random_matrix(rng, 2 ** n)
 
             def owned():
                 # the arrays the generator keeps, and those of its layouts
@@ -217,8 +221,8 @@ class TestGenerator:
 
             before = len(owned())
             rho = draw()
-            assert gen._takes_blocks(rho) is even
             out = gen.action(rho)
+            assert out.shape == rho.shape
             kept = out.copy()
             # the first call made the work arrays of the layout it ran
             assert len(owned()) > before
@@ -373,24 +377,52 @@ def parity_even_density(rng, n):
     return rho
 
 
-def dense_generator(couplings, mode):
-    """The generator built with the parity-block path switched off."""
+def block_action(gen, rho):
+    """`action` of a parity-even d x d `rho` on its parity blocks, placed
+    back into a d x d array."""
+    parity = gen._parity
+    blocks = np.take(rho, parity.index)
+    out = gen.action(blocks)
+    assert out.shape == blocks.shape
+    return parity.scatter(out)
+
+
+def dense_evolve(*args, **kwargs):
+    """`evolve` with the parity blocks switched off: the full state is
+    integrated."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "SECTOR_MIN_QUBITS", couplings.n_qubits + 1)
-        return FORMS[mode](couplings)
+        mp.setattr(dynamics, "SECTOR_MIN_QUBITS", dynamics.MAX_QUBITS + 1)
+        return evolve(*args, **kwargs)
 
 
 def spy_block_action(monkeypatch):
-    """Count the calls of the parity-block path."""
+    """Count the calls of `action` on parity blocks."""
     calls = []
-    block_action = Generator._block_action
+    action = Generator.action
 
     def spy(self, rho):
-        calls.append(rho.shape)
-        return block_action(self, rho)
+        if rho.ndim == 3:
+            calls.append(rho.shape)
+        return action(self, rho)
 
-    monkeypatch.setattr(Generator, "_block_action", spy)
+    monkeypatch.setattr(Generator, "action", spy)
     return calls
+
+
+TRAJECTORY_COLUMNS = ("t", "mean_spin", "min_perp_var", "inv_xi2", "relaxation", "min_eig",
+                      "trace_err", "herm_err")
+
+
+def assert_same_trajectory(got, want):
+    """Every column, the final state and every kept state bit for bit."""
+    for name in TRAJECTORY_COLUMNS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.final_state.rho, want.final_state.rho)
+    assert got.final_state.time == want.final_state.time
+    assert len(got.states) == len(want.states)
+    for mine, theirs in zip(got.states, want.states):
+        assert mine.time == theirs.time
+        assert np.array_equal(mine.rho, theirs.rho)
 
 
 # N = SECTOR_MIN_QUBITS..7 qubits, on a chain or scattered in a 2 x 2 lambda square
@@ -405,7 +437,7 @@ class TestParityBlocks:
     @settings(max_examples=10, deadline=None)
     def test_block_path_equals_dense_path(self, mode, n, chain, data, r, phi, seed):
         # the blocks keep the ascending index order of each parity, so the
-        # block path sums the same nonzero products in the same order
+        # parity layout sums the same nonzero products in the same order
         if chain:
             bs = bath_from_params(P, r_override=r, phi_override=phi)
             couplings = build_couplings(ArrayGeometry.chain(n, data.draw(CHAIN_SPACING)), P, bs)
@@ -413,50 +445,77 @@ class TestParityBlocks:
             points = data.draw(st.lists(POSITIONS, min_size=n, max_size=n))
             couplings = layout_couplings(points, r, phi)
         gen = FORMS[mode](couplings)
-        dense = dense_generator(couplings, mode)
         assert gen.parity_symmetric
         rng = np.random.default_rng(seed)
         for _ in range(3):
             rho = parity_even_density(rng, n)
-            assert gen._takes_blocks(rho) and not dense._takes_blocks(rho)
-            assert np.array_equal(gen.action(rho), dense.action(rho))
+            assert np.array_equal(block_action(gen, rho), gen.action(rho))
 
     def test_block_path_at_eight_qubits(self):
         # the half-size blocks split the inner sums into other panels at N = 8
-        bs = bath_from_params(P, r_override=0.5)
-        couplings = build_couplings(ArrayGeometry.chain(8, 0.5), P, bs)
-        gen = build_generator(couplings)
+        gen = generator_for(8, 0.5, 0.5)
         rho = parity_even_density(np.random.default_rng(8), 8)
-        assert gen._takes_blocks(rho)
-        want = dense_generator(couplings, "jump_operator").action(rho)
-        got = gen.action(rho)
+        want = gen.action(rho)
+        got = block_action(gen, rho)
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
     def test_hamiltonian_only_generator(self):
-        # no dissipator terms: empty jump stacks on the block path
+        # no dissipator terms: empty jump stacks on the parity layout
         n = SECTOR_MIN_QUBITS
         h_eff = generator_for(n, 0.5, 0.25).h_eff
         gen = Generator(n, h_eff, [])
         rho = parity_even_density(np.random.default_rng(0), n)
-        assert gen._takes_blocks(rho)
-        assert np.array_equal(gen.action(rho), -1j * (h_eff @ rho - rho @ h_eff))
+        assert np.array_equal(block_action(gen, rho), -1j * (h_eff @ rho - rho @ h_eff))
 
     def test_css_start_takes_the_dense_path(self, monkeypatch):
         # a coherent spin state has cross-parity entries: every call is dense,
-        # and the trajectory is the one without the block path
+        # and the trajectory is the one without the parity blocks
         n = 5
-        bs = bath_from_params(P, r_override=0.25)
-        couplings = build_couplings(ArrayGeometry.chain(n, 0.5), P, bs)
+        gen = generator_for(n, 0.5, 0.25)
         start = initial_state("css", n, theta=1.0, phi=0.3)
         grid = np.linspace(0.0, 1.0, 6)
-        want = evolve(start, dense_generator(couplings, "jump_operator"), grid)
+        want = dense_evolve(start, gen, grid)
         calls = spy_block_action(monkeypatch)
-        got = evolve(start, build_generator(couplings), grid)
+        got = evolve(start, gen, grid)
         assert calls == [] and not got.parity_blocks
-        for name in ("mean_spin", "min_perp_var", "inv_xi2", "relaxation", "min_eig",
-                     "trace_err", "herm_err"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert np.array_equal(got.final_state.rho, want.final_state.rho)
+        assert_same_trajectory(got, want)
+
+    # N = 5-7 chains and a 2-d layout of 5 qubits; grids of 1, 2 and 400
+    # points, and 33 points not starting at 0 (the last chunk of full states
+    # would hold one state at N = 5-7)
+    @pytest.mark.parametrize("n, chain", [(5, True), (6, True), (7, True), (5, False)])
+    @pytest.mark.parametrize("start", ["all_excited", "all_ground"])
+    def test_block_trajectory_equals_the_dense_one(self, n, chain, start):
+        if chain:
+            gen = generator_for(n, 0.5, 0.5)
+        else:
+            gen = random_layout_generator(4, n, "jump_operator")
+        assert gen.parity_symmetric
+        end = {5: 20.0, 6: 5.0, 7: 0.1}[n]  # one dense action takes 14 ms at N = 7
+        for grid, keep in ((np.array([0.0]), True), (np.array([0.0, end / 40]), True),
+                           (np.linspace(0.0, end, 400), False),
+                           (np.linspace(end / 80, end / 80 + end / 4, 33), True)):
+            got = evolve(initial_state(start, n), gen, grid, keep_states=keep)
+            want = dense_evolve(initial_state(start, n), gen, grid, keep_states=keep)
+            assert got.parity_blocks and not want.parity_blocks
+            assert len(got.states) == (grid.size if keep else 0)
+            assert_same_trajectory(got, want)
+
+    def test_block_trajectory_memory(self):
+        # the integrator holds the blocks of the 400 output states, half the
+        # 25.0 MiB of the full states; the checks and observables add one
+        # chunk of full states.  A first run builds the operator caches and
+        # the work arrays outside the traced one
+        n, grid = 6, np.linspace(0.0, 20.0, 400)
+        gen = generator_for(n, 0.5, 0.5)
+        evolve(initial_state("all_excited", n), gen, grid[:3])
+        tracemalloc.start()
+        try:
+            evolve(initial_state("all_excited", n), gen, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * grid.size * 4 ** n * 16
 
     @pytest.mark.parametrize("field", [0.0, 0.3])
     def test_symmetry_breaking_generator_takes_the_dense_path(self, monkeypatch, field):

@@ -192,6 +192,52 @@ class TestIntegrateOde:
         assert len(calls) - n_coarse == n_coarse
         assert np.array_equal(out_fine[[0, 700, 2000]], out_coarse)
 
+    def test_layout_takes_the_steps_of_the_whole_vector(self):
+        # y' = M y on a vector whose entries outside `positions` stay 0; f
+        # computes the entries at `positions` by the same product either way.
+        # Both lengths are multiples of 8, as 4^N and 4^N / 2 are: the
+        # stage sums then run every entry through the same vectorized loop
+        # of OpenBLAS, which treats a short tail otherwise
+        rng = np.random.default_rng(6)
+        size, count = 64, 32
+        positions = rng.permutation(size)[:count]
+        mat = rng.normal(size=(count, count)) + 1j * rng.normal(size=(count, count))
+        mat = mat - mat.conj().T - 0.5 * np.eye(count)
+        y0 = rng.normal(size=count) + 1j * rng.normal(size=count)
+        t = np.linspace(0.0, 3.0, 31)
+        calls = []
+
+        def compressed(_t, y):
+            calls.append(1)
+            return mat @ y
+
+        def whole(_t, y):
+            out = np.zeros(size, dtype=complex)
+            out[positions] = compressed(_t, y[positions])
+            return out
+
+        full0 = np.zeros(size, dtype=complex)
+        full0[positions] = y0
+        want = integrate_ode(whole, full0, t, 1e-8, 1e-10)
+        n_whole = len(calls)
+        got = integrate_ode(compressed, y0, t, 1e-8, 1e-10, layout=(positions, size))
+        assert len(calls) - n_whole == n_whole
+        assert np.array_equal(got, want[:, positions])
+        assert not np.any(np.delete(want, positions, axis=1))
+        # the norms of the compressed vector alone take other steps
+        alone = integrate_ode(compressed, y0, t, 1e-8, 1e-10)
+        assert len(calls) - 2 * n_whole != n_whole or not np.array_equal(alone, got)
+
+    @pytest.mark.parametrize("positions, size", [
+        ([0, 1], 4), ([0, 1, 2, 3], 4),       # wrong length
+        ([0, 1, 1], 4),                       # repeated
+        ([0, 1, 4], 4), ([-1, 0, 1], 4),      # outside the vector
+    ])
+    def test_rejects_a_bad_layout(self, positions, size):
+        with pytest.raises(ValueError, match="layout"):
+            integrate_ode(lambda _t, y: -y, np.ones(3, dtype=complex), np.array([0.0, 1.0]),
+                          1e-8, 1e-10, layout=(np.array(positions), size))
+
     def test_zero_length_grid_is_identity(self):
         y0 = np.array([1.0 + 2.0j, -0.5j])
         ys = integrate_ode(lambda _t, y: -y, y0, np.array([0.0]), 1e-8, 1e-10)

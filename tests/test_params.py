@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,17 @@ class TestGeometry:
     def test_nonfinite_positions_rejected(self):
         with pytest.raises(ConfigError, match="finite"):
             ArrayGeometry(positions=np.array([[0.0, 0.0], [np.inf, 0.0]]))
+
+    @pytest.mark.parametrize("positions", [
+        [[0.0, 0.0], [1e160, 0.0]],
+        [[-1e308, 0.0], [1e308, 0.0]],
+        [[1e308, -1e308], [-1e308, 1e308], [0.0, 0.0]],
+    ])
+    def test_overflowing_separations_rejected(self, positions):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="separations"):
+                ArrayGeometry(positions=np.array(positions))
 
     def test_separations_symmetric(self):
         rng = np.random.default_rng(5)
