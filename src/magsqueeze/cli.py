@@ -29,7 +29,6 @@ from .couplings import GAMMA_CHANNELS, build_couplings, closed_form_channels
 from .dynamics import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
-    MAX_QUBITS,
     MAX_STEADY_QUBITS,
     build_generator,
     evolve,
@@ -292,8 +291,6 @@ def run_sweep(scenario, params, geometry, written):
 
 
 def run_custom(scenario, params, geometry, written):
-    if geometry.n_qubits > MAX_QUBITS:
-        raise ConfigError(f"n_qubits must be at most {MAX_QUBITS}")
     bathstate = bath_from_params(params)
     coup = build_couplings(geometry, params, bathstate)
     gen = build_generator(coup)
@@ -327,7 +324,10 @@ def run_scenario(scenario):
     from THIS run are removed so the directory never holds partial results.
     """
     params, geometry = _load(scenario)
-    os.makedirs(scenario.output_dir, exist_ok=True)
+    try:
+        os.makedirs(scenario.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {scenario.output_dir!r}: {exc}") from exc
     written = []
     try:
         _RUNNERS[scenario.name](scenario, params, geometry, written)

@@ -26,7 +26,8 @@ from .errors import DegenerateSteadyStateError, StateInvariantError
 from .numerics import integrate_ode, spectral_radius_estimate
 # the traced benchmark run (perfbench/spans.py) wraps eig_smallest at this name
 from .numerics import eig_smallest  # noqa: F401
-from .operators import site_lower, site_raise
+from .operators import exchange_hamiltonian, site_lower, site_raise
+from .params import MAX_QUBITS
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
@@ -35,7 +36,6 @@ POSITIVITY_FLOOR = -1e-8
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
 
-MAX_QUBITS = 8
 # smallest N at which `evolve` carries the parity blocks and `steady_state`
 # solves the site-reversal blocks; below it their fixed costs outweigh the smaller products
 SECTOR_MIN_QUBITS = 5
@@ -410,16 +410,10 @@ def build_generator(couplings):
     occupation = couplings.gamma_mp[0, 0] / g0       # N = sinh^2 r
     anomalous = couplings.gamma_mm[0, 0] / g0        # M = -cosh sinh e^{i phi}
 
+    h_eff = exchange_hamiltonian(couplings.j / g0)
+
     lowers = [site_lower(i, n) for i in range(n)]
     raises_ = [site_raise(i, n) for i in range(n)]
-
-    h_eff = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    jmat = couplings.j / g0
-    for a in range(n):
-        for b in range(n):
-            if a != b and jmat[a, b] != 0.0:
-                h_eff += jmat[a, b] * (raises_[a] @ lowers[b])
-
     terms = []
     w = couplings.gamma_pm / (g0 * (occupation + 1.0))  # J0 weight matrix
     vals, vecs = np.linalg.eigh(0.5 * (w + w.T))

@@ -42,9 +42,8 @@ def _expectations(rho, basis):
     return vals.reshape(rho.shape[:-2] + (len(basis),))
 
 
-def _moment_basis(n_qubits):
-    """`_basis` of S_a and of (S_a S_b + S_b S_a)/2 in _PAIRS order."""
-    s = collective_spin_ops(n_qubits)
+def _moment_basis(s):
+    """`_basis` of s = (S_x, S_y, S_z) and of (S_a S_b + S_b S_a)/2 in _PAIRS order."""
     return _basis(s + tuple(0.5 * (s[a] @ s[b] + s[b] @ s[a]) for a, b in _PAIRS))
 
 
@@ -106,7 +105,7 @@ def _squeezing(mean, second, n_qubits):
 def collective_spin(state):
     """(<S_x>, <S_y>, <S_z>) as a real 3-vector."""
     rho, n = density_matrix(state)
-    return _real_spin(_spin_moments(rho, _moment_basis(n))[0])
+    return _real_spin(_spin_moments(rho, _moment_basis(collective_spin_ops(n)))[0])
 
 
 def wineland_xi2(state):
@@ -117,7 +116,7 @@ def wineland_xi2(state):
     direction, hence no perpendicular plane).
     """
     rho, n = density_matrix(state)
-    mean, second = _spin_moments(rho, _moment_basis(n))
+    mean, second = _spin_moments(rho, _moment_basis(collective_spin_ops(n)))
     spin = _real_spin(mean)
     norm = np.linalg.norm(spin)
     if norm <= MEAN_SPIN_FLOOR * n:
@@ -147,8 +146,9 @@ def trajectory_observables(chunks, generator):
     order, by the same code as `collective_spin`, `wineland_xi2` and
     `relaxation_rate`; their operators are built once."""
     n = generator.n_qubits
-    moments = _moment_basis(n)
-    heisenberg_sz = _basis([generator.adjoint(collective_spin_ops(n)[2])])
+    s = collective_spin_ops(n)
+    moments = _moment_basis(s)
+    heisenberg_sz = _basis([generator.adjoint(s[2])])
     means, seconds, rates = [], [], []
     for rho in chunks:
         mean, second = _spin_moments(rho, moments)

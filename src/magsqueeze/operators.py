@@ -1,59 +1,58 @@
-"""Pauli algebra and site-embedding helpers for the 2^N qubit space."""
-
-from functools import lru_cache
+"""The qubit operators of the 2^N space, written entry by entry by basis-state
+index.  Basis state s holds qubit k in bit N-1-k (qubit 0 is the most
+significant bit); a clear bit is |up> (sigma_z = +1), a set bit |down>.
+Every operator is built fresh on each call and nothing is kept."""
 
 import numpy as np
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |down><up|
-SIGMA_PLUS = SIGMA_MINUS.conj().T
-IDENTITY_2 = np.eye(2, dtype=complex)
 
-
-def kron_chain(ops):
-    out = np.array([[1.0]], dtype=complex)
-    for op in ops:
-        out = np.kron(out, op)
-    return out
-
-
-def site_operator(op, site, n_qubits):
-    """Embed a single-qubit operator at `site` in the N-qubit space."""
-    return kron_chain([op if k == site else IDENTITY_2 for k in range(n_qubits)])
-
-
-@lru_cache(maxsize=128)
-def _site_cached(kind, site, n_qubits):
-    table = {
-        "x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z,
-        "minus": SIGMA_MINUS, "plus": SIGMA_PLUS,
-    }
-    return site_operator(table[kind], site, n_qubits)
+def _bit(site, n_qubits):
+    return 1 << (n_qubits - 1 - site)
 
 
 def site_lower(site, n_qubits):
-    return _site_cached("minus", site, n_qubits)
+    """sigma^-_site = |down><up| at `site`."""
+    bit = _bit(site, n_qubits)
+    states = np.arange(2 ** n_qubits)
+    up = states[states & bit == 0]
+    op = np.zeros((states.size, states.size), dtype=complex)
+    op[up | bit, up] = 1.0
+    return op
 
 
 def site_raise(site, n_qubits):
-    return _site_cached("plus", site, n_qubits)
+    """sigma^+_site = |up><down| at `site`."""
+    return np.ascontiguousarray(site_lower(site, n_qubits).T)
 
 
-def site_pauli(axis, site, n_qubits):
-    return _site_cached(axis, site, n_qubits)
+def exchange_hamiltonian(j):
+    """sum_{a != b} j[a, b] sigma^+_a sigma^-_b for a real (N, N) `j`: each
+    term takes every state with qubit a down and qubit b up to the state
+    with the two swapped, so different terms fill different entries."""
+    n = len(j)
+    states = np.arange(2 ** n)
+    out = np.zeros((states.size, states.size), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            if a != b and j[a, b] != 0.0:
+                bit_a, bit_b = _bit(a, n), _bit(b, n)
+                s = states[(states & bit_a != 0) & (states & bit_b == 0)]
+                out[s ^ bit_a ^ bit_b, s] = j[a, b]
+    return out
 
 
-@lru_cache(maxsize=16)
 def collective_spin_ops(n_qubits):
     """(S_x, S_y, S_z) with S_eta = sum_i sigma_i^eta (Pauli convention)."""
-    dim = 2 ** n_qubits
-    sx = np.zeros((dim, dim), dtype=complex)
-    sy = np.zeros((dim, dim), dtype=complex)
-    sz = np.zeros((dim, dim), dtype=complex)
-    for i in range(n_qubits):
-        sx += site_pauli("x", i, n_qubits)
-        sy += site_pauli("y", i, n_qubits)
-        sz += site_pauli("z", i, n_qubits)
-    return sx, sy, sz
+    states = np.arange(2 ** n_qubits)
+    sx = np.zeros((states.size, states.size), dtype=complex)
+    sy = np.zeros_like(sx)
+    sz = np.zeros(states.size)
+    for site in range(n_qubits):
+        bit = _bit(site, n_qubits)
+        sign = np.where(states & bit, -1.0, 1.0)  # sigma_z of the qubit
+        sx[states ^ bit, states] = 1.0
+        # <up|sigma_y|down> = -i: the imaginary part alone, so every real
+        # part stays +0
+        sy.imag[states ^ bit, states] = sign
+        sz += sign
+    return sx, sy, np.diag(sz).astype(complex)

@@ -16,6 +16,8 @@ from .errors import ConfigError
 
 HBAR_CGS = 1.054571817e-27  # erg s
 
+MAX_QUBITS = 8  # most qubits of any array: every state is a dense 2^N x 2^N matrix
+
 _TWO_PI = 2.0 * np.pi
 
 # Effective action scale for the strain -> pair-drive conversion.  The printed
@@ -263,6 +265,8 @@ def config_from_values(values):
                 f"omega_s = 2*omega_q (expected {want!r} MHz)"
             )
     n = int(values.get("n_qubits", 2))
+    if n > MAX_QUBITS:
+        raise ConfigError(f"n_qubits must be at most {MAX_QUBITS}")
     a = float(values.get("a_over_lambda", 0.5))
     return params, ArrayGeometry.chain(n, a)
 

@@ -1,13 +1,32 @@
 """Independent references the tests compare the package against, kept apart
 from it so that no runtime path can route through them and check itself:
-the dense matrix exponential that `evolve` is checked against, and the
-four-channel form of the generator that the jump-operator form of
-`build_generator` is checked against."""
+the Kronecker embedding of the single-qubit operators that the index-built
+operators are checked against, the dense matrix exponential that `evolve`
+is checked against, and the four-channel form of the generator that the
+jump-operator form of `build_generator` is checked against."""
 
 import numpy as np
 
 from magsqueeze.dynamics import Generator, build_generator
-from magsqueeze.operators import site_lower, site_raise
+
+_SINGLE = {
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    "minus": np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),  # |down><up|
+}
+_SINGLE["plus"] = _SINGLE["minus"].conj().T
+
+
+def site_pauli(kind, site, n_qubits):
+    """The single-qubit operator `kind` ('x', 'y', 'z', 'minus' or 'plus',
+    on the basis (|up>, |down>)) at `site`, as the Kronecker product over
+    the qubits in order with the identity at every other site."""
+    out = np.array([[1.0]], dtype=complex)
+    for k in range(n_qubits):
+        out = np.kron(out, _SINGLE[kind] if k == site else np.eye(2, dtype=complex))
+    return out
+
 
 _PADE13_B = np.array(
     [
@@ -70,8 +89,8 @@ def four_channel_generator(couplings):
     g = build_generator(couplings)
     n = couplings.n_qubits
     g0 = couplings.gamma0
-    lowers = [site_lower(i, n) for i in range(n)]
-    raises_ = [site_raise(i, n) for i in range(n)]
+    lowers = [site_pauli("minus", i, n) for i in range(n)]
+    raises_ = [site_pauli("plus", i, n) for i in range(n)]
     terms = []
     pm = couplings.gamma_pm / g0
     mp = couplings.gamma_mp / g0

@@ -80,6 +80,26 @@ def test_traced_action_counts_every_rhs_call(monkeypatch):
     assert blocks == integrate_calls(n + 1)
 
 
+def test_traced_operator_sites_count_real_calls(monkeypatch):
+    # build_generator itself looks up site_lower and site_raise at the names
+    # the traced run wraps, once per qubit each
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    params = PhysicalParams()
+    n = 3
+    couplings = build_couplings(ArrayGeometry.chain(n, 0.5), params,
+                                bath_from_params(params, r_override=0.25))
+    tracer = spans.Tracer("test")
+    tracer.install()
+    try:
+        build_generator(couplings)
+    finally:
+        tracer.uninstall()
+    names = [name for name, *_ in tracer.spans]
+    assert names.count("operators.site_lower") == n
+    assert names.count("operators.site_raise") == n
+
+
 def test_panel_counter_matches_the_quadrature(monkeypatch):
     # the traced run's _panel_nodes counts the abscissae of one call
     monkeypatch.syspath_prepend(PERFBENCH)

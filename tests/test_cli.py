@@ -332,6 +332,38 @@ class TestMainExitCodes:
         assert "n_qubits" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("scenario", ["custom", "fig2a_couplings"])
+    @pytest.mark.parametrize("n_qubits", [9, 10_000_000])
+    def test_config_error_qubit_limit_before_any_layout(self, tmp_path, capsys, monkeypatch,
+                                                        scenario, n_qubits):
+        # the limit is checked before the chain and its N x N separations
+        # are built, whatever the scenario
+        from magsqueeze.params import ArrayGeometry
+
+        sizes = []
+        separations = ArrayGeometry.separations
+
+        def recorded(self):
+            sizes.append(self.n_qubits)
+            return separations(self)
+
+        monkeypatch.setattr(ArrayGeometry, "separations", recorded)
+        code = main(["--scenario", scenario, "--set", f"n_qubits={n_qubits}",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "n_qubits must be at most 8" in capsys.readouterr().err
+        assert max(sizes) <= 8
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_error_out_is_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        code = main(["--scenario", "fig2a_couplings", "--out", str(taken)])
+        assert code == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [taken]
+        assert taken.read_text() == "kept\n"
+
     def test_config_error_unstable_drive(self, tmp_path, capsys):
         # strain large enough to push |g| past the bandwidth
         code = main(

@@ -28,10 +28,10 @@ from magsqueeze.errors import (
 )
 from magsqueeze.numerics import eig_smallest
 from magsqueeze.observables import collective_spin, initial_state
-from magsqueeze.operators import site_lower, site_pauli
+from magsqueeze.operators import site_lower
 from magsqueeze.params import ArrayGeometry, PhysicalParams
 
-from oracles import four_channel_generator, matrix_exp
+from oracles import four_channel_generator, matrix_exp, site_pauli
 
 P = PhysicalParams()
 # the generator's jump-operator form and the channel-sum reference, by name
