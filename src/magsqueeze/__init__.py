@@ -32,7 +32,6 @@ from .errors import (
     ConfigError,
     DegenerateSteadyStateError,
     MagsqueezeError,
-    MeanSpinUndefinedError,
     QuadratureConvergenceError,
     StateInvariantError,
     StepSizeUnderflowError,
@@ -60,7 +59,6 @@ __all__ = [
     "DegenerateSteadyStateError",
     "Generator",
     "MagsqueezeError",
-    "MeanSpinUndefinedError",
     "PhysicalParams",
     "QuadratureConvergenceError",
     "QubitState",

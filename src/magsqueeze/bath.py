@@ -36,10 +36,9 @@ class BathState:
     N_kq: float            # sinh^2(r)
     M_kq: complex          # -cosh(r) sinh(r) e^{i phi}
     lam: float             # resonant wavelength, cm
-    g_mag: float           # magnitude of the pair-drive strength, rad/s
 
     @classmethod
-    def from_squeezing(cls, r, phi=DEFAULT_SQUEEZING_PHASE, lam=0.0, g_mag=0.0):
+    def from_squeezing(cls, r, phi=DEFAULT_SQUEEZING_PHASE, lam=0.0):
         if not (np.isfinite(r) and r >= 0):
             raise ConfigError(f"squeezing parameter must be finite and >= 0, got {r!r}")
         if not np.isfinite(phi):
@@ -50,7 +49,7 @@ class BathState:
             raise ConfigError(f"squeezing parameter {r!r} overflows the occupation sinh^2(r)")
         m = -np.cosh(r) * np.sinh(r) * np.exp(1j * phi)
         return cls(r_kq=float(r), phi=float(phi), N_kq=float(n), M_kq=complex(m),
-                   lam=float(lam), g_mag=float(g_mag))
+                   lam=float(lam))
 
 
 def magnon_dispersion(k, params):
@@ -112,22 +111,20 @@ def squeezing_parameter(g, bandwidth, lam=0.0):
         )
     r = 0.5 * np.arctanh(gmag / bandwidth)
     phi = DEFAULT_SQUEEZING_PHASE if gmag == 0 else float(np.angle(g))
-    return BathState.from_squeezing(r, phi, lam=lam, g_mag=gmag)
+    return BathState.from_squeezing(r, phi, lam=lam)
 
 
 def bath_from_params(params, r_override=None, phi_override=None):
     """Convenience: resonant geometry plus squeezing from the configured drive.
 
     `r_override` bypasses the strain-derived drive and sets the squeezing
-    parameter directly (used by the scenario runner); the implied |g| is then
-    Dbar*tanh(2r).
+    parameter directly (used by the scenario runner).
     """
     _, lam = resonant_wavelength(params)
     if r_override is None:
         return squeezing_parameter(saw_coupling(params), params.bandwidth_angular, lam=lam)
     phi = DEFAULT_SQUEEZING_PHASE if phi_override is None else phi_override
-    g_mag = params.bandwidth_angular * np.tanh(2.0 * float(r_override))
-    return BathState.from_squeezing(r_override, phi, lam=lam, g_mag=g_mag)
+    return BathState.from_squeezing(r_override, phi, lam=lam)
 
 
 # ---------------------------------------------------------------------------

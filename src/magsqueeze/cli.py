@@ -37,13 +37,12 @@ from .dynamics import (
 from .errors import (
     ConfigError,
     MagsqueezeError,
-    MeanSpinUndefinedError,
     StateInvariantError,
     UnstableSqueezingError,
 )
 # the traced benchmark run (perfbench/spans.py) wraps these names
 from .numerics import bessel_j0, bessel_y0  # noqa: F401
-from .observables import collective_spin, initial_state, wineland_xi2
+from .observables import initial_state, wineland_xi2
 from .params import (
     ArrayGeometry, apply_overrides, config_from_values, load_config, serialize_config,
 )
@@ -271,12 +270,9 @@ def run_sweep(scenario, params, geometry, written):
     def point(args):
         r, bath, a, n, chain = args
         state = steady_state(build_generator(build_couplings(chain, params, bath)))
-        try:
-            xi2 = wineland_xi2(state).xi_r_squared
-        except MeanSpinUndefinedError:
-            xi2 = np.inf
-        sz = float(collective_spin(state)[2])
-        return (r, a, float(n), xi2, 1.0 / xi2 if np.isfinite(xi2) else 0.0, sz)
+        summary = wineland_xi2(state)
+        xi2 = summary.xi_r_squared
+        return (r, a, float(n), xi2, 1.0 / xi2, summary.mean_spin[2])
 
     workers = min(scenario.threads, len(grid), os.cpu_count() or 1)
     if workers > 1:

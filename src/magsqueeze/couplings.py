@@ -25,6 +25,7 @@ Channel labels follow the superscripts of the dissipator weights:
 """
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,6 @@ class CouplingSet:
     gamma_mm: np.ndarray   # complex, pair absorption
     nu: float              # characteristic rate, Hz
     prefactor: float       # pi (omega_q - Delta_F) / Delta_0, dimensionless
-    geometry_digest: str = ""
 
     @property
     def n_qubits(self):
@@ -87,10 +87,18 @@ def closed_form_channels(sep, params, bath):
     separations `sep` (units of lambda): J = -Gamma_0 Y0 / 2 (0 at zero
     separation: no on-site exchange) and gamma = bath moment * Gamma_0 J0.
     These are the near-film closed forms (d = 0, no evanescent factor).
+
+    Raises ConfigError, before any channel is computed, unless Gamma_0 is a
+    finite, normal, positive float: the generator is scaled by 1/Gamma_0.
     """
     base = params.nu_characteristic * np.pi * (
         params.detuning_angular / params.zero_field_splitting_angular
     )
+    if not (np.isfinite(base) and base >= sys.float_info.min):  # smallest normal float
+        raise ConfigError(
+            f"rate scale Gamma_0 = nu pi (omega_q - Delta_F) / Delta_0 = {base!r} Hz "
+            "is not a finite, normal, positive number"
+        )
     j0 = bessel_j0(sep)
     j = np.zeros(sep.shape)
     apart = sep > 0
@@ -113,7 +121,6 @@ def build_couplings(geometry, params, bath):
         *channels,
         nu=params.nu_characteristic,
         prefactor=base / params.nu_characteristic,
-        geometry_digest=geometry.digest(),
     )
     block = couplings.dissipation_block()
     floor = -1e-10 * np.linalg.norm(block)

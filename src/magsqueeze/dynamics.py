@@ -160,7 +160,7 @@ class Trajectory:
     t: np.ndarray                 # Gamma_0 t
     mean_spin: np.ndarray         # (n, 3)
     min_perp_var: np.ndarray      # (n,)
-    inv_xi2: np.ndarray           # (n,), 0 where the mean spin vanishes
+    inv_xi2: np.ndarray           # (n,), 0 where xi_R^2 is undefined
     relaxation: np.ndarray        # (n,), -(1/2) d<S_z>/d(G0 t) / N
     min_eig: np.ndarray           # (n,)
     trace_err: np.ndarray         # (n,)
@@ -168,12 +168,6 @@ class Trajectory:
     final_state: QubitState
     states: list = field(default_factory=list)  # populated when keep_states
     parity_blocks: bool = False  # evolve integrated the parity blocks, not the full state
-
-    @property
-    def xi2(self):
-        """Squeezing parameter where defined (inf when the spin vanishes)."""
-        with np.errstate(divide="ignore"):
-            return np.where(self.inv_xi2 > 0, 1.0 / self.inv_xi2, np.inf)
 
 
 class Generator:

@@ -32,7 +32,3 @@ class StateInvariantError(MagsqueezeError):
 
 class DegenerateSteadyStateError(MagsqueezeError):
     """Liouvillian null space is not one-dimensional; steady state ambiguous."""
-
-
-class MeanSpinUndefinedError(MagsqueezeError):
-    """Mean collective spin vanishes; no perpendicular plane is defined."""

@@ -165,7 +165,9 @@ def integrate_ode(f, y0, t_grid, rtol, atol, layout=None):
     Raises ValueError unless `rtol` and `atol` are finite and > 0, the grid
     is finite and strictly increasing and the `positions` are len(y0)
     distinct indices below `size`, and StepSizeUnderflowError if the
-    controller drives h below the representable minimum.
+    controller drives h below the representable minimum or a step's error
+    norm is NaN (a NaN right-hand side or step size, which would otherwise
+    be rejected forever).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -244,6 +246,8 @@ def integrate_ode(f, y0, t_grid, rtol, atol, layout=None):
             t = t_new
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h = h * factor
+        elif np.isnan(err):
+            raise StepSizeUnderflowError(f"error norm is NaN at t={t!r} (h={h!r})")
         else:
             h = h * max(0.2, 0.9 * err ** -0.2)
     return out

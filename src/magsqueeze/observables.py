@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import QubitState, density_matrix
-from .errors import MeanSpinUndefinedError
 from .operators import collective_spin_ops
+from .params import MAX_QUBITS
 
 MEAN_SPIN_FLOOR = 1e-8  # relative to N
 _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))  # (S_a S_b + S_b S_a)/2
@@ -94,7 +94,8 @@ def perpendicular_covariance(mean, second):
 def _squeezing(mean, second, n_qubits):
     """Minimum perpendicular variance, 1/xi_R^2 = |<S>|^2 / (N min_var) and
     the minimizing angle; 1/xi_R^2 is 0 where |<S>| <= 1e-8 N (no squeezing
-    plane) or the minimum variance is not positive."""
+    plane) or the minimum variance is not positive.  The one place that
+    decides where xi_R^2 is defined: every other xi_R^2 is its reciprocal."""
     vals, vecs = np.linalg.eigh(perpendicular_covariance(mean, second))
     min_var, norm = vals[..., 0], np.linalg.norm(mean, axis=-1)
     defined = (norm > MEAN_SPIN_FLOOR * n_qubits) & (min_var > 0)
@@ -112,19 +113,16 @@ def wineland_xi2(state):
     """Wineland squeezing parameter xi_R^2 = N * min perpendicular variance
     over the squared mean-spin length, with the minimizing angle.
 
-    Raises MeanSpinUndefinedError when |<S>| <= 1e-8 N (no mean-spin
-    direction, hence no perpendicular plane).
+    xi_R^2 is the reciprocal of `_squeezing`'s 1/xi_R^2, which alone decides
+    where it is defined: where |<S>| <= 1e-8 N (no mean-spin direction,
+    hence no perpendicular plane) or the minimum variance is not positive,
+    1/xi_R^2 is 0 and xi_R^2 is inf.
     """
     rho, n = density_matrix(state)
     mean, second = _spin_moments(rho, _moment_basis(collective_spin_ops(n)))
     spin = _real_spin(mean)
-    norm = np.linalg.norm(spin)
-    if norm <= MEAN_SPIN_FLOOR * n:
-        raise MeanSpinUndefinedError(
-            f"|<S>| = {norm:.3e} is too small to define the squeezing plane"
-        )
-    min_var, _, angle = (float(x) for x in _squeezing(spin, second.real, n))
-    return SpinSummary(spin, min_var, n * min_var / norm ** 2, angle)
+    min_var, inv_xi2, angle = (float(x) for x in _squeezing(spin, second.real, n))
+    return SpinSummary(spin, min_var, 1.0 / inv_xi2 if inv_xi2 > 0 else np.inf, angle)
 
 
 def relaxation_rate(state, generator):
@@ -167,8 +165,8 @@ def initial_state(kind, n_qubits, theta=None, phi=0.0):
     sphere; basis ordering per qubit is {|up>, |down>} with sigma_z |up> =
     +|up>.
     """
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be between 1 and {MAX_QUBITS}, got {n_qubits!r}")
     if kind == "all_excited":
         single = np.array([1.0, 0.0], dtype=complex)
     elif kind == "all_ground":

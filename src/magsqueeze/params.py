@@ -259,7 +259,7 @@ def config_from_values(values):
     if _DRIVE_KEY in values:
         want = 2.0 * params.omega_q / (_TWO_PI * 1e6)
         got = values[_DRIVE_KEY]
-        if abs(got - want) > 1e-9 * want:
+        if not abs(got - want) <= 1e-9 * want:
             raise ConfigError(
                 f"{_DRIVE_KEY}={got!r} violates the pair-resonance condition "
                 f"omega_s = 2*omega_q (expected {want!r} MHz)"

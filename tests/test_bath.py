@@ -138,7 +138,6 @@ class TestBathFromParams:
     def test_override_sets_r_directly(self):
         bs = bath_from_params(P, r_override=0.25)
         assert bs.r_kq == 0.25
-        assert bs.g_mag == pytest.approx(P.bandwidth_angular * np.tanh(0.5))
 
 
 class TestMagnonCorrelator:

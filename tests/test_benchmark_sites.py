@@ -12,6 +12,7 @@ import pytest
 
 from magsqueeze import dynamics
 from magsqueeze.bath import bath_from_params
+from magsqueeze.cli import main
 from magsqueeze.couplings import build_couplings
 from magsqueeze.dynamics import build_generator, evolve
 from magsqueeze.numerics import gauss_legendre_panels
@@ -98,6 +99,24 @@ def test_traced_operator_sites_count_real_calls(monkeypatch):
     names = [name for name, *_ in tracer.spans]
     assert names.count("operators.site_lower") == n
     assert names.count("operators.site_raise") == n
+
+
+def test_traced_sweep_measures_each_point_once(monkeypatch, tmp_path):
+    # each sweep point calls wineland_xi2 at the name the traced run wraps,
+    # and builds the spin operators there and nowhere else
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer("test")
+    tracer.install()
+    try:
+        code = main(["--scenario", "sweep", "--threads", "1", "--set", "sweep_r=0,0.25",
+                     "--set", "sweep_a=0.5", "--set", "sweep_n=2,3", "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [name for name, *_ in tracer.spans]
+    assert names.count("observables.wineland_xi2") == 4
+    assert names.count("operators.collective_spin_ops") == 4
 
 
 def test_panel_counter_matches_the_quadrature(monkeypatch):

@@ -364,6 +364,41 @@ class TestMainExitCodes:
         assert list(tmp_path.iterdir()) == [taken]
         assert taken.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("scenario", ["custom", "fig2a_couplings"])
+    @pytest.mark.parametrize("override", ["nu_Hz=1e-320", "nu_Hz=1e-310",
+                                          "Delta0_GHz=1e300", "Delta0_GHz=1e-320"])
+    def test_config_error_rate_scale_not_normal(self, tmp_path, capsys, monkeypatch,
+                                                scenario, override):
+        # Gamma_0 subnormal, 0 or inf: the generator, scaled by 1/Gamma_0,
+        # would be NaN, and the integrator used to reject its steps forever
+        from magsqueeze import cli as cli_mod
+
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("the trajectory was integrated")
+
+        monkeypatch.setattr(cli_mod, "evolve", no_evolve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--scenario", scenario, "--set", override, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "Gamma_0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["config", "override"])
+    def test_config_error_drive_key_nan(self, tmp_path, capsys, source):
+        # NaN fails the pair-resonance comparison, as +-inf does
+        out = tmp_path / "out"
+        if source == "config":
+            cfg = tmp_path / "nan.cfg"
+            cfg.write_text("omega_s_MHz = nan\n")
+            extra = ["--config", str(cfg)]
+        else:
+            extra = ["--set", "omega_s_MHz=nan"]
+        code = main(["--scenario", "fig2a_couplings", *extra, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "pair-resonance" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_config_error_unstable_drive(self, tmp_path, capsys):
         # strain large enough to push |g| past the bandwidth
         code = main(
@@ -403,7 +438,6 @@ class TestMainExitCodes:
         (errors.QuadratureConvergenceError, 3),
         (errors.StepSizeUnderflowError, 3),
         (errors.DegenerateSteadyStateError, 3),
-        (errors.MeanSpinUndefinedError, 3),
         (np.linalg.LinAlgError, 3),
     ])
     def test_exit_code_of_each_error(self, tmp_path, capsys, monkeypatch, error, code):

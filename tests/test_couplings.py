@@ -93,10 +93,6 @@ class TestInvariants:
         ]:
             assert np.allclose(3.0 * a, b, rtol=1e-13)
 
-    def test_geometry_digest_recorded(self):
-        cs = couplings_for()
-        assert cs.geometry_digest == ArrayGeometry.chain(2, 0.5).digest()
-
 
 class TestMomentTable:
     @pytest.mark.parametrize("r, phi", [(0.0, -0.5 * np.pi), (0.5, 0.7)])

@@ -251,6 +251,21 @@ class TestIntegrateOde:
         with pytest.raises(StepSizeUnderflowError):
             integrate_ode(f, np.array([1.0 + 0j]), np.array([0.0, 2.0]), 1e-8, 1e-10)
 
+    def test_nan_right_hand_side_raises(self):
+        # a NaN step size passes every step-size check, so each step used
+        # to be rejected forever
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            if len(calls) > 1000:
+                raise AssertionError("the integrator kept stepping")
+            return y * np.nan
+
+        with pytest.raises(StepSizeUnderflowError, match="NaN"), np.errstate(invalid="ignore"):
+            integrate_ode(f, np.array([1.0 + 0j]), np.array([0.0, 1.0]), 1e-8, 1e-10)
+        assert len(calls) == 8  # two to choose h, six stages of the first step
+
     def test_rejects_bad_grid_and_tolerances(self):
         y0 = np.array([1.0 + 0j])
         with pytest.raises(ValueError):

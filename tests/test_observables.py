@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from magsqueeze.bath import bath_from_params
 from magsqueeze.couplings import build_couplings
 from magsqueeze.dynamics import build_generator, evolve, steady_state
-from magsqueeze.errors import MeanSpinUndefinedError
 from magsqueeze.observables import (
     collective_spin,
     initial_state,
@@ -96,8 +95,20 @@ class TestWineland:
 
     def test_vanishing_mean_spin_raises(self):
         rho = np.eye(4, dtype=complex) / 4
-        with pytest.raises(MeanSpinUndefinedError):
-            wineland_xi2(rho)
+        assert wineland_xi2(rho).xi_r_squared == np.inf
+
+    def test_non_positive_variance_has_no_xi2(self):
+        # a Hermitian, unit-trace but non-positive matrix: <S_z> = 0.4 and
+        # <sigma_x sigma_x> = <sigma_y sigma_y> = -1.2, so Var(S_x) = Var(S_y)
+        # = -0.4; xi_R^2 is undefined there, as in a trajectory's columns
+        up_up, down_down = np.diag([1.0, 0, 0, 0]), np.diag([0, 0, 0, 1.0])
+        singlet = np.outer([0, 1, -1, 0], [0, 1, -1, 0]) / 2
+        triplet = np.outer([0, 1, 1, 0], [0, 1, 1, 0]) / 2
+        rho = 1.1 * singlet - 0.1 * triplet + 0.1 * (up_up - down_down)
+        summary = wineland_xi2(rho)
+        assert summary.mean_spin == pytest.approx([0.0, 0.0, 0.4], abs=1e-14)
+        assert summary.min_perp_var == pytest.approx(-0.4, abs=1e-14)
+        assert summary.xi_r_squared == np.inf
 
     def test_rotation_about_mean_axis_invariance(self):
         gen = generator_for(2, 0.5, 0.25)
@@ -224,9 +235,7 @@ class TestTrajectoryColumns:
         rho = np.eye(4, dtype=complex) / 4
         traj = evolve(rho, generator_for(2, 0.5, 0.25), np.array([0.0, 1.0]), keep_states=True)
         assert traj.inv_xi2[0] == 0.0
-        assert np.isinf(traj.xi2[0])
-        with pytest.raises(MeanSpinUndefinedError):
-            wineland_xi2(traj.states[0])
+        assert wineland_xi2(traj.states[0]).xi_r_squared == np.inf
 
 
 class TestInitialStates:
@@ -249,6 +258,15 @@ class TestInitialStates:
             initial_state("css", 2)
         with pytest.raises(ValueError):
             initial_state("all_ground", 0)
+
+    @pytest.mark.parametrize("n", [9, 10 ** 6])
+    def test_qubit_limit_before_any_allocation(self, monkeypatch, n):
+        def no_kron(*args):
+            raise AssertionError("a 2^n product state was built")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        with pytest.raises(ValueError, match="n_qubits"):
+            initial_state("all_excited", n)
 
     @pytest.mark.parametrize("theta, phi", [
         (np.nan, 0.0), (np.inf, 0.0), (0.5, np.nan), (0.5, -np.inf),
