@@ -123,8 +123,10 @@ def build_couplings(geometry, params, bath):
         prefactor=base / params.nu_characteristic,
     )
     block = couplings.dissipation_block()
-    floor = -1e-10 * np.linalg.norm(block)
-    if np.min(np.linalg.eigvalsh(block)) < floor:
+    # at unit scale, so that neither the norm nor eigvalsh overflows at any
+    # finite Gamma_0
+    block = block / np.max(np.abs(block))
+    if np.min(np.linalg.eigvalsh(block)) < -1e-10 * np.linalg.norm(block):
         raise ConfigError("dissipation block lost positive semidefiniteness")
     return couplings
 

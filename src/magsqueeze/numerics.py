@@ -7,6 +7,7 @@ the package consumes these kernels through the contracts documented on each
 function; none of them know anything about the physics.
 """
 
+import functools
 import heapq
 from dataclasses import dataclass
 
@@ -24,13 +25,14 @@ _SERIES_KMAX = 80
 _ASYMP_KMAX = 26
 
 
-def _power_series(x):
+def _power_series(x, want_y=True):
     """Power series of J0 and the sum S of Y0 = (2/pi)[(ln(x/2)+gamma_E) J0 + S],
     S = sum_{k>=1} (-1)^{k+1} H_k q^k/(k!)^2 with q = x^2/4 and H_k the
-    harmonic numbers; both share the terms (-q)^k/(k!)^2."""
+    harmonic numbers; both share the terms (-q)^k/(k!)^2.  S is None unless
+    `want_y`."""
     minus_q = -0.25 * x * x
     j0 = np.ones_like(x)
-    y_sum = np.zeros_like(x)
+    y_sum = np.zeros_like(x) if want_y else None
     term = np.ones_like(x)
     harmonic = 0.0
     for k in range(1, _SERIES_KMAX + 1):
@@ -38,7 +40,8 @@ def _power_series(x):
         term /= k * k
         harmonic += 1.0 / k
         j0 += term
-        y_sum -= term * harmonic
+        if want_y:
+            y_sum -= term * harmonic
         if np.all(np.abs(term) < 1e-18):
             break
     return j0, y_sum
@@ -51,12 +54,13 @@ def _hankel_pq(x):
     inv_x = 1.0 / x
     a = np.ones_like(x)  # running |a_k| / x^k
     for k in range(1, _ASYMP_KMAX + 1):
-        a = a * ((2 * k - 1) ** 2 / (8.0 * k)) * inv_x
-        sign = -1.0 if (k // 2) % 2 else 1.0
-        if k % 2 == 1:
-            q = q + sign * a
+        a *= (2 * k - 1) ** 2 / (8.0 * k)
+        a *= inv_x
+        total = q if k % 2 == 1 else p
+        if (k // 2) % 2:
+            total -= a
         else:
-            p = p + sign * a
+            total += a
     return p, q
 
 
@@ -68,7 +72,7 @@ def _bessel0(x, want_y):
     small = np.abs(xv) < _BESSEL_SPLIT
     if np.any(small):
         xs = np.abs(xv[small])
-        j0, y_sum = _power_series(xs)
+        j0, y_sum = _power_series(xs, want_y)
         if want_y:
             out[small] = (2.0 / np.pi) * ((np.log(0.5 * xs) + EULER_GAMMA) * j0 + y_sum)
         else:
@@ -312,6 +316,9 @@ def spectral_radius_estimate(apply, size):
 # bisection budget of quad_adaptive
 QUAD_MAX_SUBDIVISIONS = 2000
 
+# most abscissae per integrand call of the panel rules; bounds their arrays
+QUAD_BLOCK_NODES = 8192
+
 # Kronrod-15 nodes on [-1, 1] and weights; rows 1,3,...,13 are the Gauss-7 subset.
 _GK_NODES = np.array(
     [
@@ -349,22 +356,38 @@ class QuadratureResult:
     evaluations: int
 
 
+def _panel_blocks(n_panels, order):
+    """Slices splitting `n_panels` panels of `order` nodes each into
+    near-equal blocks of at most QUAD_BLOCK_NODES nodes.  No block holds a
+    single panel unless the whole partition does: numpy evaluates a
+    one-row rule by another kernel than a many-row one."""
+    count = max(1, -(-n_panels // (QUAD_BLOCK_NODES // order)))
+    bounds = [n_panels * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def _gk15_batch(f, lows, highs):
-    """Vectorized 15-point rule over many intervals in one integrand call."""
+    """Vectorized 15-point rule over many intervals, with one integrand call
+    per block of `_panel_blocks`; each interval's rule is one row of a
+    matrix-vector product."""
     half = 0.5 * (highs - lows)
     mid = 0.5 * (highs + lows)
-    x = mid[:, None] + half[:, None] * _GK_NODES[None, :]
-    fx = np.asarray(f(x.ravel())).reshape(x.shape)
-    k15 = half * (fx @ _GK_WK)
-    g7 = half * (fx[:, 1::2] @ _GK_WG)
-    return k15, np.abs(k15 - g7)
+    vals, errs = [], []
+    for block in _panel_blocks(half.size, _GK_NODES.size):
+        x = mid[block, None] + half[block, None] * _GK_NODES[None, :]
+        fx = np.asarray(f(x.ravel())).reshape(x.shape)
+        vals.append(half[block] * (fx @ _GK_WK))
+        errs.append(np.abs(vals[-1] - half[block] * (fx[:, 1::2] @ _GK_WG)))
+    return np.concatenate(vals), np.concatenate(errs)
 
 
 def quad_adaptive(f, a, b, tol, edges=None):
     """Adaptive Gauss-Kronrod (7/15) quadrature of a vectorized integrand.
 
     `f` must accept an ndarray of abscissae and return corresponding values
-    (real or complex).  Bisects the worst interval until the summed error
+    (real or complex); it is called once per block of at most
+    QUAD_BLOCK_NODES abscissae of the seed partition, then once per
+    bisection.  Bisects the worst interval until the summed error
     estimate is below `tol`; raises QuadratureConvergenceError (carrying the
     achieved estimate) if `QUAD_MAX_SUBDIVISIONS` bisections do not reach it.
     `edges` optionally seeds the partition (useful for oscillatory integrands
@@ -411,18 +434,30 @@ def quad_adaptive(f, a, b, tol, edges=None):
     return QuadratureResult(value=total_val, abs_error_estimate=total_err, evaluations=evals)
 
 
+@functools.cache
+def _legendre12():
+    """12-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+    Built on first use, not at import: importing np.polynomial takes a few ms."""
+    x, w = np.polynomial.legendre.leggauss(12)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_panels(f, edges):
     """Composite 12-point Gauss-Legendre integral of a vectorized integrand.
 
-    `edges` is an increasing array of panel boundaries.  All nodes across all
-    panels are evaluated in one call to `f`; intended for smooth integrands on
-    structured grids (spectral k-integrals) where adaptivity is unnecessary.
+    `edges` is an increasing array of panel boundaries.  `f` is called once
+    per block of at most QUAD_BLOCK_NODES nodes (whole panels) and the block
+    sums are added up; intended for smooth integrands on structured grids
+    (spectral k-integrals) where adaptivity is unnecessary.
     """
     edges = np.asarray(edges, dtype=float)
-    # computed per call, not at import: importing np.polynomial takes a few ms
-    x, w = np.polynomial.legendre.leggauss(12)
-    lo = edges[:-1]
-    half = 0.5 * np.diff(edges)
-    nodes = (lo[:, None] + half[:, None] * (x[None, :] + 1.0)).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return np.sum(weights * np.asarray(f(nodes)))
+    x, w = _legendre12()
+    total = 0.0
+    for block in _panel_blocks(edges.size - 1, x.size):
+        panels = edges[block.start:block.stop + 1]
+        half = 0.5 * np.diff(panels)
+        nodes = (panels[:-1, None] + half[:, None] * (x[None, :] + 1.0)).ravel()
+        weights = (half[:, None] * w[None, :]).ravel()
+        total += np.sum(weights * np.asarray(f(nodes)))
+    return total

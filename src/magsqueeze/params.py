@@ -8,6 +8,7 @@ by 2*pi when it enters a formula as an angular frequency.
 """
 
 import hashlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,15 @@ class PhysicalParams:
             raise ConfigError(
                 "detuning_wq_minus_DF must be positive: "
                 "the regime omega_q <= Delta_F is not supported"
+            )
+        try:
+            cell = float(self.lattice_cm) ** 3
+        except OverflowError:
+            cell = np.inf
+        if not sys.float_info.min <= cell < np.inf:  # site_density divides by it
+            raise ConfigError(
+                f"lattice_const_a0 = {self.lattice_const_a0!r} Angstrom: the cell volume "
+                "a0^3 is not a finite, normal, positive number"
             )
 
     # -- internal (angular, CGS) values ------------------------------------

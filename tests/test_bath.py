@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,3 +270,16 @@ class TestVacuumTermCache:
         assert _vacuum_term.cache_info().misses == 1
         assert bare == _vacuum_term.__wrapped__(0.5 * LAMBDA, 1e-10, P, 1e-8)
         assert squeezed != bare
+
+    def test_cold_call_memory(self):
+        # the 46,900 seed panels at 1 ns are evaluated block by block: the
+        # peak is mostly the bisection heap, not arrays over all 0.7 million
+        # abscissae (64 MiB when the whole partition was one integrand call)
+        _vacuum_term.cache_clear()
+        tracemalloc.start()
+        try:
+            _vacuum_term(LAMBDA, 1e-9, P, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20

@@ -399,6 +399,18 @@ class TestMainExitCodes:
         assert "pair-resonance" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("a0", ["1e-320", "1e-110", "1e300"])
+    def test_config_error_cell_volume_not_normal(self, tmp_path, capsys, a0):
+        # a0^3 underflowed to 0 (ZeroDivisionError in site_density) or
+        # overflowed (OverflowError): both ended in a traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--scenario", "custom", "--set", f"a0_angstrom={a0}",
+                         "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "lattice_const_a0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_error_unstable_drive(self, tmp_path, capsys):
         # strain large enough to push |g| past the bandwidth
         code = main(

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from magsqueeze.bath import (
     pair_moments,
     resonant_wavelength,
 )
+from magsqueeze import couplings
 from magsqueeze.couplings import (
     GAMMA_CHANNELS,
     _channel_moments,
@@ -16,7 +20,7 @@ from magsqueeze.couplings import (
     coupling_oracle,
 )
 from magsqueeze.errors import ConfigError
-from magsqueeze.numerics import bessel_j0, bessel_y0
+from magsqueeze.numerics import bessel_j0, bessel_y0, gauss_legendre_panels
 from magsqueeze.params import ArrayGeometry, PhysicalParams
 
 P = PhysicalParams()
@@ -60,6 +64,32 @@ class TestClosedForms:
         object.__setattr__(geo, "positions", np.zeros((2, 2)))  # bypass ctor check
         with pytest.raises(ConfigError, match="coincident"):
             build_couplings(geo, P, bs)
+
+
+class TestPositiveSemidefiniteCheck:
+    HUGE = PhysicalParams(detuning_wq_minus_DF=1e300)  # Gamma_0 = 8.6e298 Hz
+
+    def test_huge_rate_scale_without_warning(self):
+        # the norm of the unscaled block overflowed and passed any block
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cs = couplings_for(n=3, params=self.HUGE)
+        assert np.all(np.isfinite(cs.dissipation_block()))
+
+    def test_negative_eigenvalue_raises_at_huge_rate_scale(self, monkeypatch):
+        # pair channels three times too strong break |M|^2 <= N (N + 1)
+        closed_form = couplings.closed_form_channels
+
+        def too_strong(sep, params, bath):
+            base, (j, mp, pm, pp, mm) = closed_form(sep, params, bath)
+            return base, (j, mp, pm, 3.0 * pp, 3.0 * mm)
+
+        monkeypatch.setattr(couplings, "closed_form_channels", too_strong)
+        for params in (P, self.HUGE):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigError, match="semidefinite"):
+                    couplings_for(n=3, params=params)
 
 
 class TestInvariants:
@@ -224,3 +254,17 @@ class TestPrincipalValueCache:
         b = _pv_extrapolated(rho_cm, other, 1.0)
         assert b == _pv_extrapolated.__wrapped__(rho_cm, other, 1.0)
         assert b != a
+
+    def test_cold_call_memory(self):
+        # each panel sum is taken block by block: at 0.205 lambda the
+        # oscillatory tail used to evaluate its 468,576 nodes in one call
+        # (40 MiB)
+        gauss_legendre_panels(np.exp, [0.0, 1.0])  # builds the rule, imports np.polynomial
+        _pv_extrapolated.cache_clear()
+        tracemalloc.start()
+        try:
+            _pv_extrapolated(0.205 * LAMBDA, P, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20

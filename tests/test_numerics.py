@@ -86,6 +86,24 @@ class TestBessel:
         asym = np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(chi) + q * np.sin(chi))
         assert np.max(np.abs(series - asym)) < 2e-10
 
+    def test_kernels_keep_their_arithmetic(self):
+        # J0 alone sums the same terms as J0 with Y0, and the in-place
+        # Hankel sums are the out-of-place loop's, bit for bit
+        x = np.linspace(0.05, 12.95, 301)
+        assert np.array_equal(numerics._power_series(x, want_y=False)[0],
+                              numerics._power_series(x)[0])
+        x = np.linspace(13.0, 400.0, 301)
+        p, q, a = np.ones_like(x), np.zeros_like(x), np.ones_like(x)
+        for k in range(1, numerics._ASYMP_KMAX + 1):
+            a = a * ((2 * k - 1) ** 2 / (8.0 * k)) * (1.0 / x)
+            sign = -1.0 if (k // 2) % 2 else 1.0
+            if k % 2 == 1:
+                q = q + sign * a
+            else:
+                p = p + sign * a
+        got_p, got_q = numerics._hankel_pq(x)
+        assert np.array_equal(got_p, p) and np.array_equal(got_q, q)
+
     def test_wronskian_identity(self):
         # J0 Y0' - J0' Y0 = 2/(pi x); five-point stencils sized so neither
         # the truncation term (large Y0 derivatives at small x) nor the
@@ -372,3 +390,49 @@ class TestQuadrature:
         panels = gauss_legendre_panels(f, np.linspace(0.0, 4.0, 33))
         adaptive = quad_adaptive(f, 0.0, 4.0, 1e-12).value
         assert panels == pytest.approx(adaptive, abs=1e-12)
+
+    @pytest.mark.parametrize("tail", [1, 7])
+    def test_gk15_blocks_match_one_call(self, tail):
+        # 3 full blocks plus a tail; each block is one integrand call of at
+        # most QUAD_BLOCK_NODES abscissae, and each interval's rule gives
+        # the same bits as when the whole partition is one call
+        n = 3 * (numerics.QUAD_BLOCK_NODES // 15) + tail
+        edges = np.linspace(0.0, 30.0, n + 1)
+        lows, highs = edges[:-1], edges[1:]
+        half, mid = 0.5 * (highs - lows), 0.5 * (highs + lows)
+        x = mid[:, None] + half[:, None] * numerics._GK_NODES[None, :]
+        sizes = []
+
+        def f(k):
+            sizes.append(k.size)
+            return np.exp(-0.1 * k) * np.exp(1j * k * k)
+
+        fx = f(x.ravel()).reshape(x.shape)
+        want = half * (fx @ numerics._GK_WK)
+        want_err = np.abs(want - half * (fx[:, 1::2] @ numerics._GK_WG))
+        sizes.clear()
+        vals, errs = numerics._gk15_batch(f, lows, highs)
+        assert len(sizes) == 4 and max(sizes) <= numerics.QUAD_BLOCK_NODES
+        assert sum(sizes) == 15 * n
+        assert np.array_equal(vals, want) and np.array_equal(errs, want_err)
+
+        real_vals, real_errs = numerics._gk15_batch(lambda k: np.exp(-0.1 * k), lows, highs)
+        assert real_vals.dtype == real_errs.dtype == np.float64
+        assert np.allclose(real_vals, half * (np.exp(-0.1 * x) @ numerics._GK_WK),
+                           rtol=1e-14, atol=0)
+
+    def test_panel_blocks_sum_to_one_call(self):
+        edges = np.linspace(0.0, 40.0, 5 * (numerics.QUAD_BLOCK_NODES // 12) + 3)
+        sizes = []
+
+        def f(k):
+            sizes.append(k.size)
+            return k * np.exp(-0.2 * k) * np.cos(3.0 * k)
+
+        got = gauss_legendre_panels(f, edges)
+        assert len(sizes) == 6 and max(sizes) <= numerics.QUAD_BLOCK_NODES
+        x, w = np.polynomial.legendre.leggauss(12)
+        half = 0.5 * np.diff(edges)
+        nodes = (edges[:-1, None] + half[:, None] * (x[None, :] + 1.0)).ravel()
+        want = np.sum((half[:, None] * w[None, :]).ravel() * f(nodes))
+        assert abs(got - want) <= 1e-13 * abs(want)
