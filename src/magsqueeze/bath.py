@@ -218,7 +218,7 @@ def field_correlator(kind, rho_ab, t, t_prime, params, bath, tol=1e-8):
             omega = magnon_dispersion(k, params)
             return _radial_weight(k, rho_ab, params) * moment_phase(omega)
         scale = abs(_radial_weight(k_q, 0.0, params)) * (k_hi - k_lo)
-        return quad_adaptive(f, k_lo, k_hi, tol * max(scale, 1e-300)).value
+        return quad_adaptive(f, [k_lo, k_hi], tol * max(scale, 1e-300)).value
 
     moments = pair_moments(bath.N_kq, bath.M_kq)
     if kind == "--":
@@ -267,4 +267,4 @@ def _vacuum_term(rho_ab, tau, params, tol):
     n_osc = abs(tau) * magnon_dispersion(k_cut, params) + k_cut * rho_ab
     n_panels = min(200000, int(32 + 2.0 * n_osc))
     seed = np.linspace(0.0, k_cut, n_panels + 1)
-    return quad_adaptive(vacuum, 0.0, k_cut, tol * vac_scale, edges=seed).value
+    return quad_adaptive(vacuum, seed, tol * vac_scale).value

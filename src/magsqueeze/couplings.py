@@ -89,15 +89,18 @@ def closed_form_channels(sep, params, bath):
     These are the near-film closed forms (d = 0, no evanescent factor).
 
     Raises ConfigError, before any channel is computed, unless Gamma_0 is a
-    finite, normal, positive float: the generator is scaled by 1/Gamma_0.
+    finite, normal, positive float (the generator is scaled by 1/Gamma_0)
+    and Gamma_0 (N + 1) is finite: it bounds every channel, as |M| <= N + 1.
     """
     base = params.nu_characteristic * np.pi * (
         params.detuning_angular / params.zero_field_splitting_angular
     )
-    if not (np.isfinite(base) and base >= sys.float_info.min):  # smallest normal float
+    if not (np.isfinite(base) and base >= sys.float_info.min  # smallest normal float
+            and np.isfinite(float(base) * (float(bath.N_kq) + 1.0))):
         raise ConfigError(
             f"rate scale Gamma_0 = nu pi (omega_q - Delta_F) / Delta_0 = {base!r} Hz "
-            "is not a finite, normal, positive number"
+            f"is not a finite, normal, positive number, or Gamma_0 (N + 1) with "
+            f"N = {bath.N_kq!r} overflows"
         )
     j0 = bessel_j0(sep)
     j = np.zeros(sep.shape)

@@ -8,7 +8,6 @@ function; none of them know anything about the physics.
 """
 
 import functools
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -381,57 +380,54 @@ def _gk15_batch(f, lows, highs):
     return np.concatenate(vals), np.concatenate(errs)
 
 
-def quad_adaptive(f, a, b, tol, edges=None):
+def quad_adaptive(f, edges, tol):
     """Adaptive Gauss-Kronrod (7/15) quadrature of a vectorized integrand.
 
+    `edges` is the seed partition: at least two finite, strictly increasing
+    panel bounds (pass [a, b] for one panel, or more where the phase count of
+    an oscillatory integrand is known in advance); a ValueError otherwise.
     `f` must accept an ndarray of abscissae and return corresponding values
     (real or complex); it is called once per block of at most
     QUAD_BLOCK_NODES abscissae of the seed partition, then once per
-    bisection.  Bisects the worst interval until the summed error
-    estimate is below `tol`; raises QuadratureConvergenceError (carrying the
-    achieved estimate) if `QUAD_MAX_SUBDIVISIONS` bisections do not reach it.
-    `edges` optionally seeds the partition (useful for oscillatory integrands
-    whose phase count is known in advance).
+    bisection.  Bisects the panel of largest error estimate, the oldest of
+    equal ones, until the summed estimate is below `tol`; raises
+    QuadratureConvergenceError (carrying the achieved estimate) if
+    `QUAD_MAX_SUBDIVISIONS` bisections do not reach it or the estimate is
+    not finite.  `evaluations` is 15 times the panels made.
     """
-    if not b > a:
-        raise ValueError("quad_adaptive requires b > a")
-    if edges is None:
-        edges = np.array([a, b])
-    else:
-        edges = np.asarray(edges, dtype=float)
-        if edges[0] != a or edges[-1] != b or np.any(np.diff(edges) <= 0):
-            raise ValueError("edges must increase strictly from a to b")
-    heap = []
-    counter = 0
-    evals = 15 * (edges.size - 1)
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2 or not (
+            np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)):
+        raise ValueError("edges must hold at least two finite, strictly increasing values")
     vals, errs = _gk15_batch(f, edges[:-1], edges[1:])
     total_val = np.sum(vals)
     total_err = float(np.sum(errs))
-    for i in range(edges.size - 1):
-        heapq.heappush(heap, (-errs[i], counter, edges[i], edges[i + 1], vals[i]))
-        counter += 1
+    # the panels in one set of arrays, with room for every bisection's halves
+    spare = np.zeros(2 * QUAD_MAX_SUBDIVISIONS)
+    lows, highs, vals, errs = (np.concatenate([x, spare])
+                               for x in (edges[:-1], edges[1:], vals, errs))
+    made = edges.size - 1
     for _ in range(QUAD_MAX_SUBDIVISIONS):
-        if total_err <= tol:
+        if not tol < total_err < np.inf:
             break
-        neg_err, _, a0, b0, val0 = heapq.heappop(heap)
-        m = 0.5 * (a0 + b0)
-        (v1, v2), (e1, e2) = _gk15_batch(f, np.array([a0, m]), np.array([m, b0]))
-        evals += 30
-        total_val += v1 + v2 - val0
-        total_err += e1 + e2 + neg_err
-        heapq.heappush(heap, (-e1, counter, a0, m, v1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, m, b0, v2))
-        counter += 1
+        i = np.argmax(errs[:made])
+        halves = slice(made, made + 2)
+        mid = 0.5 * (lows[i] + highs[i])
+        lows[halves], highs[halves] = (lows[i], mid), (mid, highs[i])
+        vals[halves], errs[halves] = _gk15_batch(f, lows[halves], highs[halves])
+        total_val += vals[made] + vals[made + 1] - vals[i]
+        total_err += errs[made] + errs[made + 1] - errs[i]
+        errs[i] = -np.inf  # retired: never the argmax, and 0 in the sum below
+        made += 2
     # refresh the error sum (the incremental update accumulates cancellation)
-    total_err = -sum(item[0] for item in heap)
-    if total_err > tol:
+    total_err = float(np.sum(np.maximum(errs[:made], 0.0)))
+    if not total_err <= tol:
         raise QuadratureConvergenceError(
             f"quadrature error estimate {total_err:.3e} above tolerance {tol:.3e}",
             achieved=total_err,
             requested=tol,
         )
-    return QuadratureResult(value=total_val, abs_error_estimate=total_err, evaluations=evals)
+    return QuadratureResult(value=total_val, abs_error_estimate=total_err, evaluations=15 * made)
 
 
 @functools.cache

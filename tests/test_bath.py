@@ -271,15 +271,19 @@ class TestVacuumTermCache:
         assert bare == _vacuum_term.__wrapped__(0.5 * LAMBDA, 1e-10, P, 1e-8)
         assert squeezed != bare
 
-    def test_cold_call_memory(self):
-        # the 46,900 seed panels at 1 ns are evaluated block by block: the
-        # peak is mostly the bisection heap, not arrays over all 0.7 million
-        # abscissae (64 MiB when the whole partition was one integrand call)
+    @pytest.mark.parametrize("tau, mib", [pytest.param(1e-9, 8, id="1ns"),
+                                          pytest.param(5e-9, 24, id="5ns")])
+    def test_cold_call_memory(self, tau, mib):
+        # the seed panels (46,588 at 1 ns, the 200,000 cap at 5 ns) are
+        # evaluated block by block and kept as a few per-panel arrays: no
+        # array over all their abscissae (64 MiB at 1 ns as one integrand
+        # call) and no per-panel Python objects (11.4 and 48.8 MiB with a
+        # heap of one tuple per panel)
         _vacuum_term.cache_clear()
         tracemalloc.start()
         try:
-            _vacuum_term(LAMBDA, 1e-9, P, 1e-8)
+            _vacuum_term(LAMBDA, tau, P, 1e-8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2 ** 20
+        assert peak <= mib * 2 ** 20

@@ -384,6 +384,19 @@ class TestMainExitCodes:
         assert "Gamma_0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_config_error_rate_scale_times_occupation_overflows(self, tmp_path, capsys):
+        # Gamma_0 = 8.2e298 Hz is finite but Gamma_0 (N + 1) at r = 100 is
+        # not: the channels overflowed with a RuntimeWarning, and the sector
+        # solve then failed (exit 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--scenario", "sweep", "--set", "detuning_MHz=1e300",
+                         "--set", "sweep_r=100", "--set", "sweep_n=2",
+                         "--set", "sweep_a=0.5", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "Gamma_0 (N + 1)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("source", ["config", "override"])
     def test_config_error_drive_key_nan(self, tmp_path, capsys, source):
         # NaN fails the pair-resonance comparison, as +-inf does

@@ -346,7 +346,7 @@ class TestMatrixExp:
 class TestQuadrature:
     def test_gamma_integrand(self):
         # integral of k^3 e^{-2k} over [0, inf) = 3! / 2^4
-        res = quad_adaptive(lambda k: k ** 3 * np.exp(-2 * k), 0.0, 40.0, 1e-12)
+        res = quad_adaptive(lambda k: k ** 3 * np.exp(-2 * k), [0.0, 40.0], 1e-12)
         assert res.value == pytest.approx(0.375, abs=1e-11)
         assert res.abs_error_estimate <= 1e-12
         assert res.evaluations >= 15
@@ -360,13 +360,13 @@ class TestQuadrature:
             calls.append(k.size)
             return k ** 3 * np.exp(-2 * k)
 
-        res = quad_adaptive(f, 0.0, 40.0, 1e-12)
+        res = quad_adaptive(f, [0.0, 40.0], 1e-12)
         assert len(calls) > 1
         assert calls == [15] + [30] * (len(calls) - 1)
         assert res.evaluations == sum(calls)
 
     def test_complex_integrand(self):
-        res = quad_adaptive(lambda x: np.exp(1j * x), 0.0, np.pi, 1e-12)
+        res = quad_adaptive(lambda x: np.exp(1j * x), [0.0, np.pi], 1e-12)
         assert res.value == pytest.approx(2.0j, abs=1e-10)
 
     def test_nonconvergence_reports_estimate(self, monkeypatch):
@@ -374,22 +374,56 @@ class TestQuadrature:
         monkeypatch.setattr(numerics, "QUAD_MAX_SUBDIVISIONS", 5)
         f = lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0) + 1e-300)
         with pytest.raises(QuadratureConvergenceError) as info:
-            quad_adaptive(f, 0.0, 1.0, 1e-14)
+            quad_adaptive(f, [0.0, 1.0], 1e-14)
         assert info.value.achieved > info.value.requested
 
     def test_seeded_edges(self):
-        res = quad_adaptive(
-            lambda x: np.sin(50 * x), 0.0, np.pi, 1e-10,
-            edges=np.linspace(0.0, np.pi, 101),
-        )
+        res = quad_adaptive(lambda x: np.sin(50 * x), np.linspace(0.0, np.pi, 101), 1e-10)
         exact = (1 - np.cos(50 * np.pi)) / 50
         assert res.value == pytest.approx(exact, abs=1e-10)
 
     def test_panels_match_adaptive(self):
         f = lambda x: np.cos(3 * x) * np.exp(-x)
         panels = gauss_legendre_panels(f, np.linspace(0.0, 4.0, 33))
-        adaptive = quad_adaptive(f, 0.0, 4.0, 1e-12).value
+        adaptive = quad_adaptive(f, [0.0, 4.0], 1e-12).value
         assert panels == pytest.approx(adaptive, abs=1e-12)
+
+    def test_equal_errors_bisect_oldest_first(self):
+        # nonzero only at the three seed midpoints (the centre node of each
+        # rule): three bit-equal errors; the halves have none
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.isin(x, [-0.5, 0.5, 1.5]).astype(float)
+
+        res = quad_adaptive(f, [-1.0, 0.0, 1.0, 2.0], 1e-3)
+        assert len(calls) == 4 and res.evaluations == 15 * 9
+        spans = [(x.min(), x.max()) for x in calls[1:]]
+        for (lo, hi), (a, b) in zip(spans, [(-1.0, 0.0), (0.0, 1.0), (1.0, 2.0)]):
+            assert a < lo < hi < b
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_integrand_raises(self, bad):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.where(x > 0.3, bad, x)
+
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(QuadratureConvergenceError) as info:
+                quad_adaptive(f, [0.0, 1.0], 1e-10)
+            with pytest.raises(QuadratureConvergenceError):
+                quad_adaptive(f, np.linspace(0.0, 1.0, 5), 1e-10)
+        assert calls == [15, 60]
+        assert not np.isfinite(info.value.achieved)
+
+    @pytest.mark.parametrize("edges", [[0.0, np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0],
+                                       [0.0, 0.5, 0.5, 1.0], [1.0, 0.0], [0.0]])
+    def test_bad_edges_rejected(self, edges):
+        with pytest.raises(ValueError, match="edges"):
+            quad_adaptive(np.exp, edges, 1e-10)
 
     @pytest.mark.parametrize("tail", [1, 7])
     def test_gk15_blocks_match_one_call(self, tail):
