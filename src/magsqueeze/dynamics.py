@@ -41,7 +41,7 @@ DEFAULT_ATOL = 1e-10
 SECTOR_MIN_QUBITS = 5
 MAX_STEADY_QUBITS = 7
 RITZ_PROBES = 16  # random right-hand sides of the degeneracy estimate
-CHECK_CHUNK_BYTES = 256 * 1024  # full states per check chunk (>= 1 state; >= 2 in evolve)
+CHECK_CHUNK_BYTES = 256 * 1024  # states per `_invariants` chunk (>= 1 state)
 SECTOR_CHUNK_BYTES = 2 * 1024 * 1024  # complex rows per steady-state assembly chunk (>= 1 row)
 REVERSAL_RTOL = 1e-9  # coupling asymmetry still taken as site-reversal symmetry
 _FLOAT_MAX = np.finfo(float).max
@@ -87,11 +87,12 @@ class QubitState:
 def _invariants(rhos, times=None, trace_tol=_FLOAT_MAX, herm_tol=_FLOAT_MAX, index=None):
     """Trace error |Tr rho - 1|, Hermiticity error max |rho - rho^dagger| and
     smallest eigenvalue of the Hermitian part of each state of a (m, d, d)
-    stack, computed CHECK_CHUNK_BYTES of states at a time (at least one).
-    Given the flat block `index` of a `_Layout` whose blocks hold every
-    nonzero entry of the states, the eigenvalues are those of the blocks of
-    the Hermitian part (the spectrum of a block-diagonal matrix is the union
-    of its blocks' spectra); the two errors always read the full arrays.
+    stack, or of an (m, 2, h, h) stack of the parity blocks that hold every
+    nonzero entry of the states, computed CHECK_CHUNK_BYTES of states at a
+    time (at least one).  The eigenvalues of a block-diagonal matrix are
+    those of its blocks, so given the flat block `index` of a `_Layout`
+    whose blocks hold every nonzero entry of (m, d, d) states, they are
+    taken from the blocks too.
 
     A state is broken unless both errors are at most their tolerances, so a
     NaN or infinite error always breaks it (the default tolerances are the
@@ -105,22 +106,28 @@ def _invariants(rhos, times=None, trace_tol=_FLOAT_MAX, herm_tol=_FLOAT_MAX, ind
     trace_err = np.empty(count)
     herm_err = np.empty(count)
     min_eig = np.full(count, np.nan)
+    state_axes = tuple(range(1, rhos.ndim))
     chunk = max(1, CHECK_CHUNK_BYTES // rhos[0].nbytes)
     for lo in range(0, count, chunk):
         hi = min(lo + chunk, count)
         block = rhos[lo:hi]
-        tr = np.trace(block, axis1=1, axis2=2)
+        tr = np.trace(block, axis1=-2, axis2=-1).reshape(len(block), -1).sum(axis=1)
         # np.hypot, not np.abs: numpy's vectorized complex abs can differ from
         # the correctly rounded hypot in the last bit
         trace_err[lo:hi] = np.hypot(tr.real - 1.0, tr.imag)
-        herm_err[lo:hi] = np.max(np.abs(block - block.conj().transpose(0, 2, 1)), axis=(1, 2))
+        # one temporary of the chunk's size holds the conjugate transpose,
+        # then the difference
+        diff = block.conj().swapaxes(-1, -2)
+        herm_err[lo:hi] = np.max(np.abs(np.subtract(block, diff, out=diff)), axis=state_axes)
+        del diff
         kept = (trace_err[lo:hi] <= trace_tol) & (herm_err[lo:hi] <= herm_tol)
         broken = np.flatnonzero(~kept)
         stop = lo + broken[0] if broken.size else hi
         valid = rhos[lo:stop]
-        herm = 0.5 * (valid + valid.conj().transpose(0, 2, 1))
-        if index is not None:
-            herm = np.take(herm.reshape(len(herm), -1), index, axis=1)
+        if index is not None:  # (rho^dagger)_pp = (rho_pp)^dagger on a diagonal block
+            valid = np.take(valid.reshape(len(valid), -1), index, axis=1)
+        herm = valid + valid.conj().swapaxes(-1, -2)
+        herm *= 0.5
         eigs = np.linalg.eigvalsh(herm)
         min_eig[lo:stop] = np.min(eigs, axis=tuple(range(1, eigs.ndim)))
         if times is None:
@@ -155,7 +162,8 @@ def density_matrix(state):
 
 @dataclass
 class Trajectory:
-    """Time grid plus per-step observables of one evolution."""
+    """Time grid plus per-step observables of one evolution, read from the
+    stack that `evolve` integrated: the parity blocks when `parity_blocks`."""
 
     t: np.ndarray                 # Gamma_0 t
     mean_spin: np.ndarray         # (n, 3)
@@ -369,14 +377,12 @@ class _Layout:
         out -= anticom
         return out
 
-    def scatter(self, blocks, out=None):
-        """The (..., k, h, h) `blocks` placed in `out`, a C-contiguous
-        (..., d, d) array that is 0 outside them (a new zeroed one by
-        default)."""
+    def scatter(self, blocks):
+        """The (..., k, h, h) `blocks` placed in a new (..., d, d) array that
+        is 0 outside them."""
         lead = blocks.shape[:-3]
-        if out is None:
-            dim = len(self.left) * self.left.shape[-1]
-            out = np.zeros(lead + (dim, dim), dtype=complex)
+        dim = len(self.left) * self.left.shape[-1]
+        out = np.zeros(lead + (dim, dim), dtype=complex)
         out.reshape(lead + (-1,))[..., self.index] = blocks
         return out
 
@@ -437,9 +443,8 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
     parity-even under a parity-symmetric generator; from SECTOR_MIN_QUBITS
     qubits on, its (2, h, h) parity blocks are integrated, with the step
     control of the full state (`integrate_ode`'s `layout`).  The checks and
-    the observables read full states, placed CHECK_CHUNK_BYTES at a time (at
-    least 2, for one BLAS routine) into one reused zeroed array, so every
-    column is bit-identical to the dense integration's (N = 3-7, OpenBLAS).
+    the observables read the stack that was integrated, blocks or full
+    states; only the returned states are placed back into full arrays.
     """
     # imported here: observables imports QubitState from this module
     from .observables import trajectory_observables
@@ -467,23 +472,9 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
     )
     rhos = flat.reshape(t_grid.size, *shape)
     abort_tol = max(1e-6, 1e4 * atol)
-    starts = list(range(0, t_grid.size, max(2, CHECK_CHUNK_BYTES // (16 * dim * dim))))
-    if t_grid.size - starts[-1] == 1 < len(starts):
-        del starts[-1]  # a one-state product would take another BLAS routine
-    ends = starts[1:] + [t_grid.size]
-    work = np.zeros((max(np.subtract(ends, starts)), dim, dim), dtype=complex) if blocks else None
-    checks = []
-
-    def full_states():
-        """The full states, chunk by chunk, each chunk checked first."""
-        for lo, hi in zip(starts, ends):
-            part = parity.scatter(rhos[lo:hi], work[:hi - lo]) if blocks else rhos[lo:hi]
-            checks.append(_invariants(part, t_grid[lo:hi], abort_tol, abort_tol,
-                                      parity.index if even else None))
-            yield part
-
-    columns = trajectory_observables(full_states(), generator)
-    trace_err, herm_err, min_eig = (np.concatenate(column) for column in zip(*checks))
+    trace_err, herm_err, min_eig = _invariants(
+        rhos, t_grid, abort_tol, abort_tol, parity.index if even and not blocks else None)
+    columns = trajectory_observables(rhos, generator)
     if blocks:
         rhos = parity.scatter(rhos if keep_states else rhos[-1:])
     return Trajectory(

@@ -42,9 +42,17 @@ def _expectations(rho, basis):
     return vals.reshape(rho.shape[:-2] + (len(basis),))
 
 
+def _moment_ops(s):
+    """s = (S_x, S_y, S_z), then (S_a S_b + S_b S_a)/2 in _PAIRS order, each
+    made when it is asked for, so that a caller can drop it in turn."""
+    yield from s
+    for a, b in _PAIRS:
+        yield 0.5 * (s[a] @ s[b] + s[b] @ s[a])
+
+
 def _moment_basis(s):
-    """`_basis` of s = (S_x, S_y, S_z) and of (S_a S_b + S_b S_a)/2 in _PAIRS order."""
-    return _basis(s + tuple(0.5 * (s[a] @ s[b] + s[b] @ s[a]) for a, b in _PAIRS))
+    """`_basis` of the `_moment_ops`."""
+    return _basis(list(_moment_ops(s)))
 
 
 def _spin_moments(rho, basis):
@@ -137,25 +145,24 @@ def relaxation_rate(state, generator):
     return rate if rate.ndim else float(rate)
 
 
-def trajectory_observables(chunks, generator):
+def trajectory_observables(rhos, generator):
     """Mean spin (m, 3), minimum perpendicular variance, 1/xi_R^2 (0 where
-    undefined) and relaxation rate (m,) of the states of the (c, d, d)
-    stacks that the iterable `chunks` yields, in order, in Trajectory column
-    order, by the same code as `collective_spin`, `wineland_xi2` and
-    `relaxation_rate`; their operators are built once."""
+    undefined) and relaxation rate (m,) of a (m, d, d) stack of states, or of
+    an (m, 2, h, h) stack of their parity blocks, in Trajectory column order,
+    by the same code as `collective_spin`, `wineland_xi2` and
+    `relaxation_rate`; the operators' rows are built once, at those entries."""
     n = generator.n_qubits
     s = collective_spin_ops(n)
-    moments = _moment_basis(s)
-    heisenberg_sz = _basis([generator.adjoint(s[2])])
-    means, seconds, rates = [], [], []
-    for rho in chunks:
-        mean, second = _spin_moments(rho, moments)
-        means.append(mean.real)
-        seconds.append(second.real)
-        rates.append(_relaxation(rho, heisenberg_sz, n))
-    mean = np.concatenate(means)
-    min_var, inv_xi2, _ = _squeezing(mean, np.concatenate(seconds), n)
-    return mean, min_var, inv_xi2, np.concatenate(rates)
+    entries = slice(None)
+    if rhos.ndim == 4:  # each state's blocks, stacked into one (2h, h) array
+        entries = generator._parity.index.ravel()
+        rhos = rhos.reshape(len(rhos), -1, rhos.shape[-1])
+    moments = np.stack([op.T.ravel()[entries] for op in _moment_ops(s)])  # `_basis` rows
+    heisenberg_sz = _basis([generator.adjoint(s[2])])[:, entries]
+    # copies, so that the Trajectory keeps no view of the complex moments
+    mean, second = (part.real.copy() for part in _spin_moments(rhos, moments))
+    min_var, inv_xi2, _ = _squeezing(mean, second, n)
+    return mean, min_var, inv_xi2, _relaxation(rhos, heisenberg_sz, n)
 
 
 def initial_state(kind, n_qubits, theta=None, phi=0.0):

@@ -7,6 +7,7 @@ import pytest
 from magsqueeze import errors
 from magsqueeze.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     Scenario,
     main,
@@ -382,6 +383,20 @@ class TestMainExitCodes:
             code = main(["--scenario", scenario, "--set", override, "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "Gamma_0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("r, code", [(171.0, EXIT_NUMERICAL), (177.0, EXIT_CONFIG),
+                                         (178.0, EXIT_CONFIG), (350.0, EXIT_CONFIG)])
+    def test_huge_squeezing_fails_with_a_message(self, tmp_path, capsys, r, code):
+        # up to the bound on cosh 2r the sums of squares of the generator stay
+        # finite and the steady state is degenerate; above it they overflowed
+        # (a RuntimeWarning, an error under this suite's filter) or the sector
+        # solve saw infinities
+        argv = ["--scenario", "sweep", "--set", "sweep_n=2,5", "--set", "sweep_a=0.5",
+                "--set", f"sweep_r={r!r}", "--out", str(tmp_path)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert ("too large" if code == EXIT_CONFIG else "not unique") in err
         assert list(tmp_path.iterdir()) == []
 
     def test_config_error_rate_scale_times_occupation_overflows(self, tmp_path, capsys):
