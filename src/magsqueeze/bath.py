@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, UnstableSqueezingError
 from .numerics import bessel_j0, quad_adaptive
-from .params import DRIVE_CALIBRATION_ERG_S, MAX_QUBITS
+from .params import DRIVE_CALIBRATION_ERG_S
 
 DEFAULT_SQUEEZING_PHASE = -0.5 * np.pi  # phase of g = -i * (positive drive)
 
@@ -45,14 +45,8 @@ class BathState:
             raise ConfigError(f"squeezing phase must be finite, got {phi!r}")
         with np.errstate(over="ignore"):
             n = np.sinh(r) ** 2
-        # the generator's entries (over Gamma_0) reach q (N + 1) at q qubits
-        # (measured on chains, q = 1-7): bounded by q cosh 2r, the sums of
-        # squares of its 16^q entries in `steady_state` stay finite to MAX_QUBITS
-        if not 2 * n + 1 <= np.sqrt(np.finfo(float).max) / (MAX_QUBITS * 4 ** MAX_QUBITS):
-            raise ConfigError(
-                f"squeezing parameter {r!r} is too large: the generator's scale "
-                f"cosh 2r = 2 sinh^2(r) + 1 would overflow its sums of squares"
-            )
+        if not np.isfinite(n):
+            raise ConfigError(f"squeezing parameter {r!r} overflows the occupation sinh^2(r)")
         m = -np.cosh(r) * np.sinh(r) * np.exp(1j * phi)
         return cls(r_kq=float(r), phi=float(phi), N_kq=float(n), M_kq=complex(m),
                    lam=float(lam))

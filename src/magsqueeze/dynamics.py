@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSteadyStateError, StateInvariantError
+from .errors import ConfigError, DegenerateSteadyStateError, StateInvariantError
 from .numerics import integrate_ode, spectral_radius_estimate
 # the traced benchmark run (perfbench/spans.py) wraps eig_smallest at this name
 from .numerics import eig_smallest  # noqa: F401
@@ -277,6 +277,11 @@ class Generator:
         if rho.ndim == 3:
             return self._parity.apply(rho)
         return self._dense.apply(rho[None])[0]
+
+    @property
+    def parity_entries(self):
+        """Flat indices in a d x d state of its (2, h, h) parity blocks, or None."""
+        return None if self._parity is None else self._parity.index
 
     def adjoint(self, op):
         """Heisenberg-picture generator L^dagger, Tr[X L(rho)] = Tr[L^dagger(X) rho]."""
@@ -540,6 +545,9 @@ def steady_state(generator):
     1e-8 ||L||_F (LinAlgError), where ||L||_F^2 sums the blocks' squared
     norms (the basis is orthonormal; the entries between two blocks are 0,
     and round-off under reversal), so a wrong reversal claim fails closed.
+    A generator whose entries could overflow these sums of squares (on a
+    chain, a squeezing parameter r above about 172 at N = 7, 176 at N = 2)
+    raises ConfigError.
     The state is then trace-normalized and checked like QubitState.check,
     without its warning.  It is Hermitian by construction: the entries of
     ((1+i) Q + (1-i) Q^T)/2 at [i, j] and [j, i] are exact conjugates.
@@ -558,6 +566,17 @@ def steady_state(generator):
         )
     parity = generator._parity
     stacks = generator._sandwich()
+    # an entry of L sums one product of an entry of lefts[:, k] and one of
+    # rights[:, k] per term k, so `bound` caps its 16^N entries, and every
+    # sum of squares formed below (the blocks' norms, the Arnoldi vectors)
+    # is at most 16^N bound^2, in any orthonormal basis
+    bound = np.abs(stacks[0]).max(axis=(0, 2, 3)) @ np.abs(stacks[1]).max(axis=(0, 2, 3))
+    if not 4 ** n * bound <= np.sqrt(_FLOAT_MAX):
+        raise ConfigError(
+            f"generator too large for a steady state: its entries over Gamma_0 reach "
+            f"{bound:.3g} (about N cosh 2r at squeezing r), so the sums of squares of "
+            f"its 16^{n} entries would overflow"
+        )
     dim = 2 ** n
     half = dim // 2
     evens, basis = _reversal_basis(n) if reversal else ((half, half), None)

@@ -7,6 +7,7 @@ Spin operators use the Pauli convention S^eta = sum_i sigma_i^eta (eigenvalues
 variance N, giving xi_R^2 = 1 exactly.  xi_R^2 itself is convention-invariant.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,10 @@ class SpinSummary:
     squeezing_angle: float    # rad, minimizing direction in the (e1, e2) frame
 
 
-def _basis(ops):
-    """The operators as the rows vec(op^T) that `_expectations` reads."""
-    return np.stack([op.T for op in ops]).reshape(len(ops), -1)
+def _basis(ops, entries=slice(None)):
+    """The operators as the rows vec(op^T) that `_expectations` reads, at the
+    flat `entries` of the states (all by default), one operator at a time."""
+    return np.stack([op.T.ravel()[entries] for op in ops])
 
 
 def _expectations(rho, basis):
@@ -42,17 +44,11 @@ def _expectations(rho, basis):
     return vals.reshape(rho.shape[:-2] + (len(basis),))
 
 
-def _moment_ops(s):
-    """s = (S_x, S_y, S_z), then (S_a S_b + S_b S_a)/2 in _PAIRS order, each
-    made when it is asked for, so that a caller can drop it in turn."""
-    yield from s
-    for a, b in _PAIRS:
-        yield 0.5 * (s[a] @ s[b] + s[b] @ s[a])
-
-
-def _moment_basis(s):
-    """`_basis` of the `_moment_ops`."""
-    return _basis(list(_moment_ops(s)))
+def _moment_basis(s, entries=slice(None)):
+    """`_basis` of s = (S_x, S_y, S_z) and of (S_a S_b + S_b S_a)/2 in _PAIRS
+    order, each made in turn."""
+    pairs = (0.5 * (s[a] @ s[b] + s[b] @ s[a]) for a, b in _PAIRS)
+    return _basis(itertools.chain(s, pairs), entries)
 
 
 def _spin_moments(rho, basis):
@@ -155,10 +151,10 @@ def trajectory_observables(rhos, generator):
     s = collective_spin_ops(n)
     entries = slice(None)
     if rhos.ndim == 4:  # each state's blocks, stacked into one (2h, h) array
-        entries = generator._parity.index.ravel()
+        entries = generator.parity_entries.ravel()
         rhos = rhos.reshape(len(rhos), -1, rhos.shape[-1])
-    moments = np.stack([op.T.ravel()[entries] for op in _moment_ops(s)])  # `_basis` rows
-    heisenberg_sz = _basis([generator.adjoint(s[2])])[:, entries]
+    moments = _moment_basis(s, entries)
+    heisenberg_sz = _basis([generator.adjoint(s[2])], entries)
     # copies, so that the Trajectory keeps no view of the complex moments
     mean, second = (part.real.copy() for part in _spin_moments(rhos, moments))
     min_var, inv_xi2, _ = _squeezing(mean, second, n)

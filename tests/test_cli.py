@@ -388,10 +388,10 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("r, code", [(171.0, EXIT_NUMERICAL), (177.0, EXIT_CONFIG),
                                          (178.0, EXIT_CONFIG), (350.0, EXIT_CONFIG)])
     def test_huge_squeezing_fails_with_a_message(self, tmp_path, capsys, r, code):
-        # up to the bound on cosh 2r the sums of squares of the generator stay
-        # finite and the steady state is degenerate; above it they overflowed
-        # (a RuntimeWarning, an error under this suite's filter) or the sector
-        # solve saw infinities
+        # below steady_state's bound on the generator's entries (r about 176
+        # at N = 2) its sums of squares stay finite and the steady state is
+        # degenerate; above it they overflowed (a RuntimeWarning, an error
+        # under this suite's filter)
         argv = ["--scenario", "sweep", "--set", "sweep_n=2,5", "--set", "sweep_a=0.5",
                 "--set", f"sweep_r={r!r}", "--out", str(tmp_path)]
         assert main(argv) == code

@@ -51,6 +51,17 @@ def test_a_file_on_one_side_only_is_named(csvset, tmp_path, capsys):
     assert f"run/table.csv: only in {tmp_path / 'a'}" in capsys.readouterr().out
 
 
+def test_bytes_that_differ_outside_the_cells_are_named(csvset, tmp_path, capsys):
+    write_set(tmp_path / "a", 0.5)
+    write_set(tmp_path / "b", 0.5)
+    table = tmp_path / "b" / "run" / "table.csv"
+    table.write_text(table.read_text().rstrip("\n"))  # no final newline
+    assert csvset.main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ["run/table.csv: moved", "    bytes differ outside the cells",
+                       "2 files, 1 not byte-identical"]
+
+
 def test_the_set_holds_65_csvs(csvset):
     # 5 scenarios (custom writes 6 CSVs), custom at N = 5-7, 6 trajectory
     # draws and the steady-state grid

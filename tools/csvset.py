@@ -1,18 +1,21 @@
 """Write the CLI's reference set of CSVs from a source tree, and compare two sets.
 
-    python3 tools/csvset.py run TREE OUT [RUN ...]
+    python3 tools/csvset.py run TREE OUT
     python3 tools/csvset.py diff A B
 
 `run` runs `python3 -m magsqueeze` from `TREE/src` with one BLAS thread (the
 `sweep` CSV is byte-identical only at a fixed thread count) and writes the 65
 CSVs of RUNS, one directory per run, under OUT, plus `provenance.txt` (numpy
-version, BLAS configuration, thread settings).  Naming runs writes only those.
+version, BLAS configuration, thread settings).  The runs are the benchmark's
+inputs, read from `perfbench/workloads.py`, plus `custom` at N = 5-7.
 
 `diff` compares the CSVs of two such directories.  Per file it prints whether
 the bytes are identical; for a file that moved, the cells that moved in each
 column and the largest move, absolute and relative to the column scale (the
-largest magnitude of that column in A), with its data row.  It exits 1 if
-any file differs or exists on one side only.
+largest magnitude of that column in A), with its data row; a file whose
+bytes differ where no cell moved (line endings, a final newline, line order)
+is reported as such.  It exits 1 if any file differs or exists on one side
+only.
 
 To compare a change with its parent, check the parent out by hand, e.g.
 `git worktree add ../parent HEAD~1`, then `run` both trees and `diff` them.
@@ -24,38 +27,37 @@ import os
 import subprocess
 import sys
 
-CUSTOM = ["--scenario", "custom"]
-SWEEP = ["--scenario", "sweep", "--threads", "1"]
-# the benchmark's trajectory draws at N = 6: (a/lambda, strain)
-TRAJECTORY_DRAWS = ((0.48, 9.5e-05), (0.5, 9.5e-05), (0.5, 0.0001), (0.52, 0.0001),
-                    (0.52, 0.000105), (0.54, 0.000105))
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+import workloads  # noqa: E402  (stdlib only)
+
+CUSTOM = workloads.FIGURE_RUNS["custom"][0]
+SWEEP = workloads.FIGURE_RUNS["sweep"][0]
+TRAJECTORY_N = workloads.TRAJECTORY_N["full"]
 RUNS = {
-    "fig2a_couplings": ["--scenario", "fig2a_couplings"],
-    "fig2b_squeezing": ["--scenario", "fig2b_squeezing"],
-    "fig2c_relaxation": ["--scenario", "fig2c_relaxation"],
-    "custom": CUSTOM,
-    "sweep": SWEEP,
+    **{name: workloads.FIGURE_RUNS[name][0] for name in workloads.FIGURES["full"]},
     **{f"custom_n{n}": CUSTOM + ["--set", f"n_qubits={n}"] for n in (5, 6, 7)},
-    **{f"trajectory_n6_a{a!r}_s{s!r}": CUSTOM + [
-        "--set", "n_qubits=6", "--set", f"a_over_lambda={a!r}", "--set", f"strain_Exy={s!r}"]
-       for a, s in TRAJECTORY_DRAWS},
-    # the benchmark's steady-state tables: 6 r x 7 a/lambda x N in {4, 5}
-    "steady_sweep": SWEEP + ["--set", "sweep_r=0,0.1,0.2,0.3,0.4,0.5",
-                             "--set", "sweep_a=0.4,0.6,0.8,1.0,1.25,1.5,2.0",
-                             "--set", "sweep_n=4,5"],
+    **{f"trajectory_n{TRAJECTORY_N}_a{a!r}_s{s!r}": CUSTOM + [
+        "--set", f"n_qubits={TRAJECTORY_N}", "--set", f"a_over_lambda={a!r}",
+        "--set", f"strain_Exy={s!r}"]
+       for a, s in workloads.TRAJECTORY_DRAWS},
+    # the benchmark's steady-state tables: every r x a/lambda x N
+    "steady_sweep": SWEEP + [
+        "--set", "sweep_r=" + ",".join(map(repr, workloads.STEADY_R)),
+        "--set", "sweep_a=" + ",".join(map(repr, workloads.STEADY_A)),
+        "--set", "sweep_n=" + ",".join(map(repr, workloads.STEADY_N["full"]))],
 }
 THREADS = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 PROVENANCE = "import numpy, sys; print(sys.version); print(numpy.__version__); numpy.show_config()"
 
 
-def run(tree, out, names):
+def run(tree, out):
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"), **THREADS)
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "provenance.txt"), "w", encoding="utf-8") as fh:
         fh.write("".join(f"{key}={value}\n" for key, value in sorted(THREADS.items())))
         fh.flush()
         subprocess.run([sys.executable, "-c", PROVENANCE], env=env, stdout=fh, check=True)
-    for name in names or RUNS:
+    for name in RUNS:
         target = os.path.join(out, name)
         print(f"{name} ...", flush=True)
         subprocess.run([sys.executable, "-m", "magsqueeze", *RUNS[name], "--out", target],
@@ -116,7 +118,7 @@ def compare(path_a, path_b):
             "column scale 0"
         lines.append(f"{name}: {count} of {len(rows_a)} cells moved, largest {largest:.2g} "
                      f"({relative}) at row {row}")
-    return lines
+    return lines or ["bytes differ outside the cells"]
 
 
 def diff(root_a, root_b):
@@ -142,16 +144,12 @@ def main(argv=None):
     run_parser = commands.add_parser("run", help="write the CSV set of a source tree")
     run_parser.add_argument("tree")
     run_parser.add_argument("out")
-    run_parser.add_argument("runs", nargs="*", metavar="RUN", help=", ".join(RUNS))
     diff_parser = commands.add_parser("diff", help="compare two CSV sets")
     diff_parser.add_argument("a")
     diff_parser.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "run":
-        unknown = [name for name in args.runs if name not in RUNS]
-        if unknown:
-            parser.error(f"unknown runs {unknown}; choose from {', '.join(RUNS)}")
-        run(args.tree, args.out, args.runs)
+        run(args.tree, args.out)
         return 0
     return diff(args.a, args.b)
 
