@@ -40,8 +40,8 @@ from .errors import (
     StateInvariantError,
     UnstableSqueezingError,
 )
-# the traced benchmark run (perfbench/spans.py) wraps these names
-from .numerics import bessel_j0, bessel_y0  # noqa: F401
+# the traced benchmark run (perfbench/spans.py) wraps bessel_j0 and bessel_y0
+from .numerics import MIN_RTOL, bessel_j0, bessel_y0  # noqa: F401
 from .observables import initial_state, wineland_xi2
 from .params import (
     ArrayGeometry, apply_overrides, config_from_values, load_config, serialize_config,
@@ -65,6 +65,12 @@ SWEEP_AXES = {"sweep_r": SWEEP_R_DEFAULT, "sweep_a": SWEEP_A_DEFAULT, "sweep_n":
 
 UNCORRELATED_A = 1000.0  # far-separation reference layout
 
+# Every run starts from a basis state, whose zero entries put the first step
+# of `integrate_ode` below its floor 16 eps unless atol >= about 40 eps rtol
+# (measured at N = 2 and 5 for rtol from 1e-6 to MIN_RTOL): an atol below
+# eps MIN_RTOL cannot be met at any allowed rtol.
+MIN_ATOL = float(np.finfo(float).eps) * MIN_RTOL
+
 # the CouplingSet channels in field order, as CSV file and column names
 CHANNEL_NAMES = ("J",) + tuple(f"gamma_{c}" for c in GAMMA_CHANNELS)
 
@@ -84,10 +90,10 @@ class Scenario:
     def __post_init__(self):
         if self.name not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.name!r}")
-        for name in ("rtol", "atol"):
+        for name, floor in (("rtol", MIN_RTOL), ("atol", MIN_ATOL)):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+            if not (np.isfinite(value) and value >= floor):
+                raise ConfigError(f"{name} must be finite and >= {floor!r}, got {value!r}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads!r}")
 

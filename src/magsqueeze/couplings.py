@@ -6,13 +6,16 @@ separations; ``build_couplings`` applies it to a qubit geometry.
 ``coupling_oracle`` recomputes single channel strengths from the underlying
 bath-correlator representation: the time integral is done analytically (a
 resonance delta for the dissipative channels, a principal value for the
-exchange), the radial momentum integral numerically.  The two routes share
-only the Bessel J0 kernel evaluation and the overall normalization, which is
-carried by the characteristic rate ``nu`` because the bare correlator
-prefactor inherits the unit ambiguity of the printed material constants.
+exchange), the radial momentum integral numerically.  Of the exchange split
+k^3/(k_q^2 - k^2) = -k + k_q^2 k/(k_q^2 - k^2) only the pole term is
+integrated: the first term's Hankel transform has Abel limit exactly 0
+(Gradshteyn & Ryzhik 6.621.4).  The two routes share only the Bessel J0
+kernel evaluation and the overall normalization, which is carried by the
+characteristic rate ``nu`` because the bare correlator prefactor inherits
+the unit ambiguity of the printed material constants.
 The exchange principal-value integral does not depend on the bath, so each
 process computes it once per (separation, params, density) and keeps it in a
-bounded cache (``_pv_extrapolated.cache_clear()`` empties it).
+bounded cache (``_principal_value.cache_clear()`` empties it).
 
 Channel labels follow the superscripts of the dissipator weights:
 
@@ -171,50 +174,22 @@ def _delta_channel(rho_cm, moment, params):
     return _oracle_norm(params) * moment * 2.0 * np.pi * gauss_legendre_panels(integrand, edges)
 
 
-def _neville_at_zero(xs, ys):
-    """Polynomial extrapolation of (xs, ys) to x = 0."""
-    y = list(ys)
-    n = len(y)
-    for level in range(1, n):
-        for i in range(n - level):
-            y[i] = y[i + 1] + (y[i] - y[i + 1]) * xs[i + level] / (
-                xs[i + level] - xs[i]
-            )
-    return y[0]
-
-
 @functools.lru_cache(maxsize=256)
-def _pv_extrapolated(rho_cm, params, n_scale):
-    """Abel limit of PV integral dk k^3 e^{-2kd} J0(k rho) / (k_q^2 - k^2).
+def _principal_value(rho_cm, params, n_scale):
+    """PV integral dk k^3 J0(k rho) / (k_q^2 - k^2), as its Abel limit.
 
     Split algebraically as -k + k_q^2 k/(k_q^2 - k^2).  The first (pure
-    Hankel) term needs the evanescent regulator and is extrapolated d -> 0
-    on a separation-scaled sequence; the second converges absolutely without
-    a regulator: the pole is folded symmetrically and the oscillatory tail is
-    summed with half-period averaging.  `n_scale` multiplies panel densities
-    (used by convergence checks).  Memoized: call it with float arguments,
-    positionally, so that equal inputs share one cache entry.
+    Hankel) term regulated by e^{-2kd} integrates to -2d/(4d^2 + rho^2)^{3/2}
+    (Gradshteyn & Ryzhik 6.621.4), whose limit d -> 0 is exactly 0 at
+    rho > 0, so only the second term is computed.  It converges absolutely
+    without a regulator: the pole is folded symmetrically and the oscillatory
+    tail is summed with half-period averaging.  `n_scale` multiplies panel
+    densities (used by convergence checks).  Memoized: call it with float
+    arguments, positionally, so that equal inputs share one cache entry.
     """
     if rho_cm <= 0:
         raise ConfigError("exchange oracle needs a positive separation")
     k_q, _ = resonant_wavelength(params)
-
-    # regulated Hankel term: 4-point extrapolation captures through d^3
-    d0 = rho_cm / 40.0
-    ds = [d0, 0.5 * d0, 0.25 * d0, 0.125 * d0]
-    t1s = []
-    for d in ds:
-        k_max = 0.5 * np.log(1e12) / d
-        n = int(np.ceil(n_scale * (32 + 2.0 * k_max * rho_cm / np.pi)))
-        t1s.append(
-            -gauss_legendre_panels(
-                lambda k: k * np.exp(-2.0 * k * d) * bessel_j0(k * rho_cm),
-                np.linspace(0.0, k_max, n + 1),
-            )
-        )
-    t1 = _neville_at_zero(ds, t1s)
-
-    # pole term at d = 0
     w = 0.5 * k_q
 
     def g(k):
@@ -242,7 +217,7 @@ def _pv_extrapolated(rho_cm, params, n_scale):
     )
     right = right_a + 0.5 * extra
 
-    return t1 + k_q ** 2 * (inner + left + right)
+    return k_q ** 2 * (inner + left + right)
 
 
 def coupling_oracle(channel, rho_ab, params, bath, n_scale=1.0):
@@ -251,13 +226,14 @@ def coupling_oracle(channel, rho_ab, params, bath, n_scale=1.0):
     `rho_ab` is the qubit separation in units of the resonant wavelength.
     Dissipative channels reduce to the on-shell residue (delta at
     omega_k = omega_q) and are integrated over the smeared delta; the
-    exchange channel J keeps the principal-value part, whose Abel-regulated
-    radial integral reproduces the Y0 kernel.  The counter-rotating pole at
-    omega_k = -omega_q (a static near-field contribution) is excluded, as it
-    is in the closed forms.  ``Jpp``/``Jmm`` return the difference of the two
-    identical time-orderings evaluated on different grids: a quadrature-level
-    zero.  A separation that is negative or not finite, or a panel density
-    `n_scale` that is not positive and finite, raises ConfigError.
+    exchange channel J keeps the principal-value part, whose radial pole term
+    (`_principal_value`) reproduces the Y0 kernel.  The counter-rotating pole
+    at omega_k = -omega_q (a static near-field contribution) is excluded, as
+    it is in the closed forms.  ``Jpp``/``Jmm`` return the difference of the
+    principal values of the two identical time-orderings evaluated on
+    different grids: a quadrature-level zero.  A separation that is negative
+    or not finite, or a panel density `n_scale` that is not positive and
+    finite, raises ConfigError.
     """
     if channel not in ORACLE_CHANNELS:
         raise ConfigError(f"unknown oracle channel {channel!r}")
@@ -275,15 +251,14 @@ def coupling_oracle(channel, rho_ab, params, bath, n_scale=1.0):
         return _delta_channel(rho_cm, moments[channel], params)
 
     if channel == "J":
-        pv = _pv_extrapolated(rho_cm, params, n_scale)
+        pv = _principal_value(rho_cm, params, n_scale)
         return -_oracle_norm(params) * pv / dh
 
     # pair-exchange coefficients: the two time-orderings give identical
-    # integrands at pair resonance; evaluate them at different quadrature
-    # densities so the reported zero carries honest numerical content
-    moment = moments[channel[1:]]
-    half_delta = _delta_channel(rho_cm, moment, params) / 2.0
-    pv_weight = 0.5j * _oracle_norm(params) * moment
-    term_a = half_delta + pv_weight * _pv_extrapolated(rho_cm, params, n_scale) / dh
-    term_b = half_delta + pv_weight * _pv_extrapolated(rho_cm, params, 1.5 * n_scale) / dh
+    # integrands at pair resonance, so their on-shell halves cancel exactly;
+    # evaluate the principal values at different quadrature densities so the
+    # reported zero carries honest numerical content
+    pv_weight = 0.5j * _oracle_norm(params) * moments[channel[1:]]
+    term_a = pv_weight * _principal_value(rho_cm, params, n_scale) / dh
+    term_b = pv_weight * _principal_value(rho_cm, params, 1.5 * n_scale) / dh
     return 0.5j * (term_a - term_b)

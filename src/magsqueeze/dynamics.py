@@ -617,8 +617,9 @@ def steady_state(generator):
     lam2 = min(estimates)
     if lam2 < 1e-8 * radius:
         raise DegenerateSteadyStateError(
-            f"second eigenvalue |lambda_2| ~ {lam2:.3e} below 1e-8 of the "
-            f"spectral radius {radius:.3e}; steady state is not unique"
+            f"the |lambda_2| estimate {lam2:.3e} is below 1e-8 of the spectral-radius "
+            f"estimate {radius:.3e}: either the steady state is not unique, or its "
+            "slowest decay rate is below 1e-8 of the spectral radius"
         )
 
     l_norm = np.sqrt(norm_sq)

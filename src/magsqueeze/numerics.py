@@ -136,6 +136,12 @@ _DP_DENSE = np.array(
 )
 
 
+# the smallest relative tolerance a step can meet: below it the error estimate
+# is round-off, and the step size shrinks without bound (the same floor as
+# scipy's solve_ivp)
+MIN_RTOL = 100 * float(np.finfo(float).eps)
+
+
 def _initial_step(f, t0, y0, f0, rtol, atol, rms):
     scale = atol + rtol * np.abs(y0)
     d0 = rms(y0 / scale)
@@ -165,12 +171,12 @@ def integrate_ode(f, y0, t_grid, rtol, atol, layout=None):
     order of the full vector's and every step is the one that integrating
     the full vector takes, bit for bit.
 
-    Raises ValueError unless `rtol` and `atol` are finite and > 0, the grid
-    is finite and strictly increasing and the `positions` are len(y0)
-    distinct indices below `size`, and StepSizeUnderflowError if the
-    controller drives h below the representable minimum or a step's error
-    norm is NaN (a NaN right-hand side or step size, which would otherwise
-    be rejected forever).
+    Raises ValueError unless `rtol` is finite and >= MIN_RTOL, `atol` is
+    finite and > 0, the grid is finite and strictly increasing and the
+    `positions` are len(y0) distinct indices below `size`, and
+    StepSizeUnderflowError if the controller drives h below the
+    representable minimum or a step's error norm is NaN (a NaN right-hand
+    side or step size, which would otherwise be rejected forever).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -179,8 +185,9 @@ def integrate_ode(f, y0, t_grid, rtol, atol, layout=None):
         raise ValueError("t_grid must be finite")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    if not (np.isfinite(rtol) and rtol > 0 and np.isfinite(atol) and atol > 0):
-        raise ValueError(f"tolerances must be finite and > 0, got rtol={rtol!r}, atol={atol!r}")
+    if not (np.isfinite(rtol) and rtol >= MIN_RTOL and np.isfinite(atol) and atol > 0):
+        raise ValueError(f"tolerances must be finite, rtol >= {MIN_RTOL!r} and atol > 0, "
+                         f"got rtol={rtol!r}, atol={atol!r}")
 
     y = np.asarray(y0, dtype=complex).copy()
     if layout is None:

@@ -1,8 +1,11 @@
 import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from magsqueeze import errors
 from magsqueeze.cli import (
@@ -15,6 +18,7 @@ from magsqueeze.cli import (
     write_csv,
 )
 from magsqueeze.errors import ConfigError
+from magsqueeze.params import _PARAM_KEYS
 
 
 def read_table(path):
@@ -305,6 +309,9 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("option", [
         ["--rtol", "nan"], ["--rtol", "inf"], ["--rtol", "0"], ["--atol", "-1"],
         ["--atol", "inf"], ["--threads", "0"], ["--threads", "-3"],
+        # below MIN_RTOL the step shrinks without bound; below MIN_ATOL no
+        # start from a basis state takes its first step
+        ["--rtol", "1e-30"], ["--rtol", "2.2e-14"], ["--atol", "1e-300"], ["--atol", "4e-30"],
     ])
     def test_config_error_bad_tolerance_or_threads(self, tmp_path, capsys, monkeypatch,
                                                    option):
@@ -499,3 +506,42 @@ class TestMainExitCodes:
         assert code == EXIT_OK
         comments, _, _ = read_table(tmp_path / "fig2a_couplings.csv")
         assert any("detuning_MHz = 200.0" in c for c in comments)
+
+
+# the domain contract: any physical key at any magnitude fails closed
+DOMAIN_KEYS = sorted(_PARAM_KEYS) + ["a_over_lambda"]
+DOMAIN_VALUES = st.builds(lambda exponent, sign: sign * 10.0 ** exponent,
+                          st.floats(-300.0, 300.0), st.sampled_from([1.0, -1.0]))
+
+
+def domain_argv(scenario, values, sweep_r):
+    argv = ["--scenario", scenario]
+    if scenario == "custom":
+        argv += ["--set", "n_qubits=2"]
+    elif scenario == "sweep":
+        argv += ["--set", "sweep_n=2", "--set", "sweep_a=0.5", "--set", f"sweep_r={sweep_r!r}"]
+    for key, value in values.items():
+        argv += ["--set", f"{key}={value!r}"]
+    return argv
+
+
+@given(st.sampled_from(["fig2a_couplings", "custom", "sweep"]),
+       st.dictionaries(st.sampled_from(DOMAIN_KEYS), DOMAIN_VALUES, min_size=1, max_size=3),
+       st.floats(0.0, 200.0))
+# inputs that warned, raised or failed late before they were made to exit 2
+@example("custom", {"a0_angstrom": 1e-320}, 0.0)
+@example("custom", {"detuning_MHz": 1e300}, 0.0)
+@example("custom", {"nu_Hz": 1e-320}, 0.0)
+@example("sweep", {"Delta0_GHz": 1e300}, 0.5)
+@example("sweep", {"detuning_MHz": 1e300}, 100.0)
+@example("sweep", {}, 350.0)
+@example("custom", {"a_over_lambda": 1e160}, 0.0)
+# a steady state whose slowest rate is below 1e-8 of the spectral radius
+@example("sweep", {"s_G2_cm_s": 1.5e22}, 20.0)
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_any_magnitude_exits_0_2_or_3(scenario, values, sweep_r):
+    # the suite turns every RuntimeWarning into an error, so a warning fails
+    # here like any exception that main does not map to an exit code
+    with tempfile.TemporaryDirectory() as out:
+        code = main(domain_argv(scenario, values, sweep_r) + ["--out", out])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)

@@ -15,7 +15,7 @@ from magsqueeze import couplings
 from magsqueeze.couplings import (
     GAMMA_CHANNELS,
     _channel_moments,
-    _pv_extrapolated,
+    _principal_value,
     build_couplings,
     coupling_oracle,
 )
@@ -167,13 +167,17 @@ class TestOracle:
         for rho in (0.05, 0.9, 2.3):
             got = coupling_oracle("J", rho, P, bs)
             want = -0.5 * g0 * bessel_y0(rho)
-            assert abs(got - want) <= max(0.01 * abs(want), 1e-3 * g0)
+            assert abs(got - want) <= 1e-8 * g0  # measured <= 4.6e-10 g0
+            # one ulp of separation moves J by round-off only: measured
+            # <= 5.3e-15 g0
+            nudged = coupling_oracle("J", np.nextafter(rho, np.inf), P, bs)
+            assert abs(nudged - got) <= 1e-13 * g0
 
     def test_exchange_independent_of_squeezing(self):
         # clear the principal-value cache so that both values are computed
-        _pv_extrapolated.cache_clear()
+        _principal_value.cache_clear()
         a = coupling_oracle("J", 0.6, P, bath_from_params(P, r_override=0.0))
-        _pv_extrapolated.cache_clear()
+        _principal_value.cache_clear()
         b = coupling_oracle("J", 0.6, P, bath_from_params(P, r_override=1.0))
         assert a == b
 
@@ -228,31 +232,31 @@ class TestOracle:
 
 class TestPrincipalValueCache:
     def test_bath_independent_misses(self):
-        _pv_extrapolated.cache_clear()
+        _principal_value.cache_clear()
         for r in (0.0, 0.25, 1.0):
             bs = bath_from_params(P, r_override=r)
             for ch in ("J", "Jpp", "Jmm"):
                 coupling_oracle(ch, 1.25, P, bs)
         # one entry per quadrature density: n_scale 1 and 1.5
-        info = _pv_extrapolated.cache_info()
+        info = _principal_value.cache_info()
         assert info.misses == 2
         assert info.hits == 13
         assert info.maxsize is not None
 
     def test_cached_value_is_exact(self):
         rho_cm = 1.25 * LAMBDA
-        _pv_extrapolated.cache_clear()
-        cached = _pv_extrapolated(rho_cm, P, 1.0)
-        assert _pv_extrapolated(rho_cm, P, 1.0) is cached
-        assert _pv_extrapolated.__wrapped__(rho_cm, P, 1.0) == cached
+        _principal_value.cache_clear()
+        cached = _principal_value(rho_cm, P, 1.0)
+        assert _principal_value(rho_cm, P, 1.0) is cached
+        assert _principal_value.__wrapped__(rho_cm, P, 1.0) == cached
 
     def test_keyed_on_params(self):
         # same separation in cm, other detuning: a new entry, not a stale hit
         rho_cm = 1.25 * LAMBDA
         other = PhysicalParams(detuning_wq_minus_DF=150.0)
-        a = _pv_extrapolated(rho_cm, P, 1.0)
-        b = _pv_extrapolated(rho_cm, other, 1.0)
-        assert b == _pv_extrapolated.__wrapped__(rho_cm, other, 1.0)
+        a = _principal_value(rho_cm, P, 1.0)
+        b = _principal_value(rho_cm, other, 1.0)
+        assert b == _principal_value.__wrapped__(rho_cm, other, 1.0)
         assert b != a
 
     def test_cold_call_memory(self):
@@ -260,10 +264,10 @@ class TestPrincipalValueCache:
         # oscillatory tail used to evaluate its 468,576 nodes in one call
         # (40 MiB)
         gauss_legendre_panels(np.exp, [0.0, 1.0])  # builds the rule, imports np.polynomial
-        _pv_extrapolated.cache_clear()
+        _principal_value.cache_clear()
         tracemalloc.start()
         try:
-            _pv_extrapolated(0.205 * LAMBDA, P, 1.0)
+            _principal_value(0.205 * LAMBDA, P, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -825,6 +825,21 @@ class TestSteadyState:
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(gen)
 
+    def test_degeneracy_message_names_both_estimates(self):
+        # at a = 1e-4 lambda the steady state is unique, but its slowest
+        # rate is 4e-10 of the radius: the message gives both numbers and
+        # both readings
+        gen = generator_for(2, 1e-4, 0.0)
+        moduli = np.sort(np.abs(np.linalg.eig(gen.liouvillian())[0]))
+        with pytest.raises(DegenerateSteadyStateError) as info:
+            steady_state(gen)
+        message = str(info.value)
+        found = re.search(r"\|lambda_2\| estimate (\S+) .* spectral-radius estimate (\S+):",
+                          message)
+        assert float(found[1]) == pytest.approx(moduli[1], rel=1e-3)
+        assert float(found[2]) == pytest.approx(moduli[-1], rel=1e-3)
+        assert "not unique" in message and "slowest decay rate" in message
+
     @pytest.mark.parametrize("a_over_lambda", [1e-7, 1e-5, 1e-4, 3e-4, 1e-3, 1e-2, 0.5])
     def test_degeneracy_decision_matches_dense_eig(self, a_over_lambda):
         # the bordered solve flags a degenerate null space exactly when the

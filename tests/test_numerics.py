@@ -5,6 +5,7 @@ from magsqueeze import numerics
 from magsqueeze.errors import QuadratureConvergenceError, StepSizeUnderflowError
 from magsqueeze.numerics import (
     EULER_GAMMA,
+    MIN_RTOL,
     bessel_j0,
     bessel_y0,
     eig_smallest,
@@ -293,9 +294,11 @@ class TestIntegrateOde:
 
     @pytest.mark.parametrize("rtol, atol", [
         (np.nan, 1e-10), (np.inf, 1e-10), (1e-8, np.nan), (1e-8, np.inf),
+        (1e-30, 1e-30), (0.99 * MIN_RTOL, 1e-10),
     ])
     def test_rejects_non_finite_tolerance(self, rtol, atol):
-        # a NaN tolerance used to give a NaN first step that was rejected forever
+        # a NaN tolerance used to give a NaN first step that was rejected
+        # forever; below MIN_RTOL the step shrinks without bound
         with pytest.raises(ValueError, match="tolerances"):
             integrate_ode(lambda _t, y: -y, np.array([1.0 + 0j]), np.array([0.0, 1.0]),
                           rtol, atol)
