@@ -114,7 +114,7 @@ def squeezing_parameter(g, bandwidth, lam=0.0):
     return BathState.from_squeezing(r, phi, lam=lam)
 
 
-def bath_from_params(params, r_override=None, phi_override=None):
+def bath_from_params(params, r_override=None):
     """Convenience: resonant geometry plus squeezing from the configured drive.
 
     `r_override` bypasses the strain-derived drive and sets the squeezing
@@ -123,8 +123,7 @@ def bath_from_params(params, r_override=None, phi_override=None):
     _, lam = resonant_wavelength(params)
     if r_override is None:
         return squeezing_parameter(saw_coupling(params), params.bandwidth_angular, lam=lam)
-    phi = DEFAULT_SQUEEZING_PHASE if phi_override is None else phi_override
-    return BathState.from_squeezing(r_override, phi, lam=lam)
+    return BathState.from_squeezing(r_override, DEFAULT_SQUEEZING_PHASE, lam=lam)
 
 
 # ---------------------------------------------------------------------------

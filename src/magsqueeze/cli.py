@@ -41,7 +41,7 @@ from .errors import (
     UnstableSqueezingError,
 )
 # the traced benchmark run (perfbench/spans.py) wraps bessel_j0 and bessel_y0
-from .numerics import MIN_RTOL, bessel_j0, bessel_y0  # noqa: F401
+from .numerics import MIN_ATOL, MIN_RTOL, bessel_j0, bessel_y0  # noqa: F401
 from .observables import initial_state, wineland_xi2
 from .params import (
     ArrayGeometry, apply_overrides, config_from_values, load_config, serialize_config,
@@ -64,12 +64,6 @@ SWEEP_N_DEFAULT = (2, 3, 4)
 SWEEP_AXES = {"sweep_r": SWEEP_R_DEFAULT, "sweep_a": SWEEP_A_DEFAULT, "sweep_n": SWEEP_N_DEFAULT}
 
 UNCORRELATED_A = 1000.0  # far-separation reference layout
-
-# Every run starts from a basis state, whose zero entries put the first step
-# of `integrate_ode` below its floor 16 eps unless atol >= about 40 eps rtol
-# (measured at N = 2 and 5 for rtol from 1e-6 to MIN_RTOL): an atol below
-# eps MIN_RTOL cannot be met at any allowed rtol.
-MIN_ATOL = float(np.finfo(float).eps) * MIN_RTOL
 
 # the CouplingSet channels in field order, as CSV file and column names
 CHANNEL_NAMES = ("J",) + tuple(f"gamma_{c}" for c in GAMMA_CHANNELS)
@@ -151,9 +145,9 @@ def write_trajectory_csv(path, traj, header_comments):
     return write_csv(path, comments, cols, rows)
 
 
-def write_coupling_csvs(out_dir, couplings, header_comments):
-    """One CSV per channel, row/column indices = qubit indices."""
-    written = []
+def write_coupling_csvs(out_dir, couplings, header_comments, written):
+    """One CSV per channel, row/column indices = qubit indices, each path
+    appended to `written` as soon as its file is in place."""
     n = couplings.n_qubits
     for name in CHANNEL_NAMES:
         mat = getattr(couplings, name.lower())  # J is the field `j`
@@ -161,7 +155,6 @@ def write_coupling_csvs(out_dir, couplings, header_comments):
         cols = ["qubit"] + [f"q{j}_Hz" for j in range(n)]
         rows = [tuple([float(i)] + list(mat[i])) for i in range(n)]
         written.append(write_csv(path, header_comments, cols, rows))
-    return written
 
 
 def _load(scenario):
@@ -307,7 +300,7 @@ def run_custom(scenario, params, geometry, written):
             traj, comments,
         )
     )
-    written.extend(write_coupling_csvs(scenario.output_dir, coup, comments))
+    write_coupling_csvs(scenario.output_dir, coup, comments, written)
 
 
 _RUNNERS = {

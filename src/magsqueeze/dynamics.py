@@ -19,6 +19,7 @@ the equivalence of the two forms is asserted in the test suite.
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,7 @@ MAX_STEADY_QUBITS = 7
 RITZ_PROBES = 16  # random right-hand sides of the degeneracy estimate
 CHECK_CHUNK_BYTES = 256 * 1024  # states per `_invariants` chunk (>= 1 state)
 SECTOR_CHUNK_BYTES = 2 * 1024 * 1024  # complex rows per steady-state assembly chunk (>= 1 row)
-REVERSAL_RTOL = 1e-9  # coupling asymmetry still taken as site-reversal symmetry
+REVERSAL_RTOL = 1e-9  # relative commutator with the site reversal still taken as symmetry
 _FLOAT_MAX = np.finfo(float).max
 
 
@@ -194,18 +195,15 @@ class Generator:
     Pi = prod_i sigma_z^i of the basis states and every A_t and B_t flips it
     (every `build_generator` output does).  A parity-symmetric Generator
     also keeps the parity `_Layout`, its operators split once into parity
-    blocks, for `action` on parity blocks and for `steady_state`.
-    `reversal_symmetric` says whether the generator commutes with the site
-    reversal i -> N-1-i; only `build_generator` claims it, and only
-    `steady_state` reads it.  The layouts keep work arrays, so one Generator
-    must not be applied from two threads at a time.
+    blocks, for `action` on parity blocks and for `steady_state`.  The
+    layouts keep work arrays, so one Generator must not be applied from two
+    threads at a time.
     """
 
-    def __init__(self, n_qubits, h_eff, terms, reversal_symmetric=False):
+    def __init__(self, n_qubits, h_eff, terms):
         if n_qubits < 1:
             raise ValueError(f"a Generator needs n_qubits >= 1, got {n_qubits!r}")
         self.n_qubits = n_qubits
-        self.reversal_symmetric = reversal_symmetric
         dim = 2 ** n_qubits
         count = len(terms)
         # assigning into the stacks below would broadcast a scalar or a row
@@ -278,6 +276,19 @@ class Generator:
             return self._parity.apply(rho)
         return self._dense.apply(rho[None])[0]
 
+    @cached_property
+    def reversal_symmetric(self):
+        """Whether ||L(R X R) - R L(X) R||_F <= REVERSAL_RTOL ||L(X)||_F, R the
+        bit reversal of the basis states (site reversal), on one fixed-seed
+        random complex X of unit norm: two dense `action` calls on first read."""
+        rng, dim = np.random.default_rng(0), 2 ** self.n_qubits
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        x /= np.linalg.norm(x)
+        rev = np.ix_(*[_bit_reversal(self.n_qubits)] * 2)
+        image = self.action(x)
+        gap = self.action(x[rev]) - image[rev]
+        return bool(np.linalg.norm(gap) <= REVERSAL_RTOL * np.linalg.norm(image))
+
     @property
     def parity_entries(self):
         """Flat indices in a d x d state of its (2, h, h) parity blocks, or None."""
@@ -331,6 +342,12 @@ def _parity_states(n_qubits):
     for k in range(n_qubits):
         even, odd = np.concatenate([even, odd + 2 ** k]), np.concatenate([odd, even + 2 ** k])
     return even, odd
+
+
+def _bit_reversal(n_qubits):
+    """r(k) of every basis state k: its n_qubits bits in reverse order."""
+    states = np.arange(2 ** n_qubits)
+    return sum(((states >> k) & 1) << (n_qubits - 1 - k) for k in range(n_qubits))
 
 
 class _Layout:
@@ -399,14 +416,7 @@ def build_generator(couplings):
     The squeezed-bath parameters are recovered from the matrices themselves
     (occupation from the absorption/emission ratio, the anomalous moment from
     the on-site pair channel), the same information the channel sum of the
-    couplings reads.  The generator is reversal-symmetric when `j` and the
-    four `gamma` matrices equal their site-reversed copies to REVERSAL_RTOL
-    of their largest entry.  On a uniform chain the mirrored separations
-    i a - j a differ by an ulp unless a is a short binary fraction, and the
-    closed-form couplings amplify that to below 1e-10 of the largest entry
-    (at most 7.4e-11 over 37,800 chains, N = 2-7, a/lambda up to 15), so
-    every uniform chain claims the symmetry; `steady_state`'s residual test
-    on the full `action` checks each claim.
+    couplings reads.
     """
     n = couplings.n_qubits
     if n > MAX_QUBITS:
@@ -431,11 +441,7 @@ def build_generator(couplings):
         for a in range(n):
             c_m += vecs[a, m] * (cosh_r * lowers[a] + sinh_phase * raises_[a])
         terms.append((vals[m], c_m, c_m.conj().T))
-    reversal = all(
-        np.max(np.abs(m - m[::-1, ::-1])) <= REVERSAL_RTOL * np.max(np.abs(m))
-        for m in (couplings.j, couplings.gamma_pm, couplings.gamma_mp,
-                  couplings.gamma_pp, couplings.gamma_mm))
-    return Generator(n, h_eff, terms, reversal)
+    return Generator(n, h_eff, terms)
 
 
 def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_states=False):
@@ -510,21 +516,20 @@ def steady_state(generator):
     X has the coordinate Re X_ij + Im X_ij at [i, j], and a real orthogonal
     change V of the basis states maps the coordinates Q to V^T Q V.
 
-    A reversal-symmetric generator (`Generator.reversal_symmetric`) also
-    commutes with X -> R X R, R the bit reversal of the basis states, which
-    keeps their parity.  On the `_reversal_basis` of each parity (the states
-    that R fixes, and (e_k +- e_r(k))/sqrt2 for each pair that R swaps,
-    even or odd under R) a coordinate [i, j] is reversal-even when i and j
-    are of the same class and reversal-odd otherwise, so each parity sector
-    splits into two real blocks, B+ and B- (`_sector_block`), each built
-    and solved on its own: for a chain at N = 5, 512 = 272 + 240.  The
-    split is taken from SECTOR_MIN_QUBITS qubits on.  Below that, or without
-    the symmetry, the basis is the identity and B+ alone, the parity sector,
-    is built (a 0-size block is skipped).  The complex
-    L is never built; at N = 7 a chain's largest block is 4160^2 float64
-    (138 MB), and `np.linalg.solve` copies it once.  An N = 7 generator
-    without the split (ValueError) would need a parity sector of 8192^2
-    (512 MB), copied again by the solve.
+    From SECTOR_MIN_QUBITS qubits on, a generator measured to commute with
+    X -> R X R (`Generator.reversal_symmetric`), R the bit reversal of the
+    basis states, which keeps their parity, is split further.  On the
+    `_reversal_basis` of each parity (the states that R fixes, and
+    (e_k +- e_r(k))/sqrt2 for each pair that R swaps, even or odd under R) a
+    coordinate [i, j] is reversal-even when i and j are of the same class
+    and reversal-odd otherwise, so each parity sector splits into two real
+    blocks, B+ and B- (`_sector_block`), each built and solved on its own:
+    for a chain at N = 5, 512 = 272 + 240.  Otherwise the basis is the
+    identity and B+ alone, the parity sector, is built (a 0-size block is
+    skipped).  The complex L is never built; at N = 7 a chain's largest
+    block is 4160^2 float64 (138 MB), and `np.linalg.solve` copies it once.
+    An N = 7 generator without the split (ValueError) would need a parity
+    sector of 8192^2 (512 MB), copied again by the solve.
 
     The trace functional w (1 on the diagonal coordinates [i, i], all of
     them reversal-even) is a left null vector of the parity-even B+, so by
@@ -544,21 +549,15 @@ def steady_state(generator):
     normalized solution, on the full `action`, is checked against
     1e-8 ||L||_F (LinAlgError), where ||L||_F^2 sums the blocks' squared
     norms (the basis is orthonormal; the entries between two blocks are 0,
-    and round-off under reversal), so a wrong reversal claim fails closed.
+    and round-off under reversal), so a wrong reversal flag fails closed.
     A generator whose entries could overflow these sums of squares (on a
     chain, a squeezing parameter r above about 172 at N = 7, 176 at N = 2)
-    raises ConfigError.
+    raises ConfigError before its reversal symmetry is measured.
     The state is then trace-normalized and checked like QubitState.check,
     without its warning.  It is Hermitian by construction: the entries of
     ((1+i) Q + (1-i) Q^T)/2 at [i, j] and [j, i] are exact conjugates.
     """
     n = generator.n_qubits
-    reversal = generator.reversal_symmetric and n >= SECTOR_MIN_QUBITS
-    if n > MAX_STEADY_QUBITS or (n == MAX_STEADY_QUBITS and not reversal):
-        raise ValueError(
-            f"dense steady-state solve limited to {MAX_STEADY_QUBITS} qubits on a "
-            f"reversal-symmetric chain and to {MAX_STEADY_QUBITS - 1} otherwise"
-        )
     if not generator.parity_symmetric:
         raise ValueError(
             "steady_state needs a parity-symmetric generator: H and G must "
@@ -571,11 +570,17 @@ def steady_state(generator):
     # sum of squares formed below (the blocks' norms, the Arnoldi vectors)
     # is at most 16^N bound^2, in any orthonormal basis
     bound = np.abs(stacks[0]).max(axis=(0, 2, 3)) @ np.abs(stacks[1]).max(axis=(0, 2, 3))
-    if not 4 ** n * bound <= np.sqrt(_FLOAT_MAX):
+    if not bound <= np.sqrt(_FLOAT_MAX) / 4 ** n:
         raise ConfigError(
             f"generator too large for a steady state: its entries over Gamma_0 reach "
             f"{bound:.3g} (about N cosh 2r at squeezing r), so the sums of squares of "
             f"its 16^{n} entries would overflow"
+        )
+    reversal = SECTOR_MIN_QUBITS <= n <= MAX_STEADY_QUBITS and generator.reversal_symmetric
+    if n > MAX_STEADY_QUBITS or (n == MAX_STEADY_QUBITS and not reversal):
+        raise ValueError(
+            f"dense steady-state solve limited to {MAX_STEADY_QUBITS} qubits on a "
+            f"reversal-symmetric chain and to {MAX_STEADY_QUBITS - 1} otherwise"
         )
     dim = 2 ** n
     half = dim // 2
@@ -651,12 +656,11 @@ def _reversal_basis(n_qubits):
     k < r(k), then (e_k - e_r(k))/sqrt2; the first evens[x] are even."""
     order = np.concatenate(_parity_states(n_qubits))
     half = len(order) // 2
-    reversed_ = sum(((order >> k) & 1) << (n_qubits - 1 - k) for k in range(n_qubits))
     where = np.empty_like(order)
     where[order] = np.arange(len(order))
     states = np.arange(half)
     evens, basis = [], np.zeros((2, half, half))
-    for x, r in enumerate((where[reversed_] % half).reshape(2, half)):
+    for x, r in enumerate((where[_bit_reversal(n_qubits)[order]] % half).reshape(2, half)):
         fixed, low = np.flatnonzero(states == r), np.flatnonzero(states < r)
         evens.append(len(fixed) + len(low))
         odd = np.arange(evens[x], half)  # the columns of the odd vectors

@@ -140,6 +140,10 @@ _DP_DENSE = np.array(
 # is round-off, and the step size shrinks without bound (the same floor as
 # scipy's solve_ivp)
 MIN_RTOL = 100 * float(np.finfo(float).eps)
+# from a start with zero entries (a basis state) the first step falls below the
+# floor 16 eps unless atol >= about 40 eps rtol (measured at N = 2 and 5, rtol
+# 1e-6 to MIN_RTOL), so no allowed rtol meets an atol below eps MIN_RTOL
+MIN_ATOL = float(np.finfo(float).eps) * MIN_RTOL
 
 
 def _initial_step(f, t0, y0, f0, rtol, atol, rms):
@@ -172,7 +176,7 @@ def integrate_ode(f, y0, t_grid, rtol, atol, layout=None):
     the full vector takes, bit for bit.
 
     Raises ValueError unless `rtol` is finite and >= MIN_RTOL, `atol` is
-    finite and > 0, the grid is finite and strictly increasing and the
+    finite and >= MIN_ATOL, the grid is finite and strictly increasing and the
     `positions` are len(y0) distinct indices below `size`, and
     StepSizeUnderflowError if the controller drives h below the
     representable minimum or a step's error norm is NaN (a NaN right-hand
@@ -185,9 +189,9 @@ def integrate_ode(f, y0, t_grid, rtol, atol, layout=None):
         raise ValueError("t_grid must be finite")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    if not (np.isfinite(rtol) and rtol >= MIN_RTOL and np.isfinite(atol) and atol > 0):
-        raise ValueError(f"tolerances must be finite, rtol >= {MIN_RTOL!r} and atol > 0, "
-                         f"got rtol={rtol!r}, atol={atol!r}")
+    if not (np.isfinite(rtol) and rtol >= MIN_RTOL and np.isfinite(atol) and atol >= MIN_ATOL):
+        raise ValueError(f"tolerances must be finite, rtol >= {MIN_RTOL!r} and atol >= "
+                         f"{MIN_ATOL!r}, got rtol={rtol!r}, atol={atol!r}")
 
     y = np.asarray(y0, dtype=complex).copy()
     if layout is None:

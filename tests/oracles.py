@@ -84,8 +84,7 @@ def four_channel_generator(couplings):
     sigma_a^+ rho (sum_b gamma_mp[a, b] sigma_b^-) with weight 1, and the
     anomalous sigma_a^+ rho (sum_b gamma_mm[a, b] sigma_b^+) and
     sigma_a^- rho (sum_b gamma_pp[a, b] sigma_b^-) with weight -1.  The
-    effective Hamiltonian and the reversal claim are those of the
-    jump-operator form."""
+    effective Hamiltonian is that of the jump-operator form."""
     g = build_generator(couplings)
     n = couplings.n_qubits
     g0 = couplings.gamma0
@@ -102,7 +101,7 @@ def four_channel_generator(couplings):
         terms.append((1.0, raises_[a], _collect(mp[a], lowers)))
         terms.append((-1.0, raises_[a], _collect(mm[a], raises_)))
         terms.append((-1.0, lowers[a], _collect(pp[a], lowers)))
-    return Generator(n, g.h_eff, terms, g.reversal_symmetric)
+    return Generator(n, g.h_eff, terms)
 
 
 def _collect(row, ops):

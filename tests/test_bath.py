@@ -90,6 +90,10 @@ class TestSqueezingParameter:
         bs = squeezing_parameter(0.0, 1.0)
         assert bs.r_kq == 0 and bs.N_kq == 0 and bs.M_kq == 0
 
+    def test_non_positive_bandwidth_rejected(self):
+        with pytest.raises(ValueError, match="bandwidth"):
+            squeezing_parameter(0.1, 0.0)
+
     def test_instability_at_bandwidth(self):
         with pytest.raises(UnstableSqueezingError):
             squeezing_parameter(1.0, 1.0)

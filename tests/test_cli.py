@@ -250,6 +250,8 @@ class TestMainExitCodes:
         ["sweep_r=0,-1"],
         ["sweep_a=0.5,-1", "sweep_n=2,3"],
         ["sweep_r=0.25,nan", "sweep_a=0.5,1", "sweep_n=2"],
+        # not a number, empty, not an integer
+        ["sweep_r=abc"], ["sweep_r="], ["sweep_n=2.5"],
     ])
     def test_config_error_bad_sweep_value_before_any_point(self, tmp_path, capsys,
                                                            monkeypatch, axes):
@@ -282,10 +284,10 @@ class TestMainExitCodes:
 
     def test_config_error_asymmetric_chain_at_the_limit(self, tmp_path, capsys, monkeypatch):
         # at a/lambda = 1.7 the 7-qubit chain's couplings differ from their
-        # mirrored copies by far more ulps than at 0.5, yet well within
-        # REVERSAL_RTOL: every chain claims site reversal, so the limit is
-        # no config error and every point runs; the solve is replaced by
-        # the ground state of the same generator
+        # mirrored copies by far more ulps than at 0.5, yet its generator
+        # measures reversal-symmetric well within REVERSAL_RTOL, as every
+        # chain's does, so the limit is no config error and every point
+        # runs; the solve is replaced by the ground state of the same generator
         from magsqueeze import cli as cli_mod
         from magsqueeze.observables import initial_state
 
@@ -463,6 +465,27 @@ class TestMainExitCodes:
         )
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name, failing_call", [("write_coupling_csvs", 1), ("write_csv", 4)])
+    def test_later_failed_write_removes_the_earlier_files(self, tmp_path, capsys, monkeypatch,
+                                                          name, failing_call):
+        # custom writes its trajectory, then its coupling tables one by one:
+        # the fourth write_csv call is the third table
+        from magsqueeze import cli as cli_mod
+
+        real, calls = getattr(cli_mod, name), []
+
+        def fail_once(*args):
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise ConfigError("write refused")
+            return real(*args)
+
+        monkeypatch.setattr(cli_mod, name, fail_once)
+        code = main(["--scenario", "custom", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "write refused" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_invariant_violation_exit(self, tmp_path, capsys, monkeypatch):

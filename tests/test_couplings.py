@@ -216,6 +216,12 @@ class TestOracle:
         with pytest.raises(ConfigError, match=match):
             coupling_oracle(channel, rho, P, bs, n_scale=n_scale)
 
+    def test_exchange_oracle_needs_a_positive_separation(self):
+        # the on-site rates are finite, the exchange kernel Y0 diverges there
+        bs = bath_from_params(P, r_override=0.25)
+        with pytest.raises(ConfigError, match="positive separation"):
+            coupling_oracle("J", 0.0, P, bs)
+
     @pytest.mark.parametrize("channel", ["pm", "J"])
     def test_zero_dim_array_separation(self, channel):
         bs = bath_from_params(P, r_override=0.25)

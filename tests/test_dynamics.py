@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magsqueeze import dynamics
-from magsqueeze.bath import bath_from_params
+from magsqueeze.bath import BathState, bath_from_params, resonant_wavelength
 from magsqueeze.cli import EXIT_OK, main
 from magsqueeze.couplings import build_couplings
 from magsqueeze.dynamics import (
@@ -23,6 +23,7 @@ from magsqueeze.dynamics import (
     steady_state,
 )
 from magsqueeze.errors import (
+    ConfigError,
     DegenerateSteadyStateError,
     StateInvariantError,
 )
@@ -328,7 +329,7 @@ def layout_couplings(points, r, phi):
     diff = positions[:, None, :] - positions[None, :, :]
     sep = np.sqrt(np.sum(diff ** 2, axis=-1))
     assume(np.min(sep[~np.eye(len(points), dtype=bool)]) >= 0.05)
-    bs = bath_from_params(P, r_override=r, phi_override=phi)
+    bs = BathState.from_squeezing(r, phi, lam=resonant_wavelength(P)[1])
     return build_couplings(ArrayGeometry(positions=positions), P, bs)
 
 
@@ -469,7 +470,7 @@ class TestParityBlocks:
         # the blocks keep the ascending index order of each parity, so the
         # parity layout sums the same nonzero products in the same order
         if chain:
-            bs = bath_from_params(P, r_override=r, phi_override=phi)
+            bs = BathState.from_squeezing(r, phi, lam=resonant_wavelength(P)[1])
             couplings = build_couplings(ArrayGeometry.chain(n, data.draw(CHAIN_SPACING)), P, bs)
         else:
             points = data.draw(st.lists(POSITIONS, min_size=n, max_size=n))
@@ -774,6 +775,13 @@ class TestEvolve:
         with pytest.raises(ValueError, match="qubit counts"):
             evolve(initial_state("all_excited", 3), gen, np.array([0.0, 1.0]))
 
+    def test_atol_below_the_floor_rejected(self):
+        # before the first step: from a basis state, the step at atol =
+        # 1e-200 overflowed the error norm's squares (a RuntimeWarning)
+        gen = generator_for(2, 0.5, 0.0)
+        with pytest.raises(ValueError, match="tolerances"):
+            evolve(initial_state("all_excited", 2), gen, np.linspace(0, 1, 5), atol=1e-200)
+
 
 # (layout, mode): seeded random 3-qubit layouts and a 4-qubit chain; a case of
 # the jump_operator mode is named by its layout alone
@@ -911,15 +919,25 @@ class TestSteadyState:
         with pytest.raises(ValueError, match="limited"):
             steady_state(gen)
 
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_huge_squeezing_refused(self, n):
+        # at r = 350 the entries reach about 1e304, so the sums of squares
+        # of L would overflow; the bound itself, times 16^N, overflowed at
+        # N = 7 (a RuntimeWarning, an error under this suite's filter)
+        with pytest.raises(ConfigError, match="too large"):
+            steady_state(generator_for(n, 0.5, 350.0))
+
     @pytest.mark.parametrize("build", ["layout", "hand-built"])
     def test_seven_qubits_need_the_reversal_blocks(self, monkeypatch, build):
         # without the site-reversal split an N = 7 parity sector is 8192^2
-        # float64; it is refused before any work
+        # float64; it is refused before any work.  A sigma_z field on qubit 0
+        # keeps the parity of a chain's generator but breaks its reversal
         if build == "layout":
             gen = random_layout_generator(0, 7, "jump_operator")
         else:
             chain = generator_for(7, 0.5, 0.25)
-            gen = Generator(7, chain.h_eff, chain.terms)
+            gen = Generator(7, chain.h_eff + site_pauli("z", 0, 7), chain.terms)
+            assert gen.parity_symmetric
         assert not gen.reversal_symmetric
 
         def no_work(*args):
@@ -959,7 +977,8 @@ class TestReversalSectors:
         # the chain differ by an ulp, and the couplings by a few; from N = 5
         # on, the couplings of the larger spacings differ from their mirrored
         # copies by up to about 1e-10 of their largest entry (at N = 7 by 75
-        # ulps at 1.7 and by 3.2e4 ulps at 12.9742)
+        # ulps at 1.7 and by 3.2e4 ulps at 12.9742), and the measured
+        # commutator with the reversal stays below 1e-12 of the action
         wide = (1.7, 2.1989, 4.2941, 12.9742) if n >= 5 else ()
         for a in (0.4, 0.5, 0.8, 1.25, *wide):
             assert generator_for(n, a, 0.25, mode).reversal_symmetric, a
@@ -971,16 +990,23 @@ class TestReversalSectors:
             assert not random_layout_generator(seed, n, mode).reversal_symmetric
 
     def test_displaced_qubit_breaks_the_symmetry(self):
-        positions = ArrayGeometry.chain(5, 0.5).positions.copy()
-        positions[1, 0] += 1e-3
-        couplings = build_couplings(ArrayGeometry(positions=positions), P,
-                                    bath_from_params(P, r_override=0.25))
-        assert not build_generator(couplings).reversal_symmetric
+        # the relative commutator is about 0.44 of the displacement in lambda,
+        # 4.4e-8 at 1e-7: 44 times REVERSAL_RTOL
+        for shift in (1e-3, 1e-7):
+            positions = ArrayGeometry.chain(5, 0.5).positions.copy()
+            positions[1, 0] += shift
+            couplings = build_couplings(ArrayGeometry(positions=positions), P,
+                                        bath_from_params(P, r_override=0.25))
+            assert not build_generator(couplings).reversal_symmetric, shift
 
-    def test_hand_built_generator_is_not(self):
-        base = generator_for(3, 0.5, 0.25)
-        assert base.reversal_symmetric
-        assert not Generator(3, base.h_eff, base.terms).reversal_symmetric
+    def test_hand_built_copy_takes_the_four_blocks(self, monkeypatch):
+        # the symmetry is measured on the generator, however it was built
+        base = generator_for(5, 0.5, 0.25)
+        copy = Generator(5, base.h_eff, base.terms)
+        sizes = block_sizes(monkeypatch)
+        got = steady_state(copy).rho
+        assert sizes == [272, 240, 272, 240]
+        assert trace_distance(got, steady_state(base).rho) <= 1e-12
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

@@ -5,6 +5,7 @@ from magsqueeze import numerics
 from magsqueeze.errors import QuadratureConvergenceError, StepSizeUnderflowError
 from magsqueeze.numerics import (
     EULER_GAMMA,
+    MIN_ATOL,
     MIN_RTOL,
     bessel_j0,
     bessel_y0,
@@ -291,14 +292,18 @@ class TestIntegrateOde:
             integrate_ode(lambda _t, y: -y, y0, np.array([0.0, -1.0]), 1e-8, 1e-10)
         with pytest.raises(ValueError):
             integrate_ode(lambda _t, y: -y, y0, np.array([0.0, 1.0]), -1e-8, 1e-10)
+        with pytest.raises(ValueError, match="non-empty"):
+            integrate_ode(lambda _t, y: -y, y0, np.array([]), 1e-8, 1e-10)
 
     @pytest.mark.parametrize("rtol, atol", [
         (np.nan, 1e-10), (np.inf, 1e-10), (1e-8, np.nan), (1e-8, np.inf),
-        (1e-30, 1e-30), (0.99 * MIN_RTOL, 1e-10),
+        (1e-30, 1e-30), (0.99 * MIN_RTOL, 1e-10), (1e-8, 1e-200), (1e-8, 0.99 * MIN_ATOL),
     ])
     def test_rejects_non_finite_tolerance(self, rtol, atol):
         # a NaN tolerance used to give a NaN first step that was rejected
-        # forever; below MIN_RTOL the step shrinks without bound
+        # forever; below MIN_RTOL the step shrinks without bound; below
+        # MIN_ATOL a start with zero entries takes no first step, and at
+        # 1e-200 the error norm's squares overflowed with a RuntimeWarning
         with pytest.raises(ValueError, match="tolerances"):
             integrate_ode(lambda _t, y: -y, np.array([1.0 + 0j]), np.array([0.0, 1.0]),
                           rtol, atol)

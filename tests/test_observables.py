@@ -79,6 +79,11 @@ class TestCollectiveSpin:
         with pytest.raises(ValueError, match=re.escape(f"shape {rho.shape}")):
             collective_spin(rho)
 
+    def test_non_hermitian_state_rejected(self):
+        # <S_x> and <S_y> of a non-Hermitian matrix have imaginary parts
+        with pytest.raises(ValueError, match="came out complex"):
+            collective_spin(np.array([[1, 1j], [0, 0]]))
+
 
 class TestWineland:
     @given(

@@ -108,6 +108,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="missing value"):
             parse_config_text("L_nm =\n")
 
+    def test_line_without_equals_rejected(self):
+        with pytest.raises(ConfigError, match="key = value"):
+            parse_config_text("n_qubits 3")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "does_not_exist.cfg")
@@ -179,6 +183,12 @@ class TestGeometry:
     def test_nonfinite_positions_rejected(self):
         with pytest.raises(ConfigError, match="finite"):
             ArrayGeometry(positions=np.array([[0.0, 0.0], [np.inf, 0.0]]))
+        with pytest.raises(ConfigError, match="lattice_const_a_over_lambda"):
+            ArrayGeometry(positions=np.zeros((1, 2)), lattice_const_a_over_lambda=np.nan)
+
+    def test_positions_not_in_the_plane_rejected(self):
+        with pytest.raises(ConfigError, match=r"\(N, 2\)"):
+            ArrayGeometry(positions=np.zeros((3, 3)))
 
     @pytest.mark.parametrize("positions", [
         [[0.0, 0.0], [1e160, 0.0]],
