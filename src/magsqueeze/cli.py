@@ -11,8 +11,9 @@ sweep             steady-state squeezing over a (r, a/lambda, N) grid
 custom            single trajectory for the configured parameters, plus the
                   coupling matrices (one CSV per channel)
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 state-invariant violation.
+Exit codes: 0 success, 2 configuration error or a failed write, 3 numerical
+failure, 4 state-invariant violation.  Every table is computed before the
+first file is written, and a failed write removes the run's files.
 """
 
 import argparse
@@ -67,6 +68,11 @@ UNCORRELATED_A = 1000.0  # far-separation reference layout
 
 # the CouplingSet channels in field order, as CSV file and column names
 CHANNEL_NAMES = ("J",) + tuple(f"gamma_{c}" for c in GAMMA_CHANNELS)
+
+TRAJECTORY_COLUMNS = (
+    "Gamma0_t", "Sx", "Sy", "Sz", "min_perp_var", "inv_xi_R_squared",
+    "relaxation_rate_per_qubit", "min_eig_rho", "trace_error", "herm_error",
+)
 
 
 @dataclass
@@ -132,31 +138,6 @@ def write_csv(path, header_comments, columns, rows):
     return path
 
 
-def write_trajectory_csv(path, traj, header_comments):
-    cols = [
-        "Gamma0_t", "Sx", "Sy", "Sz", "min_perp_var", "inv_xi_R_squared",
-        "relaxation_rate_per_qubit", "min_eig_rho", "trace_error", "herm_error",
-    ]
-    comments = header_comments + ["# columns: dimensionless (trajectory)"]
-    rows = zip(
-        traj.t, *traj.mean_spin.T, traj.min_perp_var, traj.inv_xi2,
-        traj.relaxation, traj.min_eig, traj.trace_err, traj.herm_err,
-    )
-    return write_csv(path, comments, cols, rows)
-
-
-def write_coupling_csvs(out_dir, couplings, header_comments, written):
-    """One CSV per channel, row/column indices = qubit indices, each path
-    appended to `written` as soon as its file is in place."""
-    n = couplings.n_qubits
-    for name in CHANNEL_NAMES:
-        mat = getattr(couplings, name.lower())  # J is the field `j`
-        path = os.path.join(out_dir, f"couplings_{name}.csv")
-        cols = ["qubit"] + [f"q{j}_Hz" for j in range(n)]
-        rows = [tuple([float(i)] + list(mat[i])) for i in range(n)]
-        written.append(write_csv(path, header_comments, cols, rows))
-
-
 def _load(scenario):
     if scenario.config_path is not None:
         params, geometry = load_config(scenario.config_path)
@@ -177,18 +158,16 @@ def _generator(params, n, a_over_lambda, r):
     return build_generator(build_couplings(geometry, params, bathstate))
 
 
-def run_fig2a(scenario, params, geometry, written):
+def run_fig2a(scenario, params, geometry):
     bathstate = bath_from_params(params)
     rho = np.linspace(0.05, 3.0, 296)
     _, channels = closed_form_channels(rho, params, bathstate)
-    rows = list(zip(rho, *channels))
     cols = ["rho_over_lambda"] + [f"{name}_Hz" for name in CHANNEL_NAMES]
-    comments = _provenance(params, geometry, scenario) + [
+    comments = [
         f"# squeezing r = {bathstate.r_kq!r}, N = {bathstate.N_kq!r}, "
         f"|M| = {abs(bathstate.M_kq)!r}"
     ]
-    path = os.path.join(scenario.output_dir, "fig2a_couplings.csv")
-    written.append(write_csv(path, comments, cols, rows))
+    return [("fig2a_couplings.csv", comments, cols, zip(rho, *channels))]
 
 
 FIG2B_SETS = (
@@ -199,7 +178,7 @@ FIG2B_SETS = (
 )
 
 
-def run_fig2b(scenario, params, geometry, written):
+def run_fig2b(scenario, params, geometry):
     curves = {}
     for label, r, a, init in FIG2B_SETS:
         gen = _generator(params, 2, a, r)
@@ -210,12 +189,10 @@ def run_fig2b(scenario, params, geometry, written):
         curves[label] = traj.inv_xi2
     cols = ["Gamma0_t"] + [f"inv_xi2_{label}" for label, *_ in FIG2B_SETS]
     rows = zip(FIG2B_TGRID, *(curves[label] for label, *_ in FIG2B_SETS))
-    comments = _provenance(params, geometry, scenario)
-    path = os.path.join(scenario.output_dir, "fig2b_squeezing.csv")
-    written.append(write_csv(path, comments, cols, rows))
+    return [("fig2b_squeezing.csv", [], cols, rows)]
 
 
-def run_fig2c(scenario, params, geometry, written):
+def run_fig2c(scenario, params, geometry):
     labels = []
     curves = []
     for r in (0.0, 0.5, 1.0):
@@ -228,10 +205,7 @@ def run_fig2c(scenario, params, geometry, written):
             labels.append(f"rate_{tag}_r{r:g}")
             curves.append(traj.relaxation)
     cols = ["Gamma0_t"] + labels
-    rows = zip(FIG2C_TGRID, *curves)
-    comments = _provenance(params, geometry, scenario)
-    path = os.path.join(scenario.output_dir, "fig2c_relaxation.csv")
-    written.append(write_csv(path, comments, cols, rows))
+    return [("fig2c_relaxation.csv", [], cols, zip(FIG2C_TGRID, *curves))]
 
 
 def _override_key(item):
@@ -256,7 +230,7 @@ def _sweep_axes(overrides):
     return axes["sweep_r"], axes["sweep_a"], axes["sweep_n"]
 
 
-def run_sweep(scenario, params, geometry, written):
+def run_sweep(scenario, params, geometry):
     r_axis, a_axis, n_axis = _sweep_axes(scenario.overrides)
     if not all(1 <= n <= MAX_STEADY_QUBITS for n in n_axis):
         raise ConfigError(f"sweep_n values must be between 1 and {MAX_STEADY_QUBITS}")
@@ -280,12 +254,10 @@ def run_sweep(scenario, params, geometry, written):
     else:
         rows = [point(g) for g in grid]
     cols = ["r", "a_over_lambda", "n_qubits", "xi_R_squared", "inv_xi_R_squared", "Sz_steady"]
-    comments = _provenance(params, geometry, scenario)
-    path = os.path.join(scenario.output_dir, "sweep_steady_state.csv")
-    written.append(write_csv(path, comments, cols, rows))
+    return [("sweep_steady_state.csv", [], cols, rows)]
 
 
-def run_custom(scenario, params, geometry, written):
+def run_custom(scenario, params, geometry):
     bathstate = bath_from_params(params)
     coup = build_couplings(geometry, params, bathstate)
     gen = build_generator(coup)
@@ -293,14 +265,20 @@ def run_custom(scenario, params, geometry, written):
         initial_state("all_excited", geometry.n_qubits), gen, FIG2B_TGRID,
         rtol=scenario.rtol, atol=scenario.atol,
     )
-    comments = _provenance(params, geometry, scenario)
-    written.append(
-        write_trajectory_csv(
-            os.path.join(scenario.output_dir, "custom_trajectory.csv"),
-            traj, comments,
-        )
+    rows = zip(
+        traj.t, *traj.mean_spin.T, traj.min_perp_var, traj.inv_xi2,
+        traj.relaxation, traj.min_eig, traj.trace_err, traj.herm_err,
     )
-    write_coupling_csvs(scenario.output_dir, coup, comments, written)
+    tables = [("custom_trajectory.csv", ["# columns: dimensionless (trajectory)"],
+               TRAJECTORY_COLUMNS, rows)]
+    # one table per channel, row/column indices = qubit indices
+    n = coup.n_qubits
+    cols = ["qubit"] + [f"q{j}_Hz" for j in range(n)]
+    for name in CHANNEL_NAMES:
+        mat = getattr(coup, name.lower())  # J is the field `j`
+        tables.append((f"couplings_{name}.csv", [], cols,
+                       [(float(i), *mat[i]) for i in range(n)]))
+    return tables
 
 
 _RUNNERS = {
@@ -315,22 +293,29 @@ _RUNNERS = {
 def run_scenario(scenario):
     """Execute a scenario; returns the list of files written.
 
-    Output is atomic per file; on failure, files already moved into place
-    from THIS run are removed so the directory never holds partial results.
+    The runner computes every table before the first file is written, each
+    atomically.  If a write fails, the files that THIS run already wrote
+    are removed, and an OSError becomes a ConfigError.
     """
     params, geometry = _load(scenario)
     try:
         os.makedirs(scenario.output_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use output directory {scenario.output_dir!r}: {exc}") from exc
+    tables = _RUNNERS[scenario.name](scenario, params, geometry)
+    provenance = _provenance(params, geometry, scenario)
     written = []
-    try:
-        _RUNNERS[scenario.name](scenario, params, geometry, written)
-    except Exception:
-        for path in written:
-            if os.path.exists(path):
-                os.unlink(path)
-        raise
+    for name, comments, columns, rows in tables:
+        path = os.path.join(scenario.output_dir, name)
+        try:
+            written.append(write_csv(path, provenance + comments, columns, rows))
+        except Exception as exc:
+            for done in written:
+                if os.path.exists(done):
+                    os.unlink(done)
+            if isinstance(exc, OSError):
+                raise ConfigError(f"cannot write {path}: {exc}") from exc
+            raise
     return written
 
 

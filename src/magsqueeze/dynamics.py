@@ -474,7 +474,7 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
     blocks = even and n >= SECTOR_MIN_QUBITS
     shape = start.shape if blocks else (dim, dim)
 
-    def rhs(_t, y):
+    def rhs(y):
         return generator.action(y.reshape(shape)).ravel()
 
     flat = integrate_ode(

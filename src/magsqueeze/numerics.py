@@ -109,7 +109,6 @@ def bessel_y0(x):
 # Adaptive embedded Runge-Kutta (Dormand-Prince 5(4)) with dense output
 # ---------------------------------------------------------------------------
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -146,13 +145,13 @@ MIN_RTOL = 100 * float(np.finfo(float).eps)
 MIN_ATOL = float(np.finfo(float).eps) * MIN_RTOL
 
 
-def _initial_step(f, t0, y0, f0, rtol, atol, rms):
+def _initial_step(f, y0, f0, rtol, atol, rms):
     scale = atol + rtol * np.abs(y0)
     d0 = rms(y0 / scale)
     d1 = rms(f0 / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     y1 = y0 + h0 * f0
-    f1 = f(t0 + h0, y1)
+    f1 = f(y1)
     d2 = rms((f1 - f0) / scale) / h0
     dm = max(d1, d2)
     h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.2
@@ -160,7 +159,8 @@ def _initial_step(f, t0, y0, f0, rtol, atol, rms):
 
 
 def integrate_ode(f, y0, t_grid, rtol, atol, layout=None):
-    """Integrate dy/dt = f(t, y) and return the states at the grid points.
+    """Integrate the autonomous system dy/dt = f(y) and return the states at
+    the grid points.
 
     Embedded Dormand-Prince 5(4) pair: the fifth-order solution propagates,
     the fourth-order difference controls the local error against
@@ -219,8 +219,8 @@ def integrate_ode(f, y0, t_grid, rtol, atol, layout=None):
     t_end = t_grid[-1]
 
     k = np.empty((7, y.size), dtype=complex)
-    k[0] = f(t, y)
-    h = min(_initial_step(f, t, y, k[0], rtol, atol, rms), t_end - t)
+    k[0] = f(y)
+    h = min(_initial_step(f, y, k[0], rtol, atol, rms), t_end - t)
 
     hmin_floor = 16.0 * np.finfo(float).eps
     while t < t_end:
@@ -233,7 +233,7 @@ def integrate_ode(f, y0, t_grid, rtol, atol, layout=None):
             )
         for i in range(1, 7):
             yi = y + h * (_DP_A[i] @ k[:i])
-            k[i] = f(t + _DP_C[i] * h, yi)
+            k[i] = f(yi)
         y_new = y + h * (_DP_B5 @ k)
         err_vec = h * (_DP_ERR @ k)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))

@@ -2,8 +2,12 @@
 from it so that no runtime path can route through them and check itself:
 the Kronecker embedding of the single-qubit operators that the index-built
 operators are checked against, the dense matrix exponential that `evolve`
-is checked against, and the four-channel form of the generator that the
-jump-operator form of `build_generator` is checked against."""
+is checked against, the four-channel form of the generator that the
+jump-operator form of `build_generator` is checked against, and the
+Dicke-space stationary state of the fully collective dissipator that
+`evolve` is checked against."""
+
+import math
 
 import numpy as np
 
@@ -109,3 +113,45 @@ def _collect(row, ops):
     for coeff, op in zip(row, ops):
         out += coeff * op
     return out
+
+
+def collective_steady_state(n_qubits, r, phi):
+    """The state that a symmetric start ends in under H = 0 and the one jump
+    operator C = cosh r S^- + e^{i phi} sinh r S^+ (S^pm = sum_i sigma_i^pm),
+    found in the (N + 1)-dimensional Dicke space alone: the Dicke state |k>
+    is the normalized sum of the basis states with k set bits (k qubits
+    down), and S^- |k> = sqrt((N - k)(k + 1)) |k + 1>.
+
+    Returns the null vector of the (N + 1)^2-dimensional Lindbladian as a
+    unit-trace state embedded into the 2^N space, its Wineland xi_R^2 (N
+    times the least variance of S perpendicular to <S>, over |<S>|^2) and
+    the slowest decay rate of that Lindbladian; ValueError unless the null
+    vector is unique.
+    """
+    n = n_qubits
+    k = np.arange(n + 1)
+    lower = np.diag(np.sqrt((n - k[:-1]) * (k[:-1] + 1.0)), -1)
+    c = np.cosh(r) * lower + np.exp(1j * phi) * np.sinh(r) * lower.T
+    cdc = c.conj().T @ c
+    eye = np.eye(n + 1)
+    # C rho C^dagger - {C^dagger C, rho}/2 on the row-major vec(rho)
+    liou = np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    vals, vecs = np.linalg.eig(liou)
+    order = np.argsort(-vals.real)
+    rate = -vals[order[1]].real
+    if not rate > 1e-8 * np.max(np.abs(vals)):
+        raise ValueError(f"the Dicke-space null vector at N = {n} is not unique")
+    rho = vecs[:, order[0]].reshape(n + 1, n + 1)
+    rho = rho / np.trace(rho)
+    rho = 0.5 * (rho + rho.conj().T)
+
+    spin = [lower + lower.T, 1j * (lower - lower.T), np.diag(n - 2.0 * k)]  # Pauli convention
+    mean = np.array([np.trace(rho @ a).real for a in spin])
+    second = np.array([[0.5 * np.trace(rho @ (a @ b + b @ a)).real for b in spin]
+                       for a in spin])
+    perp = np.linalg.svd(mean[None, :])[2][1:]  # orthonormal rows perpendicular to <S>
+    min_var = np.linalg.eigvalsh(perp @ (second - np.outer(mean, mean)) @ perp.T)[0]
+
+    set_bits = np.array([bin(i).count("1") for i in range(2 ** n)])
+    embed = (set_bits[:, None] == k) / np.sqrt([math.comb(n, j) for j in k])
+    return embed @ rho @ embed.T, n * min_var / (mean @ mean), rate

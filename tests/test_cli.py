@@ -467,32 +467,48 @@ class TestMainExitCodes:
         assert "numerical failure" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("name, failing_call", [("write_coupling_csvs", 1), ("write_csv", 4)])
+    @pytest.mark.parametrize("failing_call", range(1, 7))
+    @pytest.mark.parametrize("error", [ConfigError("write refused"), OSError("disk full")],
+                             ids=["ConfigError", "OSError"])
     def test_later_failed_write_removes_the_earlier_files(self, tmp_path, capsys, monkeypatch,
-                                                          name, failing_call):
-        # custom writes its trajectory, then its coupling tables one by one:
-        # the fourth write_csv call is the third table
+                                                          error, failing_call):
+        # custom writes its trajectory, then its five coupling tables: a
+        # failure at any write removes this run's files and no other, and a
+        # failed write is a configuration error
         from magsqueeze import cli as cli_mod
 
-        real, calls = getattr(cli_mod, name), []
+        (tmp_path / "keep.txt").write_text("there before the run\n")
+        real, calls = cli_mod.write_csv, []
 
         def fail_once(*args):
             calls.append(args)
             if len(calls) == failing_call:
-                raise ConfigError("write refused")
+                raise error
             return real(*args)
 
-        monkeypatch.setattr(cli_mod, name, fail_once)
+        monkeypatch.setattr(cli_mod, "write_csv", fail_once)
         code = main(["--scenario", "custom", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
-        assert "write refused" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert str(error) in capsys.readouterr().err
+        assert len(calls) == failing_call
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
+        assert (tmp_path / "keep.txt").read_text() == "there before the run\n"
+
+    def test_write_onto_a_directory_exits_2(self, tmp_path, capsys):
+        # a directory in the place of the third table: os.replace fails
+        # with a real OSError after two tables are in place
+        (tmp_path / "couplings_gamma_mp.csv").mkdir()
+        code = main(["--scenario", "custom", "--set", "n_qubits=2", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "cannot write" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["couplings_gamma_mp.csv"]
+        assert not any((tmp_path / "couplings_gamma_mp.csv").iterdir())
 
     def test_invariant_violation_exit(self, tmp_path, capsys, monkeypatch):
         from magsqueeze import cli as cli_mod
         from magsqueeze.errors import StateInvariantError
 
-        def boom(scenario, params, geometry, written):
+        def boom(scenario, params, geometry):
             raise StateInvariantError("trace deviates")
 
         monkeypatch.setitem(cli_mod._RUNNERS, "custom", boom)
@@ -513,7 +529,7 @@ class TestMainExitCodes:
     def test_exit_code_of_each_error(self, tmp_path, capsys, monkeypatch, error, code):
         from magsqueeze import cli as cli_mod
 
-        def boom(scenario, params, geometry, written):
+        def boom(scenario, params, geometry):
             raise error("raised by the runner")
 
         monkeypatch.setitem(cli_mod._RUNNERS, "custom", boom)

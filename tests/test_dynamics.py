@@ -28,11 +28,11 @@ from magsqueeze.errors import (
     StateInvariantError,
 )
 from magsqueeze.numerics import eig_smallest
-from magsqueeze.observables import collective_spin, initial_state
+from magsqueeze.observables import collective_spin, initial_state, wineland_xi2
 from magsqueeze.operators import site_lower
 from magsqueeze.params import ArrayGeometry, PhysicalParams
 
-from oracles import four_channel_generator, matrix_exp, site_pauli
+from oracles import collective_steady_state, four_channel_generator, matrix_exp, site_pauli
 
 P = PhysicalParams()
 # the generator's jump-operator form and the channel-sum reference, by name
@@ -799,6 +799,51 @@ def eig_null_state(gen):
     ref = vec.reshape(dim, dim)
     ref = 0.5 * (ref + ref.conj().T)
     return ref / np.trace(ref)
+
+
+# the fully collective limit: every gamma_ab equal and J = 0 leave H = 0 and
+# the one jump operator C = cosh r S^- + e^{i phi} sinh r S^+, which drives a
+# symmetric start into the squeezed state of the Dicke-space oracle
+COLLECTIVE_R, COLLECTIVE_PHI = 0.5, -np.pi / 2
+
+
+def collective_generator(n):
+    """The collective generator, built from the Kronecker-product operators."""
+    c = sum(np.cosh(COLLECTIVE_R) * site_pauli("minus", i, n)
+            + np.exp(1j * COLLECTIVE_PHI) * np.sinh(COLLECTIVE_R) * site_pauli("plus", i, n)
+            for i in range(n))
+    return Generator(n, np.zeros_like(c), [(1.0, c, c.conj().T)])
+
+
+class TestCollectiveLimit:
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_even_n_ends_in_the_pure_dark_state_of_c(self, n):
+        want, xi2, _ = collective_steady_state(n, COLLECTIVE_R, COLLECTIVE_PHI)
+        c = collective_generator(n).terms[0][1]
+        assert abs(np.trace(want @ want) - 1.0) < 1e-10
+        assert np.max(np.abs(c @ want)) < 1e-10
+        assert xi2 < 1.0  # squeezed, hence entangled
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_evolve_converges_to_the_dicke_space_oracle(self, n):
+        # from N = 5 on, evolve integrates the parity blocks
+        want, xi2, rate = collective_steady_state(n, COLLECTIVE_R, COLLECTIVE_PHI)
+        gen = collective_generator(n)
+        # 25 of the slowest decay times: the distance left to the oracle
+        # state is e^-25 ~ 1e-11 times the start's
+        grid = np.array([0.0, 25.0 / rate])
+        for start in ("all_excited", "all_ground"):
+            traj = evolve(initial_state(start, n), gen, grid)
+            assert traj.parity_blocks == (n >= SECTOR_MIN_QUBITS)
+            assert trace_distance(traj.final_state.rho, want) < 1e-8
+            assert abs(wineland_xi2(traj.final_state).xi_r_squared - xi2) < 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_steady_state_refuses_the_collective_generator(self, n):
+        # every state outside the symmetric space is decoherence-free, so
+        # the stationary state is not unique
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state(collective_generator(n))
 
 
 class TestSteadyState:
