@@ -13,12 +13,15 @@ custom            single trajectory for the configured parameters, plus the
 
 Exit codes: 0 success, 2 configuration error or a failed write, 3 numerical
 failure, 4 state-invariant violation.  Every table is computed before the
-first file is written, and a failed write removes the run's files.
+first file is written, and every table is written before any earlier file
+is replaced, so a failed write leaves an earlier run's files as they were.
 """
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -293,9 +296,13 @@ _RUNNERS = {
 def run_scenario(scenario):
     """Execute a scenario; returns the list of files written.
 
-    The runner computes every table before the first file is written, each
-    atomically.  If a write fails, the files that THIS run already wrote
-    are removed, and an OSError becomes a ConfigError.
+    The runner computes every table before the first file is written.  Each
+    table is then written atomically into a new staging directory inside the
+    output directory, and only when all of them exist are they moved into
+    place, so a failed write leaves the files of an earlier run as they
+    were.  If a move fails, the files that THIS run already moved are
+    removed.  The staging directory is removed either way, and an OSError
+    becomes a ConfigError.
     """
     params, geometry = _load(scenario)
     try:
@@ -304,18 +311,30 @@ def run_scenario(scenario):
         raise ConfigError(f"cannot use output directory {scenario.output_dir!r}: {exc}") from exc
     tables = _RUNNERS[scenario.name](scenario, params, geometry)
     provenance = _provenance(params, geometry, scenario)
+    try:
+        staging = tempfile.mkdtemp(prefix=".staging-", dir=scenario.output_dir)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {scenario.output_dir!r}: {exc}") from exc
     written = []
-    for name, comments, columns, rows in tables:
-        path = os.path.join(scenario.output_dir, name)
-        try:
-            written.append(write_csv(path, provenance + comments, columns, rows))
-        except Exception as exc:
-            for done in written:
-                if os.path.exists(done):
-                    os.unlink(done)
-            if isinstance(exc, OSError):
-                raise ConfigError(f"cannot write {path}: {exc}") from exc
-            raise
+    try:
+        staged = []
+        for name, comments, columns, rows in tables:
+            path = os.path.join(scenario.output_dir, name)
+            staged.append(write_csv(os.path.join(staging, name), provenance + comments,
+                                    columns, rows))
+        for (name, *_), source in zip(tables, staged):
+            path = os.path.join(scenario.output_dir, name)
+            os.replace(source, path)
+            written.append(path)
+    except Exception as exc:
+        for done in written:
+            if os.path.exists(done):
+                os.unlink(done)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
+        raise
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return written
 
 

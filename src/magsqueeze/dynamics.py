@@ -43,6 +43,7 @@ SECTOR_MIN_QUBITS = 5
 MAX_STEADY_QUBITS = 7
 RITZ_PROBES = 16  # random right-hand sides of the degeneracy estimate
 CHECK_CHUNK_BYTES = 256 * 1024  # states per `_invariants` chunk (>= 1 state)
+EVOLVE_CHUNK_BYTES = 1024 * 1024  # grid states `evolve` checks and measures at a time (>= 1)
 SECTOR_CHUNK_BYTES = 2 * 1024 * 1024  # complex rows per steady-state assembly chunk (>= 1 row)
 REVERSAL_RTOL = 1e-9  # relative commutator with the site reversal still taken as symmetry
 _FLOAT_MAX = np.finfo(float).max
@@ -453,12 +454,19 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
     the run).  A parity-even start (every cross-parity entry 0) stays
     parity-even under a parity-symmetric generator; from SECTOR_MIN_QUBITS
     qubits on, its (2, h, h) parity blocks are integrated, with the step
-    control of the full state (`integrate_ode`'s `layout`).  The checks and
-    the observables read the stack that was integrated, blocks or full
-    states; only the returned states are placed back into full arrays.
+    control of the full state (`integrate_ode`'s `layout`).
+
+    The states that `integrate_ode` emits are copied into one buffer of
+    EVOLVE_CHUNK_BYTES (at least one state).  Each time it fills, and once
+    at the end, its states are checked, so the first broken state raises
+    StateInvariantError before the rest of the grid is integrated, and
+    measured into the Trajectory columns; the buffer is then reused.  The
+    checks and the observables read the stack that was integrated, blocks or
+    full states.  Only the last state survives, or with `keep_states` every
+    state, and only those are placed back into full arrays.
     """
     # imported here: observables imports QubitState from this module
-    from .observables import trajectory_observables
+    from .observables import TrajectoryObservables
 
     rho_init, n = density_matrix(rho0)
     if n != generator.n_qubits:
@@ -466,35 +474,58 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
     QubitState(rho_init, n).check()
 
     t_grid = np.asarray(t_grid, dtype=float)
-    dim = 2 ** n
+    size, dim = t_grid.size, 2 ** n
     parity = generator._parity
     start = None if parity is None else np.take(rho_init, parity.index)
     # the blocks hold every nonzero entry: every state is block-diagonal
     even = start is not None and np.array_equal(parity.scatter(start), rho_init)
     blocks = even and n >= SECTOR_MIN_QUBITS
     shape = start.shape if blocks else (dim, dim)
+    index = parity.index if even and not blocks else None
+
+    abort_tol = max(1e-6, 1e4 * atol)
+    trace_err, herm_err, min_eig = np.empty(size), np.empty(size), np.empty(size)
+    observables = TrajectoryObservables(generator, size, blocks)
+    y0 = start if blocks else rho_init
+    chunk = min(size, max(1, EVOLVE_CHUNK_BYTES // y0.nbytes))
+    # with keep_states each chunk's states stay where they were measured
+    store = np.empty((size if keep_states else chunk, *shape), dtype=complex)
+    done = 0  # the states checked and measured
+
+    def emit(first, states):
+        nonlocal done
+        states = states.reshape(len(states), *shape)
+        while len(states):
+            take = min(len(states), done + chunk - first)
+            at = first if keep_states else first - done
+            store[at:at + take] = states[:take]
+            first, states = first + take, states[take:]
+            if first == done + chunk or first == size:
+                rows = slice(done, first)
+                rhos = store[rows] if keep_states else store[:first - done]
+                trace_err[rows], herm_err[rows], min_eig[rows] = _invariants(
+                    rhos, t_grid[rows], abort_tol, abort_tol, index)
+                observables.measure(done, rhos)
+                done = first
 
     def rhs(y):
         return generator.action(y.reshape(shape)).ravel()
 
-    flat = integrate_ode(
-        rhs, (start if blocks else rho_init).ravel(), t_grid, rtol=rtol, atol=atol,
-        layout=(parity.index.ravel(), dim * dim) if blocks else None,
+    integrate_ode(
+        rhs, y0.ravel(), t_grid, rtol=rtol, atol=atol,
+        emit=emit, layout=(parity.index.ravel(), dim * dim) if blocks else None,
     )
-    rhos = flat.reshape(t_grid.size, *shape)
-    abort_tol = max(1e-6, 1e4 * atol)
-    trace_err, herm_err, min_eig = _invariants(
-        rhos, t_grid, abort_tol, abort_tol, parity.index if even and not blocks else None)
-    columns = trajectory_observables(rhos, generator)
+    # without keep_states the chunks start at multiples of `chunk`
+    rhos = store if keep_states else store[(size - 1) % chunk][None]
     if blocks:
-        rhos = parity.scatter(rhos if keep_states else rhos[-1:])
+        rhos = parity.scatter(rhos)
     return Trajectory(
         t_grid.copy(),
-        *columns,
+        *observables.columns(),
         min_eig=min_eig,
         trace_err=trace_err,
         herm_err=herm_err,
-        # a copy, so that without keep_states the stack of states is freed
+        # a copy, so that the final state holds no view of the buffer
         final_state=QubitState(rhos[-1].copy(), n, time=float(t_grid[-1])),
         states=[QubitState(rho, n, time=float(t)) for rho, t in zip(rhos, t_grid)]
         if keep_states else [],

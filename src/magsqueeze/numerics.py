@@ -143,6 +143,9 @@ MIN_RTOL = 100 * float(np.finfo(float).eps)
 # floor 16 eps unless atol >= about 40 eps rtol (measured at N = 2 and 5, rtol
 # 1e-6 to MIN_RTOL), so no allowed rtol meets an atol below eps MIN_RTOL
 MIN_ATOL = float(np.finfo(float).eps) * MIN_RTOL
+# grid states per evaluation of the dense interpolant (at least one), so that
+# a step over many grid points allocates no more than this at a time
+DENSE_OUTPUT_BYTES = 128 * 1024
 
 
 def _initial_step(f, y0, f0, rtol, atol, rms):
@@ -158,9 +161,16 @@ def _initial_step(f, y0, f0, rtol, atol, rms):
     return min(100 * h0, h1)
 
 
-def integrate_ode(f, y0, t_grid, rtol, atol, layout=None):
-    """Integrate the autonomous system dy/dt = f(y) and return the states at
-    the grid points.
+def integrate_ode(f, y0, t_grid, rtol, atol, emit, layout=None):
+    """Integrate the autonomous system dy/dt = f(y) and hand the states at
+    the grid points to `emit`; returns None.
+
+    `emit(first, states)` receives the grid states in order, as a
+    (k, len(y0)) array of the states at the grid indices first,
+    first + 1, ...: the start (index 0) alone, then those that each accepted
+    step covers, DENSE_OUTPUT_BYTES of states at a time (at least one).
+    The integrator keeps no output of its own and never writes to an
+    emitted array afterwards; an exception from `emit` ends the integration.
 
     Embedded Dormand-Prince 5(4) pair: the fifth-order solution propagates,
     the fourth-order difference controls the local error against
@@ -210,12 +220,12 @@ def integrate_ode(f, y0, t_grid, rtol, atol, layout=None):
             squares[positions] = np.abs(x) ** 2
             return np.sqrt(np.mean(squares))
 
-    out = np.empty((t_grid.size, y.size), dtype=complex)
+    rows = max(1, DENSE_OUTPUT_BYTES // y.nbytes)
     t = t_grid[0]
-    out[0] = y
+    emit(0, y[None])
     next_out = 1
     if next_out >= t_grid.size:
-        return out
+        return
     t_end = t_grid[-1]
 
     k = np.empty((7, y.size), dtype=complex)
@@ -246,14 +256,15 @@ def integrate_ode(f, y0, t_grid, rtol, atol, layout=None):
                 t_grid, t_new + 1e-14 * max(abs(t_new), 1.0), side="right"
             )
             if stop > next_out:
-                theta = ((t_grid[next_out:stop] - t) / h)[:, None]
                 ydiff = y_new - y
                 r3 = h * k[0] - ydiff
                 r4 = ydiff - h * k[6] - r3
                 r5 = h * (_DP_DENSE @ k)
-                out[next_out:stop] = y + theta * (
-                    ydiff + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5))
-                )
+                for lo in range(next_out, stop, rows):
+                    theta = ((t_grid[lo:min(lo + rows, stop)] - t) / h)[:, None]
+                    emit(lo, y + theta * (
+                        ydiff + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5))
+                    ))
                 next_out = stop
             k[0] = k[6]  # FSAL
             y = y_new
@@ -264,7 +275,6 @@ def integrate_ode(f, y0, t_grid, rtol, atol, layout=None):
             raise StepSizeUnderflowError(f"error norm is NaN at t={t!r} (h={h!r})")
         else:
             h = h * max(0.2, 0.9 * err ** -0.2)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -141,24 +141,42 @@ def relaxation_rate(state, generator):
     return rate if rate.ndim else float(rate)
 
 
-def trajectory_observables(rhos, generator):
+class TrajectoryObservables:
     """Mean spin (m, 3), minimum perpendicular variance, 1/xi_R^2 (0 where
-    undefined) and relaxation rate (m,) of a (m, d, d) stack of states, or of
-    an (m, 2, h, h) stack of their parity blocks, in Trajectory column order,
-    by the same code as `collective_spin`, `wineland_xi2` and
-    `relaxation_rate`; the operators' rows are built once, at those entries."""
-    n = generator.n_qubits
-    s = collective_spin_ops(n)
-    entries = slice(None)
-    if rhos.ndim == 4:  # each state's blocks, stacked into one (2h, h) array
-        entries = generator.parity_entries.ravel()
-        rhos = rhos.reshape(len(rhos), -1, rhos.shape[-1])
-    moments = _moment_basis(s, entries)
-    heisenberg_sz = _basis([generator.adjoint(s[2])], entries)
-    # copies, so that the Trajectory keeps no view of the complex moments
-    mean, second = (part.real.copy() for part in _spin_moments(rhos, moments))
-    min_var, inv_xi2, _ = _squeezing(mean, second, n)
-    return mean, min_var, inv_xi2, _relaxation(rhos, heisenberg_sz, n)
+    undefined) and relaxation rate (m,) of the m states of a trajectory, by
+    the same code as `collective_spin`, `wineland_xi2` and
+    `relaxation_rate`, measured a chunk of states at a time.
+
+    The operators' rows are built once, at the entries of (k, d, d) states
+    or, with `parity_blocks`, of their (k, 2, h, h) parity blocks.
+    `measure` writes each chunk's moments and rates into the columns in
+    place; `columns` runs `_squeezing` once on all m of them.
+    """
+
+    def __init__(self, generator, count, parity_blocks):
+        self.n_qubits = n = generator.n_qubits
+        s = collective_spin_ops(n)
+        entries = generator.parity_entries.ravel() if parity_blocks else slice(None)
+        self._moments = _moment_basis(s, entries)
+        self._heisenberg_sz = _basis([generator.adjoint(s[2])], entries)
+        self.mean = np.empty((count, 3))
+        self._second = np.empty((count, 3, 3))
+        self.relaxation = np.empty(count)
+
+    def measure(self, first, rhos):
+        """Measure the states first, first + 1, ... of a contiguous (k, d, d)
+        stack, or of a (k, 2, h, h) stack of their parity blocks."""
+        if rhos.ndim == 4:  # each state's blocks, as one (2h, h) array
+            rhos = rhos.reshape(len(rhos), -1, rhos.shape[-1])
+        rows = slice(first, first + len(rhos))
+        mean, second = _spin_moments(rhos, self._moments)
+        self.mean[rows], self._second[rows] = mean.real, second.real
+        self.relaxation[rows] = _relaxation(rhos, self._heisenberg_sz, self.n_qubits)
+
+    def columns(self):
+        """The four columns, in Trajectory order."""
+        min_var, inv_xi2, _ = _squeezing(self.mean, self._second, self.n_qubits)
+        return self.mean, min_var, inv_xi2, self.relaxation
 
 
 def initial_state(kind, n_qubits, theta=None, phi=0.0):

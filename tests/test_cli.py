@@ -494,6 +494,29 @@ class TestMainExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
         assert (tmp_path / "keep.txt").read_text() == "there before the run\n"
 
+    def test_failed_write_keeps_an_earlier_runs_files(self, tmp_path, capsys, monkeypatch):
+        # every table is written before any earlier file is replaced: a
+        # second run into the same directory that fails at its third write
+        # leaves the first run's six files byte for byte, and nothing else
+        from magsqueeze import cli as cli_mod
+
+        argv = ["--scenario", "custom", "--set", "n_qubits=2", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert len(first) == 6
+        real, calls = cli_mod.write_csv, []
+
+        def fail_third(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return real(*args)
+
+        monkeypatch.setattr(cli_mod, "write_csv", fail_third)
+        assert main([*argv, "--set", "nu_Hz=150"]) == EXIT_CONFIG
+        assert "disk full" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
     def test_write_onto_a_directory_exits_2(self, tmp_path, capsys):
         # a directory in the place of the third table: os.replace fails
         # with a real OSError after two tables are in place

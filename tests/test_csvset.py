@@ -67,3 +67,19 @@ def test_the_set_holds_65_csvs(csvset):
     # draws and the steady-state grid
     per_run = {name: 6 if "custom" in argv else 1 for name, argv in csvset.RUNS.items()}
     assert sum(per_run.values()) == 65
+
+
+def test_the_tiny_set_is_written_twice_byte_for_byte(csvset, tmp_path, capsys):
+    # perfbench's tiny figure runs plus custom at its tiny N, written twice
+    # in one process: no state (a reused buffer, a cache) leaks from one run
+    # into the next
+    from magsqueeze.cli import main
+
+    workloads = csvset.workloads
+    runs = {name: workloads.FIGURE_RUNS[name][0] for name in workloads.FIGURES["tiny"]}
+    runs["custom_tiny"] = csvset.CUSTOM + ["--set", f"n_qubits={workloads.TRAJECTORY_N['tiny']}"]
+    for copy in ("a", "b"):
+        for name, argv in runs.items():
+            assert main([*argv, "--out", str(tmp_path / copy / name)]) == 0
+    assert csvset.main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out.endswith("14 files, 0 not byte-identical\n")

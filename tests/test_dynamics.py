@@ -14,6 +14,8 @@ from magsqueeze.cli import EXIT_OK, main
 from magsqueeze.couplings import build_couplings
 from magsqueeze.dynamics import (
     CHECK_CHUNK_BYTES,
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
     SECTOR_MIN_QUBITS,
     Generator,
     QubitState,
@@ -27,7 +29,7 @@ from magsqueeze.errors import (
     DegenerateSteadyStateError,
     StateInvariantError,
 )
-from magsqueeze.numerics import eig_smallest
+from magsqueeze.numerics import eig_smallest, integrate_ode
 from magsqueeze.observables import collective_spin, initial_state, wineland_xi2
 from magsqueeze.operators import site_lower
 from magsqueeze.params import ArrayGeometry, PhysicalParams
@@ -461,6 +463,27 @@ BLOCK_QUBITS = st.integers(SECTOR_MIN_QUBITS, 7)
 CHAIN_SPACING = st.floats(0.1, 1.5)
 
 
+MIB = 1024 * 1024
+
+
+def trajectory_peaks(n, *sizes):
+    """tracemalloc peaks of `evolve` from all_excited over grids of `sizes`
+    points on [0, 5], on a chain with a = 0.5 lambda and r = 0.5.  A first
+    run builds the operator caches and the work arrays outside the traced
+    ones."""
+    gen = generator_for(n, 0.5, 0.5)
+    evolve(initial_state("all_excited", n), gen, np.linspace(0.0, 5.0, 3))
+    peaks = []
+    for size in sizes:
+        tracemalloc.start()
+        try:
+            evolve(initial_state("all_excited", n), gen, np.linspace(0.0, 5.0, size))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 class TestParityBlocks:
     @pytest.mark.parametrize("mode", MODES)
     @given(BLOCK_QUBITS, st.booleans(), st.data(), SQUEEZING_R, SQUEEZING_PHI,
@@ -555,20 +578,14 @@ class TestParityBlocks:
         assert shapes == [(2, half, half), (grid.size if keep else 1, 2, half, half)]
 
     def test_block_trajectory_memory(self):
-        # the integrator holds the blocks of the 400 output states, half the
-        # 25.0 MiB of the full states; the checks and the observables read
-        # those blocks.  A first run builds the operator caches and the work
-        # arrays outside the traced one
-        n, grid = 6, np.linspace(0.0, 20.0, 400)
-        gen = generator_for(n, 0.5, 0.5)
-        evolve(initial_state("all_excited", n), gen, grid[:3])
-        tracemalloc.start()
-        try:
-            evolve(initial_state("all_excited", n), gen, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.6 * grid.size * 4 ** n * 16
+        # evolve checks and measures the blocks as the integrator emits
+        # them, a chunk of EVOLVE_CHUNK_BYTES at a time, and keeps only the
+        # last: from 100 to 1600 points its peak grows by the columns (about
+        # 17 floats a point) and by the interpolated states of one step (at
+        # most DENSE_OUTPUT_BYTES), not by the 32 KiB of blocks a point
+        small, large = trajectory_peaks(6, 100, 1600)
+        assert large - small <= 0.5 * MIB
+        assert large <= 4 * MIB
 
     @pytest.mark.parametrize("field", [0.0, 0.3])
     def test_symmetry_breaking_generator_takes_the_dense_path(self, monkeypatch, field):
@@ -769,6 +786,38 @@ class TestEvolve:
         with pytest.raises(StateInvariantError,
                            match=re.escape(f"Gamma_0 t = {grid[301]:.6g}: ")):
             evolve(s0, gen, grid)
+
+    def test_dense_trajectory_memory(self):
+        # the full 16 x 16 states of N = 4: at 400 and at 1600 points the
+        # buffer holds its 256 states, and the peak grows as in
+        # test_block_trajectory_memory
+        small, large = trajectory_peaks(4, 400, 1600)
+        assert large - small <= 0.5 * MIB
+        assert large <= 4 * MIB
+
+    def test_broken_state_stops_the_integration(self, monkeypatch):
+        # an anti-Hermitian Hamiltonian part (i H_eff) keeps the parity and
+        # the trace but breaks Hermiticity at once: the first chunk's check
+        # raises before the integrator has made half of the right-hand-side
+        # calls of the whole grid
+        n = 6
+        base = generator_for(n, 0.5, 0.5)
+        gen = Generator(n, 1j * base.h_eff, base.terms)
+        start = initial_state("all_excited", n)
+        grid = np.linspace(0.0, 20.0, 400)
+        blocks, whole = np.take(start.rho, gen.parity_entries), []
+
+        def rhs(y):
+            whole.append(1)
+            return gen.action(y.reshape(blocks.shape)).ravel()
+
+        integrate_ode(rhs, blocks.ravel(), grid, DEFAULT_RTOL, DEFAULT_ATOL, lambda *_: None,
+                      layout=(gen.parity_entries.ravel(), 4 ** n))
+        calls = spy_block_action(monkeypatch)
+        with pytest.raises(StateInvariantError, match=re.escape(
+                f"invariant violation at Gamma_0 t = {grid[1]:.6g}: trace error ")):
+            evolve(start, gen, grid)
+        assert 0 < len(calls) < len(whole) / 2
 
     def test_mismatched_generator_rejected(self):
         gen = generator_for(2, 0.5, 0.0)

@@ -123,16 +123,29 @@ class TestBessel:
             assert np.max(np.abs(wron - 2.0 / (np.pi * x))) < 1e-8
 
 
+def integrate(f, y0, t_grid, rtol, atol, layout=None):
+    """The grid states that `integrate_ode` emits, stacked into one (m, n)
+    array; the emitted chunks must arrive in grid order, none skipped."""
+    chunks = []
+
+    def emit(first, states):
+        assert first == sum(map(len, chunks))
+        chunks.append(states.copy())
+
+    assert integrate_ode(f, y0, t_grid, rtol, atol, emit, layout=layout) is None
+    return np.concatenate(chunks)
+
+
 class TestIntegrateOde:
     def test_scalar_exponential(self):
         t = np.linspace(0.0, 5.0, 6)
-        ys = integrate_ode(lambda y: -y, np.array([1.0 + 0j]), t, 1e-10, 1e-12)
+        ys = integrate(lambda y: -y, np.array([1.0 + 0j]), t, 1e-10, 1e-12)
         assert np.max(np.abs(ys[:, 0] - np.exp(-t))) < 1e-9
 
     def test_phase_preserves_modulus(self):
         omega = 2 * np.pi
         rtol = 1e-8
-        ys = integrate_ode(
+        ys = integrate(
             lambda y: 1j * omega * y, np.array([1.0 + 0j]),
             np.array([0.0, 1000.0]), rtol, 1e-10,
         )
@@ -144,7 +157,7 @@ class TestIntegrateOde:
         h = 0.5 * np.array([[delta, omega], [omega, -delta]], dtype=complex)
         w = np.hypot(delta, omega)
         t = np.linspace(0.0, 12.0, 25)
-        ys = integrate_ode(
+        ys = integrate(
             lambda y: -1j * (h @ y), np.array([0.0, 1.0], dtype=complex),
             t, 1e-10, 1e-12,
         )
@@ -171,7 +184,7 @@ class TestIntegrateOde:
             y = np.array([0.0, 1.0], dtype=complex)
             for i in range(round(t_end / step)):
                 calls.clear()
-                y = integrate_ode(f, y, np.array([i * step, (i + 1) * step]), 1.0, 1.0)[-1]
+                y = integrate(f, y, np.array([i * step, (i + 1) * step]), 1.0, 1.0)[-1]
                 assert len(calls) == 8
             exact = (omega / w) ** 2 * np.sin(0.5 * w * t_end) ** 2
             return abs(abs(y[0]) ** 2 - exact)
@@ -186,9 +199,9 @@ class TestIntegrateOde:
         mat = mat - mat.conj().T  # anti-Hermitian: bounded dynamics
         y0 = rng.normal(size=6) + 1j * rng.normal(size=6)
         t = np.linspace(0.0, 2.0, 17)
-        dense = integrate_ode(lambda y: mat @ y, y0, t, 1e-10, 1e-12)
+        dense = integrate(lambda y: mat @ y, y0, t, 1e-10, 1e-12)
         for i in [5, 11, 16]:
-            direct = integrate_ode(
+            direct = integrate(
                 lambda y: mat @ y, y0, np.array([0.0, t[i]]), 1e-10, 1e-12
             )
             assert np.max(np.abs(dense[i] - direct[-1])) < 1e-7
@@ -206,9 +219,9 @@ class TestIntegrateOde:
             calls.append(1)
             return mat @ y
 
-        out_coarse = integrate_ode(f, y0, coarse, 1e-10, 1e-12)
+        out_coarse = integrate(f, y0, coarse, 1e-10, 1e-12)
         n_coarse = len(calls)
-        out_fine = integrate_ode(f, y0, fine, 1e-10, 1e-12)
+        out_fine = integrate(f, y0, fine, 1e-10, 1e-12)
         assert len(calls) - n_coarse == n_coarse
         assert np.array_equal(out_fine[[0, 700, 2000]], out_coarse)
 
@@ -238,14 +251,14 @@ class TestIntegrateOde:
 
         full0 = np.zeros(size, dtype=complex)
         full0[positions] = y0
-        want = integrate_ode(whole, full0, t, 1e-8, 1e-10)
+        want = integrate(whole, full0, t, 1e-8, 1e-10)
         n_whole = len(calls)
-        got = integrate_ode(compressed, y0, t, 1e-8, 1e-10, layout=(positions, size))
+        got = integrate(compressed, y0, t, 1e-8, 1e-10, layout=(positions, size))
         assert len(calls) - n_whole == n_whole
         assert np.array_equal(got, want[:, positions])
         assert not np.any(np.delete(want, positions, axis=1))
         # the norms of the compressed vector alone take other steps
-        alone = integrate_ode(compressed, y0, t, 1e-8, 1e-10)
+        alone = integrate(compressed, y0, t, 1e-8, 1e-10)
         assert len(calls) - 2 * n_whole != n_whole or not np.array_equal(alone, got)
 
     @pytest.mark.parametrize("positions, size", [
@@ -255,18 +268,49 @@ class TestIntegrateOde:
     ])
     def test_rejects_a_bad_layout(self, positions, size):
         with pytest.raises(ValueError, match="layout"):
-            integrate_ode(lambda y: -y, np.ones(3, dtype=complex), np.array([0.0, 1.0]),
+            integrate(lambda y: -y, np.ones(3, dtype=complex), np.array([0.0, 1.0]),
                           1e-8, 1e-10, layout=(np.array(positions), size))
 
     def test_zero_length_grid_is_identity(self):
         y0 = np.array([1.0 + 2.0j, -0.5j])
-        ys = integrate_ode(lambda y: -y, y0, np.array([0.0]), 1e-8, 1e-10)
+        ys = integrate(lambda y: -y, y0, np.array([0.0]), 1e-8, 1e-10)
         assert np.array_equal(ys[0], y0)
+
+    def test_emits_the_start_then_each_steps_states(self):
+        # the start alone, then the grid states of each accepted step, the
+        # whole grid in order
+        seen = []
+        t = np.linspace(0.0, 5.0, 41)
+        integrate_ode(lambda y: -y, np.array([1.0 + 0j]), t, 1e-10, 1e-12,
+                      lambda first, states: seen.append((first, len(states))))
+        assert seen[0] == (0, 1)
+        assert all(count >= 1 for _, count in seen)
+        assert [first for first, _ in seen] == list(np.cumsum([0] + [c for _, c in seen[:-1]]))
+        assert sum(count for _, count in seen) == t.size
+
+    def test_an_error_from_emit_ends_the_integration(self):
+        calls = []
+
+        def f(y):
+            calls.append(1)
+            return -y
+
+        def emit(first, states):
+            if first:
+                stopped.append(len(calls))
+                raise ArithmeticError("stop")
+
+        stopped = []
+        with pytest.raises(ArithmeticError, match="stop"):
+            integrate_ode(f, np.array([1.0 + 0j]), np.linspace(0.0, 50.0, 101), 1e-10, 1e-12,
+                          emit)
+        # no right-hand side after the first grid state past the start
+        assert stopped == [len(calls)]
 
     def test_step_underflow_raises(self):
         # y' = y^2 from y = 1 blows up at t = 1: forces h -> 0
         with pytest.raises(StepSizeUnderflowError, match="underflow"):
-            integrate_ode(lambda y: y * y, np.array([1.0 + 0j]), np.array([0.0, 2.0]),
+            integrate(lambda y: y * y, np.array([1.0 + 0j]), np.array([0.0, 2.0]),
                           1e-8, 1e-10)
 
     def test_nan_right_hand_side_raises(self):
@@ -281,17 +325,17 @@ class TestIntegrateOde:
             return y * np.nan
 
         with pytest.raises(StepSizeUnderflowError, match="NaN"), np.errstate(invalid="ignore"):
-            integrate_ode(f, np.array([1.0 + 0j]), np.array([0.0, 1.0]), 1e-8, 1e-10)
+            integrate(f, np.array([1.0 + 0j]), np.array([0.0, 1.0]), 1e-8, 1e-10)
         assert len(calls) == 8  # two to choose h, six stages of the first step
 
     def test_rejects_bad_grid_and_tolerances(self):
         y0 = np.array([1.0 + 0j])
         with pytest.raises(ValueError):
-            integrate_ode(lambda y: -y, y0, np.array([0.0, -1.0]), 1e-8, 1e-10)
+            integrate(lambda y: -y, y0, np.array([0.0, -1.0]), 1e-8, 1e-10)
         with pytest.raises(ValueError):
-            integrate_ode(lambda y: -y, y0, np.array([0.0, 1.0]), -1e-8, 1e-10)
+            integrate(lambda y: -y, y0, np.array([0.0, 1.0]), -1e-8, 1e-10)
         with pytest.raises(ValueError, match="non-empty"):
-            integrate_ode(lambda y: -y, y0, np.array([]), 1e-8, 1e-10)
+            integrate(lambda y: -y, y0, np.array([]), 1e-8, 1e-10)
 
     @pytest.mark.parametrize("rtol, atol", [
         (np.nan, 1e-10), (np.inf, 1e-10), (1e-8, np.nan), (1e-8, np.inf),
@@ -303,7 +347,7 @@ class TestIntegrateOde:
         # MIN_ATOL a start with zero entries takes no first step, and at
         # 1e-200 the error norm's squares overflowed with a RuntimeWarning
         with pytest.raises(ValueError, match="tolerances"):
-            integrate_ode(lambda y: -y, np.array([1.0 + 0j]), np.array([0.0, 1.0]),
+            integrate(lambda y: -y, np.array([1.0 + 0j]), np.array([0.0, 1.0]),
                           rtol, atol)
 
     @pytest.mark.parametrize("grid", [[0.0, np.nan], [0.0, np.inf], [np.nan, 1.0],
@@ -311,7 +355,7 @@ class TestIntegrateOde:
     def test_rejects_non_finite_grid(self, grid):
         # such a grid used to return uninitialized rows
         with pytest.raises(ValueError, match="finite"):
-            integrate_ode(lambda y: -y, np.array([1.0 + 0j]), np.array(grid), 1e-8, 1e-10)
+            integrate(lambda y: -y, np.array([1.0 + 0j]), np.array(grid), 1e-8, 1e-10)
 
 
 class TestEig:
