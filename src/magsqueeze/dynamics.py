@@ -42,8 +42,6 @@ DEFAULT_ATOL = 1e-10
 SECTOR_MIN_QUBITS = 5
 MAX_STEADY_QUBITS = 7
 RITZ_PROBES = 16  # random right-hand sides of the degeneracy estimate
-CHECK_CHUNK_BYTES = 256 * 1024  # states per `_invariants` chunk (>= 1 state)
-EVOLVE_CHUNK_BYTES = 1024 * 1024  # grid states `evolve` checks and measures at a time (>= 1)
 SECTOR_CHUNK_BYTES = 2 * 1024 * 1024  # complex rows per steady-state assembly chunk (>= 1 row)
 REVERSAL_RTOL = 1e-9  # relative commutator with the site reversal still taken as symmetry
 _FLOAT_MAX = np.finfo(float).max
@@ -90,53 +88,44 @@ def _invariants(rhos, times=None, trace_tol=_FLOAT_MAX, herm_tol=_FLOAT_MAX, ind
     """Trace error |Tr rho - 1|, Hermiticity error max |rho - rho^dagger| and
     smallest eigenvalue of the Hermitian part of each state of a (m, d, d)
     stack, or of an (m, 2, h, h) stack of the parity blocks that hold every
-    nonzero entry of the states, computed CHECK_CHUNK_BYTES of states at a
-    time (at least one).  The eigenvalues of a block-diagonal matrix are
-    those of its blocks, so given the flat block `index` of a `_Layout`
-    whose blocks hold every nonzero entry of (m, d, d) states, they are
-    taken from the blocks too.
+    nonzero entry of the states (the trace is then summed block by block).
+    The eigenvalues of a block-diagonal matrix are those of its blocks, so
+    given the flat block `index` of a `_Layout` whose blocks hold every
+    nonzero entry of (m, d, d) states, they are taken from the blocks too.
+    The whole stack is read at once, with temporaries of its size.
 
     A state is broken unless both errors are at most their tolerances, so a
     NaN or infinite error always breaks it (the default tolerances are the
-    largest finite float).  The eigenvalues of a broken state, and of the
-    states after it in its chunk, are not computed and read NaN.  Given the
+    largest finite float).  The eigenvalues of the first broken state, and
+    of the states after it, are not computed and read NaN.  Given the
     Gamma_0 t of each state in `times`, the states are also checked in
     order, and the first failing one raises StateInvariantError: a broken
     state is reported before an eigenvalue below POSITIVITY_FLOOR.
     """
     count = len(rhos)
-    trace_err = np.empty(count)
-    herm_err = np.empty(count)
+    tr = np.trace(rhos, axis1=-2, axis2=-1).reshape(count, -1).sum(axis=1)
+    # np.hypot, not np.abs: numpy's vectorized complex abs can differ from
+    # the correctly rounded hypot in the last bit
+    trace_err = np.hypot(tr.real - 1.0, tr.imag)
+    # one temporary of the stack's size holds the conjugate transpose, then
+    # the difference
+    diff = rhos.conj().swapaxes(-1, -2)
+    herm_err = np.max(np.abs(np.subtract(rhos, diff, out=diff)), axis=tuple(range(1, rhos.ndim)))
+    del diff
+    broken = np.flatnonzero(~((trace_err <= trace_tol) & (herm_err <= herm_tol)))
+    stop = broken[0] if broken.size else count
+    valid = rhos[:stop]
+    if index is not None:  # (rho^dagger)_pp = (rho_pp)^dagger on a diagonal block
+        valid = np.take(valid.reshape(stop, -1), index, axis=1)
+    herm = valid + valid.conj().swapaxes(-1, -2)
+    herm *= 0.5
+    eigs = np.linalg.eigvalsh(herm)
     min_eig = np.full(count, np.nan)
-    state_axes = tuple(range(1, rhos.ndim))
-    chunk = max(1, CHECK_CHUNK_BYTES // rhos[0].nbytes)
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
-        block = rhos[lo:hi]
-        tr = np.trace(block, axis1=-2, axis2=-1).reshape(len(block), -1).sum(axis=1)
-        # np.hypot, not np.abs: numpy's vectorized complex abs can differ from
-        # the correctly rounded hypot in the last bit
-        trace_err[lo:hi] = np.hypot(tr.real - 1.0, tr.imag)
-        # one temporary of the chunk's size holds the conjugate transpose,
-        # then the difference
-        diff = block.conj().swapaxes(-1, -2)
-        herm_err[lo:hi] = np.max(np.abs(np.subtract(block, diff, out=diff)), axis=state_axes)
-        del diff
-        kept = (trace_err[lo:hi] <= trace_tol) & (herm_err[lo:hi] <= herm_tol)
-        broken = np.flatnonzero(~kept)
-        stop = lo + broken[0] if broken.size else hi
-        valid = rhos[lo:stop]
-        if index is not None:  # (rho^dagger)_pp = (rho_pp)^dagger on a diagonal block
-            valid = np.take(valid.reshape(len(valid), -1), index, axis=1)
-        herm = valid + valid.conj().swapaxes(-1, -2)
-        herm *= 0.5
-        eigs = np.linalg.eigvalsh(herm)
-        min_eig[lo:stop] = np.min(eigs, axis=tuple(range(1, eigs.ndim)))
-        if times is None:
-            continue
-        negative = np.flatnonzero(min_eig[lo:stop] < POSITIVITY_FLOOR)
+    min_eig[:stop] = np.min(eigs, axis=tuple(range(1, eigs.ndim)))
+    if times is not None:
+        negative = np.flatnonzero(min_eig[:stop] < POSITIVITY_FLOOR)
         if negative.size:
-            i = lo + negative[0]
+            i = negative[0]
             raise StateInvariantError(
                 f"negative eigenvalue {min_eig[i]:.3e} at Gamma_0 t = {times[i]:.6g}"
             )
@@ -456,14 +445,13 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
     qubits on, its (2, h, h) parity blocks are integrated, with the step
     control of the full state (`integrate_ode`'s `layout`).
 
-    The states that `integrate_ode` emits are copied into one buffer of
-    EVOLVE_CHUNK_BYTES (at least one state).  Each time it fills, and once
-    at the end, its states are checked, so the first broken state raises
-    StateInvariantError before the rest of the grid is integrated, and
-    measured into the Trajectory columns; the buffer is then reused.  The
-    checks and the observables read the stack that was integrated, blocks or
-    full states.  Only the last state survives, or with `keep_states` every
-    state, and only those are placed back into full arrays.
+    Each chunk of states that `integrate_ode` emits is checked and measured
+    into the Trajectory columns in place, in the integrator's own buffer, so
+    the first broken state raises StateInvariantError before the rest of the
+    grid is integrated.  The checks and the observables read the stack that
+    was integrated, blocks or full states.  Only the last state is copied
+    out, or with `keep_states` every state, and only those are placed back
+    into full arrays.
     """
     # imported here: observables imports QubitState from this module
     from .observables import TrajectoryObservables
@@ -487,26 +475,18 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
     trace_err, herm_err, min_eig = np.empty(size), np.empty(size), np.empty(size)
     observables = TrajectoryObservables(generator, size, blocks)
     y0 = start if blocks else rho_init
-    chunk = min(size, max(1, EVOLVE_CHUNK_BYTES // y0.nbytes))
-    # with keep_states each chunk's states stay where they were measured
-    store = np.empty((size if keep_states else chunk, *shape), dtype=complex)
-    done = 0  # the states checked and measured
+    kept = np.empty((size if keep_states else 1, *shape), dtype=complex)
 
     def emit(first, states):
-        nonlocal done
         states = states.reshape(len(states), *shape)
-        while len(states):
-            take = min(len(states), done + chunk - first)
-            at = first if keep_states else first - done
-            store[at:at + take] = states[:take]
-            first, states = first + take, states[take:]
-            if first == done + chunk or first == size:
-                rows = slice(done, first)
-                rhos = store[rows] if keep_states else store[:first - done]
-                trace_err[rows], herm_err[rows], min_eig[rows] = _invariants(
-                    rhos, t_grid[rows], abort_tol, abort_tol, index)
-                observables.measure(done, rhos)
-                done = first
+        rows = slice(first, first + len(states))
+        trace_err[rows], herm_err[rows], min_eig[rows] = _invariants(
+            states, t_grid[rows], abort_tol, abort_tol, index)
+        observables.measure(first, states)
+        if keep_states:
+            kept[rows] = states
+        elif rows.stop == size:
+            kept[0] = states[-1]
 
     def rhs(y):
         return generator.action(y.reshape(shape)).ravel()
@@ -515,17 +495,14 @@ def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_s
         rhs, y0.ravel(), t_grid, rtol=rtol, atol=atol,
         emit=emit, layout=(parity.index.ravel(), dim * dim) if blocks else None,
     )
-    # without keep_states the chunks start at multiples of `chunk`
-    rhos = store if keep_states else store[(size - 1) % chunk][None]
-    if blocks:
-        rhos = parity.scatter(rhos)
+    rhos = parity.scatter(kept) if blocks else kept
     return Trajectory(
         t_grid.copy(),
         *observables.columns(),
         min_eig=min_eig,
         trace_err=trace_err,
         herm_err=herm_err,
-        # a copy, so that the final state holds no view of the buffer
+        # a copy, so that it shares no entries with states[-1]
         final_state=QubitState(rhos[-1].copy(), n, time=float(t_grid[-1])),
         states=[QubitState(rho, n, time=float(t)) for rho, t in zip(rhos, t_grid)]
         if keep_states else [],

@@ -143,9 +143,9 @@ MIN_RTOL = 100 * float(np.finfo(float).eps)
 # floor 16 eps unless atol >= about 40 eps rtol (measured at N = 2 and 5, rtol
 # 1e-6 to MIN_RTOL), so no allowed rtol meets an atol below eps MIN_RTOL
 MIN_ATOL = float(np.finfo(float).eps) * MIN_RTOL
-# grid states per evaluation of the dense interpolant (at least one), so that
-# a step over many grid points allocates no more than this at a time
-DENSE_OUTPUT_BYTES = 128 * 1024
+# grid states per output chunk of `integrate_ode` (at least one): its one
+# output buffer, which `emit` reads in place
+OUTPUT_CHUNK_BYTES = 256 * 1024
 
 
 def _initial_step(f, y0, f0, rtol, atol, rms):
@@ -165,12 +165,13 @@ def integrate_ode(f, y0, t_grid, rtol, atol, emit, layout=None):
     """Integrate the autonomous system dy/dt = f(y) and hand the states at
     the grid points to `emit`; returns None.
 
-    `emit(first, states)` receives the grid states in order, as a
-    (k, len(y0)) array of the states at the grid indices first,
-    first + 1, ...: the start (index 0) alone, then those that each accepted
-    step covers, DENSE_OUTPUT_BYTES of states at a time (at least one).
-    The integrator keeps no output of its own and never writes to an
-    emitted array afterwards; an exception from `emit` ends the integration.
+    The grid states go into one (k, len(y0)) buffer of OUTPUT_CHUNK_BYTES
+    (at least one state, at most the grid).  Each time it fills, and once at
+    the end with the states left, `emit(first, states)` receives it, as the
+    states at the grid indices first, first + 1, ...; the chunks arrive in
+    grid order.  `states` is the buffer itself, overwritten after `emit`
+    returns, so `emit` copies what it keeps.  An exception from `emit` ends
+    the integration.
 
     Embedded Dormand-Prince 5(4) pair: the fifth-order solution propagates,
     the fourth-order difference controls the local error against
@@ -220,10 +221,14 @@ def integrate_ode(f, y0, t_grid, rtol, atol, emit, layout=None):
             squares[positions] = np.abs(x) ** 2
             return np.sqrt(np.mean(squares))
 
-    rows = max(1, DENSE_OUTPUT_BYTES // y.nbytes)
+    out = np.empty((min(t_grid.size, max(1, OUTPUT_CHUNK_BYTES // y.nbytes)), y.size),
+                   dtype=complex)
     t = t_grid[0]
-    emit(0, y[None])
-    next_out = 1
+    out[0] = y
+    first, next_out = 0, 1  # the grid indices of out[0] and of the next state
+    if len(out) == 1:
+        emit(first, out)
+        first = 1
     if next_out >= t_grid.size:
         return
     t_end = t_grid[-1]
@@ -260,12 +265,16 @@ def integrate_ode(f, y0, t_grid, rtol, atol, emit, layout=None):
                 r3 = h * k[0] - ydiff
                 r4 = ydiff - h * k[6] - r3
                 r5 = h * (_DP_DENSE @ k)
-                for lo in range(next_out, stop, rows):
-                    theta = ((t_grid[lo:min(lo + rows, stop)] - t) / h)[:, None]
-                    emit(lo, y + theta * (
+                while next_out < stop:  # in pieces that fit the free rows of `out`
+                    end = min(stop, first + len(out))
+                    theta = ((t_grid[next_out:end] - t) / h)[:, None]
+                    np.add(y, theta * (
                         ydiff + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5))
-                    ))
-                next_out = stop
+                    ), out=out[next_out - first:end - first])
+                    next_out = end
+                    if end - first == len(out):
+                        emit(first, out)
+                        first = end
             k[0] = k[6]  # FSAL
             y = y_new
             t = t_new
@@ -275,6 +284,8 @@ def integrate_ode(f, y0, t_grid, rtol, atol, emit, layout=None):
             raise StepSizeUnderflowError(f"error norm is NaN at t={t!r} (h={h!r})")
         else:
             h = h * max(0.2, 0.9 * err ** -0.2)
+    if next_out > first:
+        emit(first, out[:next_out - first])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -83,3 +84,27 @@ def test_the_tiny_set_is_written_twice_byte_for_byte(csvset, tmp_path, capsys):
             assert main([*argv, "--out", str(tmp_path / copy / name)]) == 0
     assert csvset.main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
     assert capsys.readouterr().out.endswith("14 files, 0 not byte-identical\n")
+
+
+def test_run_exports_a_git_revision(csvset, tmp_path, monkeypatch):
+    # a throwaway repository whose one commit holds a stand-in package that
+    # writes one CSV; the working tree is changed after the commit, so the
+    # CSV says which of the two ran
+    repo = tmp_path / "repo"
+    package = repo / "src" / "magsqueeze"
+    package.mkdir(parents=True)
+    main = package / "__main__.py"
+    source = ("import os, sys\n"
+              "out = sys.argv[sys.argv.index('--out') + 1]\n"
+              "os.makedirs(out)\n"
+              "open(os.path.join(out, 'table.csv'), 'w').write('x\\n{}\\n')\n")
+    main.write_text(source.format("committed"))
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stand-in"]):
+        subprocess.run(git + args, check=True)
+    main.write_text(source.format("uncommitted"))
+    monkeypatch.setattr(csvset, "RUNS", {"tiny": ["--scenario", "custom"]})
+    monkeypatch.chdir(repo)
+    csvset.run("HEAD", str(tmp_path / "out"))
+    assert (tmp_path / "out" / "tiny" / "table.csv").read_text() == "x\ncommitted\n"
+    assert (tmp_path / "out" / "provenance.txt").exists()

@@ -13,7 +13,6 @@ from magsqueeze.bath import BathState, bath_from_params, resonant_wavelength
 from magsqueeze.cli import EXIT_OK, main
 from magsqueeze.couplings import build_couplings
 from magsqueeze.dynamics import (
-    CHECK_CHUNK_BYTES,
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     SECTOR_MIN_QUBITS,
@@ -29,7 +28,7 @@ from magsqueeze.errors import (
     DegenerateSteadyStateError,
     StateInvariantError,
 )
-from magsqueeze.numerics import eig_smallest, integrate_ode
+from magsqueeze.numerics import OUTPUT_CHUNK_BYTES, eig_smallest, integrate_ode
 from magsqueeze.observables import collective_spin, initial_state, wineland_xi2
 from magsqueeze.operators import site_lower
 from magsqueeze.params import ArrayGeometry, PhysicalParams
@@ -578,11 +577,10 @@ class TestParityBlocks:
         assert shapes == [(2, half, half), (grid.size if keep else 1, 2, half, half)]
 
     def test_block_trajectory_memory(self):
-        # evolve checks and measures the blocks as the integrator emits
-        # them, a chunk of EVOLVE_CHUNK_BYTES at a time, and keeps only the
+        # evolve checks and measures the blocks in the integrator's output
+        # buffer of OUTPUT_CHUNK_BYTES as it fills, and copies only the
         # last: from 100 to 1600 points its peak grows by the columns (about
-        # 17 floats a point) and by the interpolated states of one step (at
-        # most DENSE_OUTPUT_BYTES), not by the 32 KiB of blocks a point
+        # 17 floats a point), not by the 32 KiB of blocks a point
         small, large = trajectory_peaks(6, 100, 1600)
         assert large - small <= 0.5 * MIB
         assert large <= 4 * MIB
@@ -758,7 +756,7 @@ class TestEvolve:
     def test_invariant_columns_equal_state_methods(self):
         # 400 states of 8 x 8 are checked in two chunks
         t = np.linspace(0.0, 5.0, 400)
-        assert 64 * 16 * t.size > CHECK_CHUNK_BYTES >= 64 * 16 * t.size / 2
+        assert 64 * 16 * t.size > OUTPUT_CHUNK_BYTES >= 64 * 16 * t.size / 2
         gen = generator_for(3, 0.5, 0.25)
         s0 = initial_state("css", 3, theta=np.pi / 2, phi=0.3)
         traj = evolve(s0, gen, t, keep_states=True)
@@ -781,15 +779,17 @@ class TestEvolve:
         c = np.max(np.abs(x - x.conj().T))
         abort_tol = 1e-6  # max(1e-6, 1e4 atol) at the default atol
         # the error crosses the tolerance half-way between points 300 and
-        # 301, in the second chunk of 256 states
+        # 301, in the second output chunk
         grid = np.linspace(0.0, abort_tol / c * 399 / 300.5, 400)
+        rows = OUTPUT_CHUNK_BYTES // (dim * dim * 16)
+        assert rows <= 301 < 2 * rows
         with pytest.raises(StateInvariantError,
                            match=re.escape(f"Gamma_0 t = {grid[301]:.6g}: ")):
             evolve(s0, gen, grid)
 
     def test_dense_trajectory_memory(self):
         # the full 16 x 16 states of N = 4: at 400 and at 1600 points the
-        # buffer holds its 256 states, and the peak grows as in
+        # output buffer holds its 64 states, and the peak grows as in
         # test_block_trajectory_memory
         small, large = trajectory_peaks(4, 400, 1600)
         assert large - small <= 0.5 * MIB
@@ -798,8 +798,8 @@ class TestEvolve:
     def test_broken_state_stops_the_integration(self, monkeypatch):
         # an anti-Hermitian Hamiltonian part (i H_eff) keeps the parity and
         # the trace but breaks Hermiticity at once: the first chunk's check
-        # raises before the integrator has made half of the right-hand-side
-        # calls of the whole grid
+        # raises before the integrator has made a quarter of the
+        # right-hand-side calls of the whole grid
         n = 6
         base = generator_for(n, 0.5, 0.5)
         gen = Generator(n, 1j * base.h_eff, base.terms)
@@ -817,7 +817,7 @@ class TestEvolve:
         with pytest.raises(StateInvariantError, match=re.escape(
                 f"invariant violation at Gamma_0 t = {grid[1]:.6g}: trace error ")):
             evolve(start, gen, grid)
-        assert 0 < len(calls) < len(whole) / 2
+        assert 0 < len(calls) < len(whole) / 4
 
     def test_mismatched_generator_rejected(self):
         gen = generator_for(2, 0.5, 0.0)

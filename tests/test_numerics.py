@@ -276,19 +276,30 @@ class TestIntegrateOde:
         ys = integrate(lambda y: -y, y0, np.array([0.0]), 1e-8, 1e-10)
         assert np.array_equal(ys[0], y0)
 
-    def test_emits_the_start_then_each_steps_states(self):
-        # the start alone, then the grid states of each accepted step, the
-        # whole grid in order
-        seen = []
+    def test_emits_full_chunks_in_grid_order(self):
+        # a state of half the output chunk: every chunk but the last holds
+        # two states, the last the one left, and none is larger than the
+        # constant
+        y0 = np.ones(numerics.OUTPUT_CHUNK_BYTES // 32, dtype=complex)
         t = np.linspace(0.0, 5.0, 41)
-        integrate_ode(lambda y: -y, np.array([1.0 + 0j]), t, 1e-10, 1e-12,
-                      lambda first, states: seen.append((first, len(states))))
-        assert seen[0] == (0, 1)
-        assert all(count >= 1 for _, count in seen)
-        assert [first for first, _ in seen] == list(np.cumsum([0] + [c for _, c in seen[:-1]]))
-        assert sum(count for _, count in seen) == t.size
+        seen = []
+
+        def emit(first, states):
+            assert states.nbytes <= numerics.OUTPUT_CHUNK_BYTES
+            seen.append((first, len(states)))
+
+        integrate_ode(lambda y: -y, y0, t, 1e-10, 1e-12, emit)
+        assert seen == [(first, 2) for first in range(0, 40, 2)] + [(40, 1)]
+
+    def test_a_grid_within_one_chunk_is_emitted_once(self):
+        seen = []
+        integrate_ode(lambda y: -y, np.array([1.0 + 0j]), np.linspace(0.0, 5.0, 41),
+                      1e-10, 1e-12, lambda first, states: seen.append((first, len(states))))
+        assert seen == [(0, 41)]
 
     def test_an_error_from_emit_ends_the_integration(self):
+        # the first chunk of two states fills at the second grid point; no
+        # right-hand side is evaluated after emit raises
         calls = []
 
         def f(y):
@@ -296,16 +307,14 @@ class TestIntegrateOde:
             return -y
 
         def emit(first, states):
-            if first:
-                stopped.append(len(calls))
-                raise ArithmeticError("stop")
+            stopped.append((first, len(states), len(calls)))
+            raise ArithmeticError("stop")
 
         stopped = []
+        y0 = np.ones(numerics.OUTPUT_CHUNK_BYTES // 32, dtype=complex)
         with pytest.raises(ArithmeticError, match="stop"):
-            integrate_ode(f, np.array([1.0 + 0j]), np.linspace(0.0, 50.0, 101), 1e-10, 1e-12,
-                          emit)
-        # no right-hand side after the first grid state past the start
-        assert stopped == [len(calls)]
+            integrate_ode(f, y0, np.linspace(0.0, 50.0, 101), 1e-10, 1e-12, emit)
+        assert stopped == [(0, 2, len(calls))]
 
     def test_step_underflow_raises(self):
         # y' = y^2 from y = 1 blows up at t = 1: forces h -> 0

@@ -17,15 +17,20 @@ bytes differ where no cell moved (line endings, a final newline, line order)
 is reported as such.  It exits 1 if any file differs or exists on one side
 only.
 
-To compare a change with its parent, check the parent out by hand, e.g.
-`git worktree add ../parent HEAD~1`, then `run` both trees and `diff` them.
-Only the standard library is used.
+A TREE that is not a directory is taken as a git revision of the repository
+in the working directory, exported with `git archive` into a temporary
+directory for the run.  To compare a change with its parent, e.g.
+`run HEAD~1 OUT_A`, `run . OUT_B`, then `diff OUT_A OUT_B`.  Only the standard
+library is used.
 """
 
 import argparse
+import io
 import os
 import subprocess
 import sys
+import tarfile
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 import workloads  # noqa: E402  (stdlib only)
@@ -51,6 +56,13 @@ PROVENANCE = "import numpy, sys; print(sys.version); print(numpy.__version__); n
 
 
 def run(tree, out):
+    if not os.path.isdir(tree):
+        with tempfile.TemporaryDirectory() as export:
+            tar = subprocess.run(["git", "archive", "--format=tar", tree],
+                                 stdout=subprocess.PIPE, check=True).stdout
+            with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+                archive.extractall(export, filter="data")
+            return run(export, out)
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"), **THREADS)
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "provenance.txt"), "w", encoding="utf-8") as fh:
@@ -142,7 +154,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
     run_parser = commands.add_parser("run", help="write the CSV set of a source tree")
-    run_parser.add_argument("tree")
+    run_parser.add_argument("tree", help="a source tree, or a git revision to export")
     run_parser.add_argument("out")
     diff_parser = commands.add_parser("diff", help="compare two CSV sets")
     diff_parser.add_argument("a")
