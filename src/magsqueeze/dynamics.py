@@ -552,12 +552,13 @@ def steady_state(generator):
     random block for the estimate of its smallest |lambda|: a parity-odd or
     reversal-odd operator that never decays is caught too.  A singular or
     non-finite solve in any block, or the smallest estimate below 1e-8 of
-    the spectral radius (from a matrix-free Arnoldi run on `action`),
-    raises DegenerateSteadyStateError.  The residual ||L v|| of the
+    the spectral radius raises DegenerateSteadyStateError; the radius, from
+    a matrix-free Arnoldi run on `action`, is at most ||L||_2 <= ||L||_F
+    and is run only below 1e-8 ||L||_F.  The residual ||L v|| of the
     normalized solution, on the full `action`, is checked against
     1e-8 ||L||_F (LinAlgError), where ||L||_F^2 sums the blocks' squared
     norms (the basis is orthonormal; the entries between two blocks are 0,
-    and round-off under reversal), so a wrong reversal flag fails closed.
+    and round-off under reversal); it alone fails a wrong reversal flag.
     A generator whose entries could overflow these sums of squares (on a
     chain, a squeezing parameter r above about 172 at N = 7, 176 at N = 2)
     raises ConfigError before its reversal symmetry is measured.
@@ -600,7 +601,6 @@ def steady_state(generator):
     def apply(vec):
         return generator.action(vec.reshape(dim, dim)).ravel()
 
-    radius = spectral_radius_estimate(apply, dim * dim)
     rng = np.random.default_rng(0)
 
     norm_sq = 0.0
@@ -627,15 +627,15 @@ def steady_state(generator):
                 vec = np.zeros(2 * half * half)
                 vec[coords] = sol[:, 0] / np.linalg.norm(sol[:, 0])
 
-    lam2 = min(estimates)
+    lam2, l_norm = min(estimates), np.sqrt(norm_sq)
+    # Ritz values lie in the field of values of L: l_norm bounds the radius
+    radius = spectral_radius_estimate(apply, dim * dim) if lam2 < 1e-8 * l_norm else l_norm
     if lam2 < 1e-8 * radius:
         raise DegenerateSteadyStateError(
             f"the |lambda_2| estimate {lam2:.3e} is below 1e-8 of the spectral-radius "
             f"estimate {radius:.3e}: either the steady state is not unique, or its "
             "slowest decay rate is below 1e-8 of the spectral radius"
         )
-
-    l_norm = np.sqrt(norm_sq)
     coords = vec.reshape(2, half, half)
     if basis is not None:  # back to the basis states: V Q V^T
         coords = basis @ coords @ basis.swapaxes(1, 2)

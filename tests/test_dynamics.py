@@ -28,7 +28,12 @@ from magsqueeze.errors import (
     DegenerateSteadyStateError,
     StateInvariantError,
 )
-from magsqueeze.numerics import OUTPUT_CHUNK_BYTES, eig_smallest, integrate_ode
+from magsqueeze.numerics import (
+    OUTPUT_CHUNK_BYTES,
+    eig_smallest,
+    integrate_ode,
+    spectral_radius_estimate,
+)
 from magsqueeze.observables import collective_spin, initial_state, wineland_xi2
 from magsqueeze.operators import site_lower
 from magsqueeze.params import ArrayGeometry, PhysicalParams
@@ -72,6 +77,45 @@ def per_term_action(gen, rho):
 
 def trace_distance(a, b):
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+
+def kron_frobenius_norm(gen):
+    """||L||_F of the Kronecker form of `Generator.liouvillian`,
+    L = sum_s X_s kron Y_s, from <X kron Y, X' kron Y'> = <X, X'> <Y, Y'>,
+    so that no 4^N x 4^N matrix is built."""
+    h, eye = gen.h_eff, np.eye(len(gen.h_eff))
+    g = sum(w * (b_op @ a_op) for w, a_op, b_op in gen.terms)
+    lefts = [-1j * h - 0.5 * g, eye] + [w * a_op for w, a_op, _ in gen.terms]
+    rights = [eye, (1j * h - 0.5 * g).T] + [b_op.T for _, _, b_op in gen.terms]
+    x, y = (np.reshape(ops, (len(ops), -1)) for ops in (lefts, rights))
+    return float(np.sqrt(np.sum((x.conj() @ x.T) * (y.conj() @ y.T)).real))
+
+
+def arnoldi_radius(gen):
+    """The spectral-radius estimate that `steady_state` takes of `action`."""
+    dim = 2 ** gen.n_qubits
+    return spectral_radius_estimate(lambda vec: gen.action(vec.reshape(dim, dim)).ravel(),
+                                    dim * dim)
+
+
+def radius_calls(monkeypatch):
+    """Record every spectral-radius estimate `steady_state` runs, and the
+    Ritz estimates of its blocks."""
+    calls = {"radii": [], "estimates": []}
+    estimate, solve = dynamics.spectral_radius_estimate, dynamics._solve_sector
+
+    def spy_estimate(apply, size):
+        calls["radii"].append(estimate(apply, size))
+        return calls["radii"][-1]
+
+    def spy_solve(mat, rhs, name):
+        sol, lam = solve(mat, rhs, name)
+        calls["estimates"].append(lam)
+        return sol, lam
+
+    monkeypatch.setattr(dynamics, "spectral_radius_estimate", spy_estimate)
+    monkeypatch.setattr(dynamics, "_solve_sector", spy_solve)
+    return calls
 
 
 class TestQubitState:
@@ -895,6 +939,15 @@ class TestCollectiveLimit:
             steady_state(collective_generator(n))
 
 
+# (a/lambda, r) at N = 2.  Under the squeezed bath the dense |lambda_2| reads
+# 1e-8 of the radius at about a = 3e-4 lambda (0.69e-8 at 2.5e-4, 1.8e-8 at
+# 4e-4), so that case sits near the boundary of its estimates and is left out
+DEGENERACY_CASES = [
+    *(pytest.param(a, 0.0, id=str(a)) for a in (1e-7, 1e-5, 1e-4, 3e-4, 1e-3, 1e-2, 0.5)),
+    *(pytest.param(a, 0.5, id=f"{a}-r0.5") for a in (1e-5, 1e-4, 2.5e-4, 4e-4, 1e-3, 0.5)),
+]
+
+
 class TestSteadyState:
     def test_single_qubit_vacuum_ground_state(self):
         gen = generator_for(1, 1.0, 0.0)
@@ -942,17 +995,83 @@ class TestSteadyState:
         assert float(found[2]) == pytest.approx(moduli[-1], rel=1e-3)
         assert "not unique" in message and "slowest decay rate" in message
 
-    @pytest.mark.parametrize("a_over_lambda", [1e-7, 1e-5, 1e-4, 3e-4, 1e-3, 1e-2, 0.5])
-    def test_degeneracy_decision_matches_dense_eig(self, a_over_lambda):
+    @pytest.mark.parametrize("a_over_lambda, r", DEGENERACY_CASES)
+    def test_degeneracy_decision_matches_dense_eig(self, a_over_lambda, r):
         # the bordered solve flags a degenerate null space exactly when the
         # dense spectrum has |lambda_2| < 1e-8 * spectral radius
-        gen = generator_for(2, a_over_lambda, 0.0)
+        gen = generator_for(2, a_over_lambda, r)
         moduli = np.sort(np.abs(np.linalg.eig(gen.liouvillian())[0]))
         if moduli[1] < 1e-8 * moduli[-1]:
             with pytest.raises(DegenerateSteadyStateError):
                 steady_state(gen)
         else:
             steady_state(gen)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("a_over_lambda", [0.05, 0.5, 2.0, 1000.0])
+    def test_arnoldi_radius_is_at_most_the_frobenius_norm(self, n, a_over_lambda):
+        # every Ritz value lies in the field of values of L, so the estimate
+        # is at most ||L||_2 <= ||L||_F, and a |lambda_2| estimate of at least
+        # 1e-8 ||L||_F passes the degeneracy test without it (the ratio reads
+        # at most 0.70 on these chains)
+        for r in (0.0, 0.5, 1.0):
+            gen = generator_for(n, a_over_lambda, r)
+            norm = kron_frobenius_norm(gen)
+            if n <= 4:
+                assert norm == pytest.approx(np.linalg.norm(gen.liouvillian()), rel=1e-12)
+            assert arnoldi_radius(gen) <= norm, r
+
+    @pytest.mark.parametrize("n, seed", [(3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 1)])
+    def test_arnoldi_radius_is_at_most_the_frobenius_norm_on_2d_layouts(self, n, seed):
+        # about 0.34 of the norm at N = 3
+        gen = random_layout_generator(seed, n, "jump_operator")
+        assert arnoldi_radius(gen) <= np.linalg.norm(gen.liouvillian())
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_arnoldi_radius_is_at_most_the_frobenius_norm_with_a_zero_mode(self, n):
+        # the sigma_x generator of test_odd_sector_zero_mode_detected
+        sx = [site_pauli("x", i, n) for i in range(n)]
+        gen = Generator(n, np.zeros((2 ** n, 2 ** n), dtype=complex), [(1.0, op, op) for op in sx])
+        assert arnoldi_radius(gen) <= np.linalg.norm(gen.liouvillian())
+
+    def test_default_sweep_runs_no_arnoldi_radius(self, tmp_path, monkeypatch):
+        # at each of the 27 default points (two parity blocks each) the
+        # |lambda_2| estimate passes against ||L||_F alone
+        calls = radius_calls(monkeypatch)
+        assert main(["--scenario", "sweep", "--threads", "1", "--out", str(tmp_path)]) == EXIT_OK
+        assert len(calls["estimates"]) == 27 * 2
+        assert calls["radii"] == []
+
+    def test_five_qubit_chain_runs_no_arnoldi_radius(self, monkeypatch):
+        calls = radius_calls(monkeypatch)
+        steady_state(generator_for(5, 0.5, 0.25))
+        assert len(calls["estimates"]) == 4 and calls["radii"] == []
+
+    def test_degenerate_state_runs_the_arnoldi_radius_once(self, monkeypatch):
+        # the case of test_degeneracy_message_names_both_estimates: the
+        # message is built from the one radius and the smallest estimate
+        calls = radius_calls(monkeypatch)
+        with pytest.raises(DegenerateSteadyStateError) as info:
+            steady_state(generator_for(2, 1e-4, 0.0))
+        [radius] = calls["radii"]
+        assert str(info.value) == (
+            f"the |lambda_2| estimate {min(calls['estimates']):.3e} is below 1e-8 of the "
+            f"spectral-radius estimate {radius:.3e}: either the steady state is not unique, "
+            "or its slowest decay rate is below 1e-8 of the spectral radius"
+        )
+
+    @pytest.mark.parametrize("a_over_lambda, r", [(5.5e-4, 0.0), (3.8e-4, 0.5)])
+    def test_window_between_radius_and_norm_runs_the_arnoldi_radius(
+            self, monkeypatch, a_over_lambda, r):
+        # 1e-8 radius <= lam2 < 1e-8 ||L||_F: ||L||_F cannot pass the test,
+        # the radius does (each bound with a margin of about 1.5 at N = 2)
+        gen = generator_for(2, a_over_lambda, r)
+        ref = eig_null_state(gen)
+        calls = radius_calls(monkeypatch)
+        got = steady_state(gen)
+        [radius], lam2 = calls["radii"], min(calls["estimates"])
+        assert 1e-8 * radius <= lam2 < 1e-8 * np.linalg.norm(gen.liouvillian())
+        assert trace_distance(got.rho, ref) <= 1e-9
 
     @pytest.mark.parametrize("layout, mode", NULL_VECTOR_CASES)
     def test_matches_eig_null_vector_on_2d_layouts(self, layout, mode):
