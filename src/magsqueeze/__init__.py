@@ -26,6 +26,7 @@ from .dynamics import (
     Trajectory,
     build_generator,
     evolve,
+    evolve_many,
     steady_state,
 )
 from .errors import (
@@ -73,6 +74,7 @@ __all__ = [
     "collective_spin",
     "coupling_oracle",
     "evolve",
+    "evolve_many",
     "field_correlator",
     "initial_state",
     "load_config",

@@ -36,6 +36,7 @@ from .dynamics import (
     MAX_STEADY_QUBITS,
     build_generator,
     evolve,
+    evolve_many,
     steady_state,
 )
 from .errors import (
@@ -182,33 +183,27 @@ FIG2B_SETS = (
 
 
 def run_fig2b(scenario, params, geometry):
-    curves = {}
-    for label, r, a, init in FIG2B_SETS:
-        gen = _generator(params, 2, a, r)
-        traj = evolve(
-            initial_state(init, 2), gen, FIG2B_TGRID,
-            rtol=scenario.rtol, atol=scenario.atol,
-        )
-        curves[label] = traj.inv_xi2
+    trajs = evolve_many(
+        [initial_state(init, 2) for *_, init in FIG2B_SETS],
+        [_generator(params, 2, a, r) for _, r, a, _ in FIG2B_SETS], FIG2B_TGRID,
+        rtol=scenario.rtol, atol=scenario.atol,
+    )
     cols = ["Gamma0_t"] + [f"inv_xi2_{label}" for label, *_ in FIG2B_SETS]
-    rows = zip(FIG2B_TGRID, *(curves[label] for label, *_ in FIG2B_SETS))
+    rows = zip(FIG2B_TGRID, *(traj.inv_xi2 for traj in trajs))
     return [("fig2b_squeezing.csv", [], cols, rows)]
 
 
 def run_fig2c(scenario, params, geometry):
-    labels = []
-    curves = []
-    for r in (0.0, 0.5, 1.0):
-        for tag, a in (("corr", 0.4), ("uncorr", UNCORRELATED_A)):
-            gen = _generator(params, 4, a, r)
-            traj = evolve(
-                initial_state("all_excited", 4), gen, FIG2C_TGRID,
-                rtol=scenario.rtol, atol=scenario.atol,
-            )
-            labels.append(f"rate_{tag}_r{r:g}")
-            curves.append(traj.relaxation)
-    cols = ["Gamma0_t"] + labels
-    return [("fig2c_relaxation.csv", [], cols, zip(FIG2C_TGRID, *curves))]
+    sets = [(r, tag, a) for r in (0.0, 0.5, 1.0)
+            for tag, a in (("corr", 0.4), ("uncorr", UNCORRELATED_A))]
+    trajs = evolve_many(
+        [initial_state("all_excited", 4)] * len(sets),
+        [_generator(params, 4, a, r) for r, _, a in sets], FIG2C_TGRID,
+        rtol=scenario.rtol, atol=scenario.atol,
+    )
+    cols = ["Gamma0_t"] + [f"rate_{tag}_r{r:g}" for r, tag, _ in sets]
+    return [("fig2c_relaxation.csv", [], cols,
+             zip(FIG2C_TGRID, *(traj.relaxation for traj in trajs)))]
 
 
 def _override_key(item):

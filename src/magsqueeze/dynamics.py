@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DegenerateSteadyStateError, StateInvariantError
-from .numerics import integrate_ode, spectral_radius_estimate
+from .numerics import IntegratorStats, integrate_ode, spectral_radius_estimate
 # the traced benchmark run (perfbench/spans.py) wraps eig_smallest at this name
 from .numerics import eig_smallest  # noqa: F401
 from .operators import exchange_hamiltonian, site_lower, site_raise
@@ -37,8 +37,13 @@ POSITIVITY_FLOOR = -1e-8
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
 
-# smallest N at which `evolve` carries the parity blocks and `steady_state`
-# solves the site-reversal blocks; below it their fixed costs outweigh the smaller products
+# smallest N at which `evolve` integrates a parity-even start on its parity
+# blocks: the smallest at which the block action is the dense one bit for
+# bit (`Generator.action`)
+BLOCK_MIN_QUBITS = 3
+# smallest N at which `evolve` also checks and measures the blocks and
+# `steady_state` solves the site-reversal blocks; below it their fixed costs
+# outweigh the smaller products
 SECTOR_MIN_QUBITS = 5
 MAX_STEADY_QUBITS = 7
 RITZ_PROBES = 16  # random right-hand sides of the degeneracy estimate
@@ -153,8 +158,10 @@ def density_matrix(state):
 
 @dataclass
 class Trajectory:
-    """Time grid plus per-step observables of one evolution, read from the
-    stack that `evolve` integrated: the parity blocks when `parity_blocks`."""
+    """Time grid plus per-step observables of one evolution, and the
+    integrator's counters.  `parity_blocks` says that the parity blocks were
+    integrated; from SECTOR_MIN_QUBITS on the columns are read from them,
+    below it from the full states."""
 
     t: np.ndarray                 # Gamma_0 t
     mean_spin: np.ndarray         # (n, 3)
@@ -167,6 +174,7 @@ class Trajectory:
     final_state: QubitState
     states: list = field(default_factory=list)  # populated when keep_states
     parity_blocks: bool = False  # evolve integrated the parity blocks, not the full state
+    stats: IntegratorStats = field(default_factory=IntegratorStats)
 
 
 class Generator:
@@ -217,10 +225,10 @@ class Generator:
             right[t] = b_op
             g += w * (b_op @ a_op)
             self.terms.append((w, left[1 + t], right[t]))
-        weights = np.array([w for w, _, _ in terms], dtype=complex).reshape(count, 1, 1)
+        weights = np.array([w for w, _, _ in terms], dtype=complex).reshape(1, 1, count, 1, 1)
         self.h_eff = left[0]
         self._anticom = g
-        self._dense = _Layout(left[None], right[None], weights)
+        self._dense = _Layout(left[None, None], right[None, None], weights)
 
         # index[p, q] holds the flat indices of the block of rows of parity p
         # and columns of parity q
@@ -240,11 +248,13 @@ class Generator:
             parity_left = flat_left[:, within].swapaxes(0, 1).copy()
             parity_left[:, 1:-1] = flat_left[1:-1, across[::-1]].swapaxes(0, 1)
             parity_right = right.reshape(count, dim * dim)[:, across[::-1]].swapaxes(0, 1).copy()
-            self._parity = _Layout(parity_left, parity_right, weights, within)
+            self._parity = _Layout(parity_left[None], parity_right[None], weights, within)
 
-    def action(self, rho):
+    def action(self, rho, layout=None):
         """d rho / d(Gamma_0 t) as a new array, of a d x d `rho` on the dense
-        layout or of a (2, h, h) stack (rho_ee, rho_oo) on the parity layout.
+        layout or of a (2, h, h) stack (rho_ee, rho_oo) on the parity layout;
+        given a `_Layout` of m generators (`_Layout.stack`, or a generator's
+        own), of an (m, k, h, h) stack of the blocks of m states on it.
 
         The sums of `_Layout.apply` run in the order of -i[H, rho] +
         sum_t w_t A_t rho B_t - {G, rho}/2 written term by term, so the
@@ -262,9 +272,11 @@ class Generator:
         split the inner sums into other panels, which moves entries at
         round-off (up to 5e-16 of the largest).
         """
+        if layout is not None:
+            return layout.apply(rho)
         if rho.ndim == 3:
-            return self._parity.apply(rho)
-        return self._dense.apply(rho[None])[0]
+            return self._parity.apply(rho[None])[0]
+        return self._dense.apply(rho[None, None])[0, 0]
 
     @cached_property
     def reversal_symmetric(self):
@@ -296,13 +308,14 @@ class Generator:
         """New stacks lefts[p] = (K, 1, w_t A_t), rights[p] = (1, K', B_t) of
         each block p of the parity `_Layout`, K = -iH - G/2 and
         K' = iH - G/2; `_sector_block` reads them."""
-        parity = self._parity
-        h_eff, anticom = parity.left[:, 0], parity.left[:, -1]
-        eye = np.broadcast_to(np.eye(parity.left.shape[-1]), h_eff.shape)
+        left, right, weights = (stack[0] for stack in (
+            self._parity.left, self._parity.right, self._parity.weights))
+        h_eff, anticom = left[:, 0], left[:, -1]
+        eye = np.broadcast_to(np.eye(left.shape[-1]), h_eff.shape)
         lefts = np.concatenate([np.stack([-1j * h_eff - 0.5 * anticom, eye], axis=1),
-                                parity.weights * parity.left[:, 1:-1]], axis=1)
+                                weights * left[:, 1:-1]], axis=1)
         rights = np.concatenate([np.stack([eye, 1j * h_eff - 0.5 * anticom], axis=1),
-                                 parity.right], axis=1)
+                                 right], axis=1)
         return lefts, rights
 
     def liouvillian(self):
@@ -341,8 +354,12 @@ def _bit_reversal(n_qubits):
 
 
 class _Layout:
-    """A Generator's operators on k diagonal blocks of the basis, as stacks
-    with a leading block axis: left[p] = (H, A_t, G) and right[p] = B_t.
+    """The operators of m generators on k diagonal blocks of the basis, as
+    stacks with a leading member axis and a block axis: left[i, p] =
+    (H, A_t, G) and right[i, p] = B_t of member i, and its weights[i, 0] of
+    shape (T, 1, 1).  A Generator's own layouts have one member;
+    `_Layout.stack` joins those of m generators with the same N and term
+    count, so that one `apply` runs all m.
 
     The dense layout has one block, the whole space.  The parity layout has
     two, the basis states of even (p = 0) and of odd parity (p = 1), each
@@ -356,35 +373,43 @@ class _Layout:
     def __init__(self, left, right, weights, index=None):
         self.left = left
         self.right = right
-        self.weights = weights  # (T, 1, 1)
+        self.weights = weights  # (m, 1, T, 1, 1)
         self.index = index
-        self.h_and_g = left[:, :: left.shape[1] - 1]
-        # per block, (H, A_t, G) stacked into one tall matrix
-        self.tall = left.reshape(len(left), -1, left.shape[-1])
+        self.h_and_g = left[:, :, :: left.shape[2] - 1]
+        # per member and block, (H, A_t, G) stacked into one tall matrix
+        self.tall = left.reshape(*left.shape[:2], -1, left.shape[-1])
         self._left_rho = self._rho_hg = self._a_rho_b = None
 
+    @classmethod
+    def stack(cls, layouts):
+        """One layout holding the members of `layouts` in order, copied."""
+        return cls(*(np.concatenate([getattr(layout, name) for layout in layouts])
+                     for name in ("left", "right", "weights")), layouts[0].index)
+
     def apply(self, rho):
-        """The generator on a (k, h, h) stack of the blocks of a state, as a
-        new stack; left_rho[::-1] pairs each block with its partner, itself
-        on the dense layout."""
+        """The generators on an (m, k, h, h) stack of the blocks of m states,
+        member i's by generator i, as a new stack; left_rho[:, ::-1] pairs
+        each block with its partner, itself on the dense layout.  Each
+        member's products are the ones a one-member layout makes, so its
+        result is bit for bit the same."""
         if self._left_rho is None:
             # (H, A_t, G) rho, rho (H, G) and A_t rho B_t; the views are kept,
             # as at N <= 3 making them costs about as much as a product
             self._left_rho = np.empty_like(self.left)
             self._tall_rho = self._left_rho.reshape(self.tall.shape)
-            self._partner_rho = self._left_rho[::-1, 1:-1]
+            self._partner_rho = self._left_rho[:, ::-1, 1:-1]
             self._rho_hg = np.empty(self.h_and_g.shape, dtype=complex)
             self._a_rho_b = np.empty_like(self.right)
         left_rho, rho_hg, a_rho_b = self._left_rho, self._rho_hg, self._a_rho_b
         np.matmul(self.tall, rho, out=self._tall_rho)
-        np.matmul(rho[:, None], self.h_and_g, out=rho_hg)
+        np.matmul(rho[:, :, None], self.h_and_g, out=rho_hg)
         np.matmul(self._partner_rho, self.right, out=a_rho_b)
         a_rho_b *= self.weights
-        out = np.subtract(left_rho[:, 0], rho_hg[:, 0])
+        out = np.subtract(left_rho[:, :, 0], rho_hg[:, :, 0])
         out *= -1j
-        for t in range(a_rho_b.shape[1]):
-            out += a_rho_b[:, t]
-        anticom = np.add(left_rho[:, -1], rho_hg[:, 1], out=rho_hg[:, 1])
+        for t in range(a_rho_b.shape[2]):
+            out += a_rho_b[:, :, t]
+        anticom = np.add(left_rho[:, :, -1], rho_hg[:, :, 1], out=rho_hg[:, :, 1])
         anticom *= 0.5
         out -= anticom
         return out
@@ -393,7 +418,7 @@ class _Layout:
         """The (..., k, h, h) `blocks` placed in a new (..., d, d) array that
         is 0 outside them."""
         lead = blocks.shape[:-3]
-        dim = len(self.left) * self.left.shape[-1]
+        dim = self.left.shape[1] * self.left.shape[-1]
         out = np.zeros(lead + (dim, dim), dtype=complex)
         out.reshape(lead + (-1,))[..., self.index] = blocks
         return out
@@ -437,77 +462,157 @@ def build_generator(couplings):
 def evolve(rho0, generator, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, keep_states=False):
     """Evolve a state over a grid of Gamma_0 t values; returns a Trajectory.
 
+    The one-member case of `evolve_many`, which says how.
+    """
+    return evolve_many([rho0], [generator], t_grid, rtol, atol, keep_states)[0]
+
+
+def evolve_many(starts, generators, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
+                keep_states=False):
+    """Evolve each state of `starts` under its generator over one grid of
+    Gamma_0 t values; returns one Trajectory per member, in order.
+
     Adaptive embedded Runge-Kutta with dense output at the grid points; each
     output state is re-validated against the QubitState invariants, with
     trace and Hermiticity tolerances max(1e-6, 1e4 atol) (a violation aborts
     the run).  A parity-even start (every cross-parity entry 0) stays
-    parity-even under a parity-symmetric generator; from SECTOR_MIN_QUBITS
+    parity-even under a parity-symmetric generator; from BLOCK_MIN_QUBITS
     qubits on, its (2, h, h) parity blocks are integrated, with the step
     control of the full state (`integrate_ode`'s `layout`).
 
+    Members of the same N, term count and layout (parity blocks or full
+    states) form one stack, and the stacks are integrated one after
+    another.  `integrate_ode` steps a stack in lockstep, with one
+    `Generator.action` call per step on a `_Layout` of the generators of
+    the members still integrating, and each member keeps its own step
+    control: its Trajectory, `stats` included, is bit for bit the one that
+    it gets alone.
+
     Each chunk of states that `integrate_ode` emits is checked and measured
-    into the Trajectory columns in place, in the integrator's own buffer, so
-    the first broken state raises StateInvariantError before the rest of the
-    grid is integrated.  The checks and the observables read the stack that
-    was integrated, blocks or full states.  Only the last state is copied
-    out, or with `keep_states` every state, and only those are placed back
-    into full arrays.
+    into the member's columns in place, in the integrator's own buffer, so
+    the first broken state raises StateInvariantError before the rest of
+    the grid is integrated.  From SECTOR_MIN_QUBITS on the checks and the
+    observables read the blocks; below it each chunk of blocks is first
+    placed into full states, so that the columns are the dense path's bit
+    for bit.  The columns do not depend on how the integrator chunks the
+    states (`TrajectoryObservables.measure`).  Only the last state is
+    copied out, or with `keep_states` every state, and only blocks are
+    placed back into full arrays.
     """
-    # imported here: observables imports QubitState from this module
-    from .observables import TrajectoryObservables
-
-    rho_init, n = density_matrix(rho0)
-    if n != generator.n_qubits:
-        raise ValueError("state and generator have different qubit counts")
-    QubitState(rho_init, n).check()
-
+    if len(starts) != len(generators):
+        raise ValueError(f"{len(starts)} states for {len(generators)} generators")
     t_grid = np.asarray(t_grid, dtype=float)
-    size, dim = t_grid.size, 2 ** n
-    parity = generator._parity
-    start = None if parity is None else np.take(rho_init, parity.index)
-    # the blocks hold every nonzero entry: every state is block-diagonal
-    even = start is not None and np.array_equal(parity.scatter(start), rho_init)
-    blocks = even and n >= SECTOR_MIN_QUBITS
-    shape = start.shape if blocks else (dim, dim)
-    index = parity.index if even and not blocks else None
-
     abort_tol = max(1e-6, 1e4 * atol)
-    trace_err, herm_err, min_eig = np.empty(size), np.empty(size), np.empty(size)
-    observables = TrajectoryObservables(generator, size, blocks)
-    y0 = start if blocks else rho_init
-    kept = np.empty((size if keep_states else 1, *shape), dtype=complex)
+    members = [_Member(rho0, generator, t_grid, abort_tol, keep_states)
+               for rho0, generator in zip(starts, generators)]
+    stacks = {}
+    for member in members:
+        key = (member.generator.n_qubits, len(member.generator.terms), member.blocks)
+        stacks.setdefault(key, []).append(member)
+    for stack in stacks.values():
+        _integrate(stack, t_grid, rtol, atol)
+    return [member.trajectory() for member in members]
 
-    def emit(first, states):
-        states = states.reshape(len(states), *shape)
+
+class _Member:
+    """One trajectory of `evolve_many`: its start as the (k, h, h) stack of
+    blocks that is integrated (one block on the dense layout), the layout
+    and the checks it takes, and the columns that its chunks fill."""
+
+    def __init__(self, rho0, generator, t_grid, abort_tol, keep_states):
+        # imported here: observables imports QubitState from this module
+        from .observables import TrajectoryObservables
+
+        rho_init, n = density_matrix(rho0)
+        if n != generator.n_qubits:
+            raise ValueError("state and generator have different qubit counts")
+        QubitState(rho_init, n).check()
+        parity = generator._parity
+        start = None if parity is None else np.take(rho_init, parity.index)
+        # the blocks hold every nonzero entry: every state is block-diagonal
+        even = start is not None and np.array_equal(parity.scatter(start), rho_init)
+        self.generator, self.t_grid, self.abort_tol = generator, t_grid, abort_tol
+        self.blocks = even and n >= BLOCK_MIN_QUBITS
+        self.measured = self.blocks and n >= SECTOR_MIN_QUBITS  # checked on the blocks
+        self.y0, self.layout = ((start, parity) if self.blocks
+                                else (rho_init[None], generator._dense))
+        self.eig_index = parity.index if even and not self.measured else None
+        size = t_grid.size
+        self.observables = TrajectoryObservables(generator, size, self.measured)
+        self.trace_err, self.herm_err, self.min_eig = (np.empty(size) for _ in range(3))
+        shape = start.shape if self.measured else rho_init.shape
+        self.kept = np.empty((size if keep_states else 1, *shape), dtype=complex)
+        self.keep_states = keep_states
+        self.stats = None
+
+    def record(self, first, states):
+        """Check and measure the states first, first + 1, ... of the grid,
+        blocks if `measured`, else full states."""
+        states = states.reshape(len(states), *self.kept.shape[1:])
         rows = slice(first, first + len(states))
-        trace_err[rows], herm_err[rows], min_eig[rows] = _invariants(
-            states, t_grid[rows], abort_tol, abort_tol, index)
-        observables.measure(first, states)
-        if keep_states:
-            kept[rows] = states
-        elif rows.stop == size:
-            kept[0] = states[-1]
+        self.trace_err[rows], self.herm_err[rows], self.min_eig[rows] = _invariants(
+            states, self.t_grid[rows], self.abort_tol, self.abort_tol, self.eig_index)
+        self.observables.measure(first, states)
+        if self.keep_states:
+            self.kept[rows] = states
+        elif rows.stop == self.t_grid.size:
+            self.kept[0] = states[-1]
 
-    def rhs(y):
-        return generator.action(y.reshape(shape)).ravel()
+    def trajectory(self):
+        n, t_grid = self.generator.n_qubits, self.t_grid
+        rhos = self.layout.scatter(self.kept) if self.measured else self.kept
+        return Trajectory(
+            t_grid.copy(),
+            *self.observables.columns(),
+            min_eig=self.min_eig,
+            trace_err=self.trace_err,
+            herm_err=self.herm_err,
+            # a copy, so that it shares no entries with states[-1]
+            final_state=QubitState(rhos[-1].copy(), n, time=float(t_grid[-1])),
+            states=[QubitState(rho, n, time=float(t)) for rho, t in zip(rhos, t_grid)]
+            if self.keep_states else [],
+            parity_blocks=self.blocks,
+            stats=self.stats,
+        )
 
-    integrate_ode(
-        rhs, y0.ravel(), t_grid, rtol=rtol, atol=atol,
-        emit=emit, layout=(parity.index.ravel(), dim * dim) if blocks else None,
+
+def _integrate(stack, t_grid, rtol, atol):
+    """Integrate the members of one stack of `evolve_many` in lockstep, each
+    chunk of states that the integrator emits recorded by its member."""
+    lead = stack[0]
+    shape, dim = lead.y0.shape, 2 ** lead.generator.n_qubits
+    index = lead.layout.index.ravel() if lead.blocks else None
+    full = None  # a buffer of full states, made on first use
+    current, layout = None, None  # the members of the last rhs call, and their layout
+
+    def emit(i, first, states):
+        nonlocal full
+        if not lead.blocks or lead.measured:
+            stack[i].record(first, states)
+            return
+        # full states take twice the bytes of their blocks: half a chunk at a time
+        half = -(-len(states) // 2)
+        if full is None or len(full) < half:
+            full = np.zeros((half, dim * dim), dtype=complex)
+        for lo in range(0, len(states), half):
+            part = states[lo:lo + half]
+            full[:len(part), index] = part
+            stack[i].record(first + lo, full[:len(part)])
+
+    def rhs(y, members):
+        nonlocal current, layout
+        if members is not current:
+            layouts = [stack[i].layout for i in members]
+            current, layout = members, layouts[0] if len(layouts) == 1 else _Layout.stack(layouts)
+        return stack[members[0]].generator.action(
+            y.reshape(len(y), *shape), layout).reshape(len(y), -1)
+
+    stats = integrate_ode(
+        rhs, np.stack([member.y0.ravel() for member in stack]), t_grid, rtol=rtol, atol=atol,
+        emit=emit, layout=(index, dim * dim) if lead.blocks else None,
     )
-    rhos = parity.scatter(kept) if blocks else kept
-    return Trajectory(
-        t_grid.copy(),
-        *observables.columns(),
-        min_eig=min_eig,
-        trace_err=trace_err,
-        herm_err=herm_err,
-        # a copy, so that it shares no entries with states[-1]
-        final_state=QubitState(rhos[-1].copy(), n, time=float(t_grid[-1])),
-        states=[QubitState(rho, n, time=float(t)) for rho, t in zip(rhos, t_grid)]
-        if keep_states else [],
-        parity_blocks=blocks,
-    )
+    for member, record in zip(stack, stats):
+        member.stats = record
 
 
 def steady_state(generator):

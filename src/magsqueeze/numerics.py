@@ -143,35 +143,66 @@ MIN_RTOL = 100 * float(np.finfo(float).eps)
 # floor 16 eps unless atol >= about 40 eps rtol (measured at N = 2 and 5, rtol
 # 1e-6 to MIN_RTOL), so no allowed rtol meets an atol below eps MIN_RTOL
 MIN_ATOL = float(np.finfo(float).eps) * MIN_RTOL
-# grid states per output chunk of `integrate_ode` (at least one): its one
-# output buffer, which `emit` reads in place
+# the bytes of `integrate_ode`'s output buffers, one per member of a stack
+# (at least one state each), which `emit` reads in place
 OUTPUT_CHUNK_BYTES = 256 * 1024
 
 
 def _initial_step(f, y0, f0, rtol, atol, rms):
+    """The first step size of each row of the (m, n) stack `y0`, with one
+    call of `f` on the stack; each row's arithmetic is a one-member run's."""
     scale = atol + rtol * np.abs(y0)
     d0 = rms(y0 / scale)
     d1 = rms(f0 / scale)
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    y1 = y0 + h0 * f0
+    h0 = [1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b for a, b in zip(d0, d1)]
+    y1 = y0 + np.array(h0)[:, None] * f0
     f1 = f(y1)
     d2 = rms((f1 - f0) / scale) / h0
-    dm = max(d1, d2)
-    h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.2
-    return min(100 * h0, h1)
+    steps = []
+    for a, b, c in zip(h0, d1, d2):
+        dm = max(b, c)
+        h1 = max(1e-6, a * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.2
+        steps.append(min(100 * a, h1))
+    return steps
+
+
+@dataclass
+class IntegratorStats:
+    """Counters of one member's integration by `integrate_ode`: right-hand-
+    side evaluations, accepted and rejected steps, and the smallest and
+    largest accepted step (inf and 0 before the first)."""
+
+    nfev: int = 0
+    accepted: int = 0
+    rejected: int = 0
+    min_step: float = np.inf
+    max_step: float = 0.0
 
 
 def integrate_ode(f, y0, t_grid, rtol, atol, emit, layout=None):
-    """Integrate the autonomous system dy/dt = f(y) and hand the states at
-    the grid points to `emit`; returns None.
+    """Integrate the independent autonomous systems dy/dt = f(y) of the rows
+    of the (B, n) stack `y0` in lockstep and hand each member's states at
+    the grid points to `emit`; returns one IntegratorStats per member.
 
-    The grid states go into one (k, len(y0)) buffer of OUTPUT_CHUNK_BYTES
-    (at least one state, at most the grid).  Each time it fills, and once at
-    the end with the states left, `emit(first, states)` receives it, as the
-    states at the grid indices first, first + 1, ...; the chunks arrive in
-    grid order.  `states` is the buffer itself, overwritten after `emit`
-    returns, so `emit` copies what it keeps.  An exception from `emit` ends
-    the integration.
+    Each iteration makes one call `f(y, members)` on the (m, n) stack of the
+    members still integrating, the rows `members` of `y0` (an ascending
+    tuple, the same object until a member leaves), which returns their
+    derivatives as an (m, n) stack.  Each member keeps its own t, step
+    size, error norm, accept/reject decision, FSAL stage and dense output,
+    and the arithmetic is a one-member run's row by row (stage sums as
+    stacked products, RMS norms along each row, the step-size factor as a
+    scalar), so a member's states and counters are bit for bit those of
+    integrating it alone.  A member leaves the stack when it reaches the end
+    of the grid.
+
+    Each member's grid states go into its own (k, n) buffer; the B buffers
+    share OUTPUT_CHUNK_BYTES (at least one state each, at most the grid).
+    Each time one fills, and once at the member's end with the states left,
+    `emit(member, first, states)` receives it, as the member's states at the
+    grid indices first, first + 1, ...; each member's chunks arrive in grid
+    order.  `states` is the buffer itself, overwritten after `emit` returns,
+    so `emit` copies what it keeps.  An exception from `emit` ends the
+    integration.
 
     Embedded Dormand-Prince 5(4) pair: the fifth-order solution propagates,
     the fourth-order difference controls the local error against
@@ -179,19 +210,19 @@ def integrate_ode(f, y0, t_grid, rtol, atol, emit, layout=None):
     the standard fourth-order dense interpolant, so the grid never constrains
     the step size.
 
-    `layout = (positions, size)` says that `y` holds the entries at the
+    `layout = (positions, size)` says that each row holds the entries at the
     distinct `positions` of a length-`size` vector whose other entries stay
     0.  Each RMS norm is then taken over that whole vector: |x|^2 is placed
     into a zeroed length-`size` buffer and averaged, so the sum runs in the
     order of the full vector's and every step is the one that integrating
     the full vector takes, bit for bit.
 
-    Raises ValueError unless `rtol` is finite and >= MIN_RTOL, `atol` is
-    finite and >= MIN_ATOL, the grid is finite and strictly increasing and the
-    `positions` are len(y0) distinct indices below `size`, and
-    StepSizeUnderflowError if the controller drives h below the
-    representable minimum or a step's error norm is NaN (a NaN right-hand
-    side or step size, which would otherwise be rejected forever).
+    Raises ValueError unless `y0` is a (B, n) stack, `rtol` is finite and
+    >= MIN_RTOL, `atol` is finite and >= MIN_ATOL, the grid is finite and
+    strictly increasing and the `positions` are n distinct indices below
+    `size`, and StepSizeUnderflowError if the controller drives a member's h
+    below the representable minimum or its error norm is NaN (a NaN
+    right-hand side or step size, which would otherwise be rejected forever).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -203,89 +234,156 @@ def integrate_ode(f, y0, t_grid, rtol, atol, emit, layout=None):
     if not (np.isfinite(rtol) and rtol >= MIN_RTOL and np.isfinite(atol) and atol >= MIN_ATOL):
         raise ValueError(f"tolerances must be finite, rtol >= {MIN_RTOL!r} and atol >= "
                          f"{MIN_ATOL!r}, got rtol={rtol!r}, atol={atol!r}")
-
-    y = np.asarray(y0, dtype=complex).copy()
+    y = np.array(y0, dtype=complex)
+    if y.ndim != 2 or not y.size:
+        raise ValueError(f"y0 must be a non-empty (members, n) stack, got shape {y.shape}")
+    count, width = y.shape
+    # the means of np.mean along each row: a pairwise sum, then one division
     if layout is None:
         def rms(x):
-            return np.sqrt(np.mean(np.abs(x) ** 2))
+            return np.sqrt(np.add.reduce(np.abs(x) ** 2, axis=1) / width)
     else:
         positions, size = layout
         positions = np.asarray(positions)
-        if (positions.shape != (y.size,) or not np.issubdtype(positions.dtype, np.integer)
+        # np.bincount, not np.unique: np.unique imports numpy.ma, 1.7 MB of RSS
+        if (positions.shape != (width,) or not np.issubdtype(positions.dtype, np.integer)
                 or np.any((positions < 0) | (positions >= size))
-                or np.unique(positions).size != y.size):
-            raise ValueError(f"layout positions must be {y.size} distinct indices below {size}")
-        squares = np.zeros(size)
+                or np.bincount(positions).max() > 1):
+            raise ValueError(f"layout positions must be {width} distinct indices below {size}")
+        squares = np.zeros((count, size))
 
         def rms(x):
-            squares[positions] = np.abs(x) ** 2
-            return np.sqrt(np.mean(squares))
+            part = squares[:len(x)]
+            part[:, positions] = np.abs(x) ** 2
+            return np.sqrt(np.add.reduce(part, axis=1) / size)
 
-    out = np.empty((min(t_grid.size, max(1, OUTPUT_CHUNK_BYTES // y.nbytes)), y.size),
-                   dtype=complex)
-    t = t_grid[0]
-    out[0] = y
-    first, next_out = 0, 1  # the grid indices of out[0] and of the next state
-    if len(out) == 1:
-        emit(first, out)
-        first = 1
-    if next_out >= t_grid.size:
-        return
-    t_end = t_grid[-1]
+    stats = [IntegratorStats() for _ in range(count)]
+    # the members share OUTPUT_CHUNK_BYTES, which also bounds the stacked
+    # dense output below
+    rows = min(t_grid.size, max(1, OUTPUT_CHUNK_BYTES // (16 * width * count)))
+    outs = np.empty((count, rows, width), dtype=complex)
+    outs[:, 0] = y
+    # per member: the grid indices of its out[0] and of its next state
+    first, next_out = [0] * count, [1] * count
+    if rows == 1:
+        for i in range(count):
+            emit(i, 0, outs[i])
+        first = [1] * count
+    if t_grid.size == 1:
+        return stats
 
-    k = np.empty((7, y.size), dtype=complex)
-    k[0] = f(y)
-    h = min(_initial_step(f, y, k[0], rtol, atol, rms), t_end - t)
+    t_end = float(t_grid[-1])
+    members = tuple(range(count))
+    k = np.empty((count, 7, width), dtype=complex)
+    k[:, 0] = f(y, members)
+    t = [float(t_grid[0])] * count
+    h = [min(step, t_end - t[0])
+         for step in _initial_step(lambda x: f(x, members), y, k[:, 0], rtol, atol, rms)]
+    calls = 2  # of f, each on every member of the stack
 
     hmin_floor = 16.0 * np.finfo(float).eps
-    while t < t_end:
-        if t_end - t <= hmin_floor * max(abs(t_end), 1.0):
-            break  # within roundoff of the end point
-        h = min(h, t_end - t)
-        if h < hmin_floor * max(abs(t), 1.0):
-            raise StepSizeUnderflowError(
-                f"step size underflow at t={t!r} (h={h!r})"
-            )
-        for i in range(1, 7):
-            yi = y + h * (_DP_A[i] @ k[:i])
-            k[i] = f(yi)
-        y_new = y + h * (_DP_B5 @ k)
-        err_vec = h * (_DP_ERR @ k)
+    end_floor = hmin_floor * max(abs(t_end), 1.0)
+    while True:
+        # a member at the end, or within roundoff of it, emits its last
+        # states and leaves the stack
+        steps, left = [], []
+        for r, i in enumerate(members):
+            if not (t[i] < t_end and t_end - t[i] > end_floor):
+                left.append(r)
+                continue
+            h[i] = min(h[i], t_end - t[i])
+            if h[i] < hmin_floor * max(abs(t[i]), 1.0):
+                raise StepSizeUnderflowError(
+                    f"step size underflow at t={t[i]!r} (h={h[i]!r})"
+                )
+            steps.append(h[i])
+        if left:
+            for r in left:
+                i = members[r]
+                stats[i].nfev = calls
+                if next_out[i] > first[i]:
+                    emit(i, first[i], outs[i, :next_out[i] - first[i]])
+            if not steps:
+                return stats
+            stay = [r for r in range(len(members)) if r not in left]
+            members = tuple(members[r] for r in stay)
+            y, k = y[stay], k[stay]
+        step = np.array(steps)[:, None]
+        for s in range(1, 7):
+            yi = y + step * (_DP_A[s] @ k[:, :s])
+            k[:, s] = f(yi, members)
+        calls += 6
+        y_new = y + step * (_DP_B5 @ k)
+        err_vec = step * (_DP_ERR @ k)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = rms(err_vec / scale)
+        errs = rms(err_vec / scale)
 
-        if err <= 1.0:
-            # dense output over [t, t+h] for all grid points inside at once
-            t_new = t + h
-            stop = np.searchsorted(
-                t_grid, t_new + 1e-14 * max(abs(t_new), 1.0), side="right"
-            )
-            if stop > next_out:
-                ydiff = y_new - y
-                r3 = h * k[0] - ydiff
-                r4 = ydiff - h * k[6] - r3
-                r5 = h * (_DP_DENSE @ k)
-                while next_out < stop:  # in pieces that fit the free rows of `out`
-                    end = min(stop, first + len(out))
-                    theta = ((t_grid[next_out:end] - t) / h)[:, None]
-                    np.add(y, theta * (
-                        ydiff + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5))
-                    ), out=out[next_out - first:end - first])
-                    next_out = end
-                    if end - first == len(out):
-                        emit(first, out)
-                        first = end
-            k[0] = k[6]  # FSAL
+        accepted, dense = [], []  # rows; (row, member, stop, t, h) of steps over grid points
+        for r, (i, err) in enumerate(zip(members, errs)):
+            ti, hi, record = t[i], h[i], stats[i]
+            if err <= 1.0:
+                t_new = ti + hi
+                stop = np.searchsorted(
+                    t_grid, t_new + 1e-14 * max(abs(t_new), 1.0), side="right"
+                )
+                if stop > next_out[i]:
+                    dense.append((r, i, stop, ti, hi))
+                accepted.append(r)
+                record.accepted += 1
+                record.min_step = min(record.min_step, hi)
+                record.max_step = max(record.max_step, hi)
+                t[i] = t_new
+                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                h[i] = hi * factor
+            elif np.isnan(err):
+                raise StepSizeUnderflowError(f"error norm is NaN at t={ti!r} (h={hi!r})")
+            else:
+                record.rejected += 1
+                h[i] = hi * max(0.2, 0.9 * err ** -0.2)
+
+        if dense:
+            # dense output over [t, t+h] for the grid points inside, stacked
+            # over the members that have some, in rounds of pieces that fit
+            # the free rows of each member's buffer; a member's thetas are
+            # padded to the longest piece
+            sel = [row for row, *_ in dense]
+            sel = slice(None) if len(sel) == len(members) else sel
+            y_sel, h_sel = y[sel], step[sel]
+            ydiff = y_new[sel] - y_sel
+            r3 = h_sel * k[sel, 0] - ydiff
+            r4 = (ydiff - h_sel * k[sel, 6] - r3)[:, None]
+            r5 = (h_sel * (_DP_DENSE @ k[sel]))[:, None]
+            ydiff, r3 = ydiff[:, None], r3[:, None]
+            todo = list(range(len(dense)))
+            while todo:
+                pieces = []
+                for j in todo:
+                    i, stop, ti, hi = dense[j][1:]
+                    end = min(stop, first[i] + rows)
+                    pieces.append((j, i, (t_grid[next_out[i]:end] - ti) / hi))
+                theta = np.zeros((len(pieces), max(len(th) for *_, th in pieces), 1))
+                for p, (*_, th) in enumerate(pieces):
+                    theta[p, :len(th), 0] = th
+                part = slice(None) if len(todo) == len(dense) else todo
+                poly = theta * (ydiff[part] + (1 - theta) * (
+                    r3[part] + theta * (r4[part] + (1 - theta) * r5[part])))
+                for p, (j, i, th) in enumerate(pieces):
+                    end = next_out[i] + len(th)
+                    np.add(y_sel[j], poly[p, :len(th)],
+                           out=outs[i, next_out[i] - first[i]:end - first[i]])
+                    next_out[i] = end
+                del poly  # not held while `emit` runs
+                for _, i, _ in pieces:
+                    if next_out[i] - first[i] == rows:
+                        emit(i, first[i], outs[i])
+                        first[i] = next_out[i]
+                todo = [j for j in todo if next_out[dense[j][1]] < dense[j][2]]
+        if len(accepted) == len(members):
+            k[:, 0] = k[:, 6]  # FSAL
             y = y_new
-            t = t_new
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h = h * factor
-        elif np.isnan(err):
-            raise StepSizeUnderflowError(f"error norm is NaN at t={t!r} (h={h!r})")
-        else:
-            h = h * max(0.2, 0.9 * err ** -0.2)
-    if next_out > first:
-        emit(first, out[:next_out - first])
+        elif accepted:
+            k[accepted, 0] = k[accepted, 6]
+            y[accepted] = y_new[accepted]
 
 
 # ---------------------------------------------------------------------------

@@ -165,13 +165,19 @@ class TrajectoryObservables:
 
     def measure(self, first, rhos):
         """Measure the states first, first + 1, ... of a contiguous (k, d, d)
-        stack, or of a (k, 2, h, h) stack of their parity blocks."""
+        stack, or of a (k, 2, h, h) stack of their parity blocks.  A state's
+        values do not depend on k: one state is measured as two copies,
+        since BLAS sums a one-row product in another order than a longer
+        one."""
         if rhos.ndim == 4:  # each state's blocks, as one (2h, h) array
             rhos = rhos.reshape(len(rhos), -1, rhos.shape[-1])
-        rows = slice(first, first + len(rhos))
+        count = len(rhos)
+        rows = slice(first, first + count)
+        if count == 1:
+            rhos = np.concatenate([rhos, rhos])
         mean, second = _spin_moments(rhos, self._moments)
-        self.mean[rows], self._second[rows] = mean.real, second.real
-        self.relaxation[rows] = _relaxation(rhos, self._heisenberg_sz, self.n_qubits)
+        self.mean[rows], self._second[rows] = mean[:count].real, second[:count].real
+        self.relaxation[rows] = _relaxation(rhos, self._heisenberg_sz, self.n_qubits)[:count]
 
     def columns(self):
         """The four columns, in Trajectory order."""

@@ -60,13 +60,13 @@ def test_traced_action_counts_every_rhs_call(monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
     spans = importlib.import_module("spans")
     params = PhysicalParams()
-    n = dynamics.SECTOR_MIN_QUBITS
+    n = dynamics.BLOCK_MIN_QUBITS
     couplings = build_couplings(ArrayGeometry.chain(n, 0.5), params,
                                 bath_from_params(params, r_override=0.25))
     gen = build_generator(couplings)
 
     def integrate_calls(min_qubits):
-        monkeypatch.setattr(dynamics, "SECTOR_MIN_QUBITS", min_qubits)
+        monkeypatch.setattr(dynamics, "BLOCK_MIN_QUBITS", min_qubits)
         tracer = spans.Tracer("test")
         tracer.install()
         try:

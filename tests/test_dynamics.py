@@ -8,11 +8,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from magsqueeze import dynamics
+from magsqueeze import dynamics, numerics
 from magsqueeze.bath import BathState, bath_from_params, resonant_wavelength
-from magsqueeze.cli import EXIT_OK, main
+from magsqueeze.cli import (
+    EXIT_OK,
+    FIG2B_SETS,
+    FIG2B_TGRID,
+    FIG2C_TGRID,
+    UNCORRELATED_A,
+    main,
+)
 from magsqueeze.couplings import build_couplings
 from magsqueeze.dynamics import (
+    BLOCK_MIN_QUBITS,
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     SECTOR_MIN_QUBITS,
@@ -21,6 +29,7 @@ from magsqueeze.dynamics import (
     _invariants,
     build_generator,
     evolve,
+    evolve_many,
     steady_state,
 )
 from magsqueeze.errors import (
@@ -437,19 +446,20 @@ def dense_evolve(*args, **kwargs):
     """`evolve` with the parity blocks switched off: the full state is
     integrated."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "SECTOR_MIN_QUBITS", dynamics.MAX_QUBITS + 1)
+        mp.setattr(dynamics, "BLOCK_MIN_QUBITS", dynamics.MAX_QUBITS + 1)
         return evolve(*args, **kwargs)
 
 
 def spy_block_action(monkeypatch):
-    """Count the calls of `action` on parity blocks."""
+    """Count the calls of `action` on parity blocks: a (2, h, h) stack, or an
+    (m, 2, h, h) stack of m members' blocks."""
     calls = []
     action = Generator.action
 
-    def spy(self, rho):
-        if rho.ndim == 3:
+    def spy(self, rho, *rest):
+        if rho.shape[-3:-2] == (2,):
             calls.append(rho.shape)
-        return action(self, rho)
+        return action(self, rho, *rest)
 
     monkeypatch.setattr(Generator, "action", spy)
     return calls
@@ -468,11 +478,17 @@ TRACE_EPS = 4
 EPS = np.finfo(float).eps
 
 
+def measured_on_blocks(traj):
+    """Whether `evolve` checked and measured the parity blocks."""
+    return traj.parity_blocks and traj.final_state.n_qubits >= SECTOR_MIN_QUBITS
+
+
 def assert_same_trajectory(got, want):
-    """Every column, the final state and every kept state bit for bit; a
-    block-path trajectory against a dense one only within the bounds above
-    on the columns outside EXACT_COLUMNS."""
-    summed = got.parity_blocks != want.parity_blocks
+    """Every column, the final state, every kept state and the integrator's
+    counters bit for bit; a trajectory measured on the blocks against one
+    measured on the full states only within the bounds above on the columns
+    outside EXACT_COLUMNS."""
+    summed = measured_on_blocks(got) != measured_on_blocks(want)
     for name in TRAJECTORY_COLUMNS:
         mine, theirs = getattr(got, name), getattr(want, name)
         if not summed or name in EXACT_COLUMNS:
@@ -488,6 +504,7 @@ def assert_same_trajectory(got, want):
     for mine, theirs in zip(got.states, want.states):
         assert mine.time == theirs.time
         assert np.array_equal(mine.rho, theirs.rho)
+    assert got.stats == want.stats
 
 
 # the custom trajectory CSV's columns of EXACT_COLUMNS, and its Sx and Sy:
@@ -501,8 +518,8 @@ def printed_unit(cells):
     return 10.0 ** (np.array([int(cell.partition("e")[2]) for cell in cells]) - 12)
 
 
-# N = SECTOR_MIN_QUBITS..7 qubits, on a chain or scattered in a 2 x 2 lambda square
-BLOCK_QUBITS = st.integers(SECTOR_MIN_QUBITS, 7)
+# N = BLOCK_MIN_QUBITS..7 qubits, on a chain or scattered in a 2 x 2 lambda square
+BLOCK_QUBITS = st.integers(BLOCK_MIN_QUBITS, 7)
 CHAIN_SPACING = st.floats(0.1, 1.5)
 
 
@@ -577,10 +594,15 @@ class TestParityBlocks:
         assert calls == [] and not got.parity_blocks
         assert_same_trajectory(got, want)
 
-    # N = 5-7 chains and a 2-d layout of 5 qubits; grids of 1, 2 and 33
-    # points, the last not starting at 0, and at N = 5 400 points over the
-    # longest span without keep_states
-    @pytest.mark.parametrize("n, chain", [(5, True), (6, True), (7, True), (5, False)])
+    # N = 3-7 chains and a 2-d layout of 5 qubits; grids of 1, 2 and 33
+    # points, the last not starting at 0, one of a chunk of full states and
+    # one more, whose last state the dense path measures alone (one row
+    # takes another BLAS kernel than two), and at N = 5 400 points over the
+    # longest span without keep_states.  Below SECTOR_MIN_QUBITS each chunk
+    # of blocks is checked and measured as full states, so every column is
+    # the dense path's bit for bit
+    @pytest.mark.parametrize("n, chain", [(5, True), (6, True), (7, True), (5, False),
+                                          (3, True), (4, True)])
     @pytest.mark.parametrize("start", ["all_excited", "all_ground"])
     def test_block_trajectory_equals_the_dense_one(self, n, chain, start):
         if chain:
@@ -588,9 +610,10 @@ class TestParityBlocks:
         else:
             gen = random_layout_generator(4, n, "jump_operator")
         assert gen.parity_symmetric
-        end = {5: 20.0, 6: 5.0, 7: 0.1}[n]  # one dense action takes 14 ms at N = 7
+        end = {3: 20.0, 4: 20.0, 5: 20.0, 6: 5.0, 7: 0.1}[n]  # one dense action: 14 ms at N = 7
         grids = [(np.array([0.0]), True), (np.array([0.0, end / 40]), True),
-                 (np.linspace(end / 80, end / 80 + end / 4, 33), True)]
+                 (np.linspace(end / 80, end / 80 + end / 4, 33), True),
+                 (np.linspace(0.0, end / 4, OUTPUT_CHUNK_BYTES // (16 * 4 ** n) + 1), False)]
         if n == 5:
             grids.append((np.linspace(0.0, end, 400), False))
         for grid, keep in grids:
@@ -631,11 +654,10 @@ class TestParityBlocks:
 
     @pytest.mark.parametrize("field", [0.0, 0.3])
     def test_symmetry_breaking_generator_takes_the_dense_path(self, monkeypatch, field):
-        # a sigma_x field breaks the parity symmetry; with the qubit threshold
-        # out of the way, only the symmetry check decides the path.  Either
-        # way evolve matches the matrix exponential, as in criterion 7
-        n = 3
-        monkeypatch.setattr(dynamics, "SECTOR_MIN_QUBITS", 1)
+        # a sigma_x field breaks the parity symmetry; at the qubit threshold,
+        # only the symmetry check decides the path.  Either way evolve
+        # matches the matrix exponential, as in criterion 7
+        n = BLOCK_MIN_QUBITS
         base = generator_for(n, 0.6, 0.25)
         h_eff = base.h_eff + field * sum(site_pauli("x", i, n) for i in range(n))
         gen = Generator(n, h_eff, base.terms)
@@ -652,7 +674,7 @@ class TestParityBlocks:
 
     @pytest.mark.parametrize("start, blocks", [("all_excited", True), ("css", False)])
     def test_trajectory_records_the_path(self, monkeypatch, start, blocks):
-        n = 6
+        n = BLOCK_MIN_QUBITS
         gen = generator_for(n, 0.5, 0.25)
         calls = spy_block_action(monkeypatch)
         traj = evolve(initial_state(start, n, theta=1.0), gen, np.array([0.0, 0.2]))
@@ -664,7 +686,8 @@ class TestParityBlocks:
         # every state of a parity-even start is block-diagonal on either path
         # of action, so evolve takes the smallest eigenvalue from the two
         # parity blocks; the Hermiticity error is that of the full states, bit
-        # for bit, and the block path sums the trace block by block
+        # for bit, and from SECTOR_MIN_QUBITS on, where the checks read the
+        # blocks, the trace is summed block by block
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -675,17 +698,18 @@ class TestParityBlocks:
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         traj = evolve(initial_state("all_excited", n), generator_for(n, 0.5, 0.25),
                       np.linspace(0.0, 2.0, 9), keep_states=True)
-        assert traj.parity_blocks is (n >= SECTOR_MIN_QUBITS)
+        assert traj.parity_blocks
         assert shapes[-1] == (2, 2 ** (n - 1), 2 ** (n - 1))
         trace_err, herm_err, min_eig = _invariants(np.array([s.rho for s in traj.states]))
-        trace_bound = TRACE_EPS * EPS if traj.parity_blocks else 0.0
+        trace_bound = TRACE_EPS * EPS if measured_on_blocks(traj) else 0.0
         assert np.max(np.abs(traj.trace_err - trace_err)) <= trace_bound
         assert np.array_equal(traj.herm_err, herm_err)
         assert np.max(np.abs(traj.min_eig - min_eig)) <= 2 ** n * EPS
 
     def test_custom_csvs_match_the_dense_path(self, tmp_path, monkeypatch):
-        # the in-process CLI at the smallest N of the block path writes the
-        # same coupling CSVs with the path switched off, and a trajectory CSV
+        # the in-process CLI at the smallest N at which the checks read the
+        # blocks writes the same coupling CSVs with the block path switched
+        # off, and a trajectory CSV
         # whose EXACT_CSV_COLUMNS are the same cells; the others move within
         # the bounds of assert_same_trajectory plus one unit of the last
         # printed digit of either cell
@@ -693,7 +717,7 @@ class TestParityBlocks:
         argv = ["--scenario", "custom", "--set", f"n_qubits={SECTOR_MIN_QUBITS}", "--out"]
         assert main([*argv, str(tmp_path / "blocks")]) == EXIT_OK
         assert calls
-        monkeypatch.setattr(dynamics, "SECTOR_MIN_QUBITS", SECTOR_MIN_QUBITS + 1)
+        monkeypatch.setattr(dynamics, "BLOCK_MIN_QUBITS", SECTOR_MIN_QUBITS + 1)
         assert main([*argv, str(tmp_path / "dense")]) == EXIT_OK
         names = sorted(path.name for path in (tmp_path / "blocks").iterdir())
         assert names == sorted(path.name for path in (tmp_path / "dense").iterdir())
@@ -810,6 +834,20 @@ class TestEvolve:
             assert traj.herm_err[i] == herm_err[0]
             assert traj.min_eig[i] == min_eig[0]
 
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_columns_do_not_depend_on_the_output_chunks(self, monkeypatch, n, rows):
+        # full states at N = 2, blocks checked as full states at N = 4 and
+        # blocks at N = 5: with an output chunk of one, two or three states
+        # every column is that of one chunk for the whole grid, bit for bit
+        gen = generator_for(n, 0.5, 0.25)
+        grid = np.linspace(0.1, 2.0, 17)
+        want = evolve(initial_state("all_excited", n), gen, grid, keep_states=True)
+        width = 4 ** n // (2 if want.parity_blocks else 1)
+        monkeypatch.setattr(numerics, "OUTPUT_CHUNK_BYTES", rows * 16 * width)
+        got = evolve(initial_state("all_excited", n), gen, grid, keep_states=True)
+        assert_same_trajectory(got, want)
+
     def test_hermiticity_break_aborts_at_first_bad_grid_time(self):
         # the single term s rho s (s = sigma^- of qubit 0) gives
         # rho(t) = rho0 + t X, X = s rho0 s, so the Hermiticity error is c t;
@@ -851,12 +889,12 @@ class TestEvolve:
         grid = np.linspace(0.0, 20.0, 400)
         blocks, whole = np.take(start.rho, gen.parity_entries), []
 
-        def rhs(y):
+        def rhs(y, members):
             whole.append(1)
-            return gen.action(y.reshape(blocks.shape)).ravel()
+            return gen.action(y[0].reshape(blocks.shape)).ravel()[None]
 
-        integrate_ode(rhs, blocks.ravel(), grid, DEFAULT_RTOL, DEFAULT_ATOL, lambda *_: None,
-                      layout=(gen.parity_entries.ravel(), 4 ** n))
+        integrate_ode(rhs, blocks.ravel()[None], grid, DEFAULT_RTOL, DEFAULT_ATOL,
+                      lambda *_: None, layout=(gen.parity_entries.ravel(), 4 ** n))
         calls = spy_block_action(monkeypatch)
         with pytest.raises(StateInvariantError, match=re.escape(
                 f"invariant violation at Gamma_0 t = {grid[1]:.6g}: trace error ")):
@@ -874,6 +912,148 @@ class TestEvolve:
         gen = generator_for(2, 0.5, 0.0)
         with pytest.raises(ValueError, match="tolerances"):
             evolve(initial_state("all_excited", 2), gen, np.linspace(0, 1, 5), atol=1e-200)
+
+
+# stacks of evolve_many, each (starts, generators, grid) from a function so
+# that the cases build nothing at collection
+def fig2b_sets(grid=FIG2B_TGRID):
+    return ([initial_state(init, 2) for *_, init in FIG2B_SETS],
+            [generator_for(2, a, r) for _, r, a, _ in FIG2B_SETS], grid)
+
+
+def fig2c_sets(grid=FIG2C_TGRID):
+    gens = [generator_for(4, a, r) for r in (0.0, 0.5, 1.0) for a in (0.4, UNCORRELATED_A)]
+    return [initial_state("all_excited", 4)] * len(gens), gens, grid
+
+
+def block_sets():
+    # N = 5 on the parity blocks: a chain and a random 2-d layout
+    gens = [generator_for(5, 0.5, 0.5), random_layout_generator(4, 5, "jump_operator")]
+    return ([initial_state("all_excited", 5), initial_state("all_ground", 5)], gens,
+            np.linspace(0.0, 2.0, 41))
+
+
+def mixed_start_sets():
+    # a css start is integrated as the full state, apart from the parity-even ones
+    gen = generator_for(3, 0.5, 0.25)
+    return ([initial_state("all_excited", 3), initial_state("css", 3, theta=1.0, phi=0.3),
+             initial_state("all_ground", 3)], [gen, gen, generator_for(3, 0.7, 0.5)],
+            np.linspace(0.0, 3.0, 61))
+
+
+def term_count_sets():
+    gen = generator_for(3, 0.5, 0.25)
+    fewer = Generator(3, gen.h_eff, gen.terms[:-1])
+    return [initial_state("all_excited", 3)] * 3, [gen, fewer, gen], np.linspace(0.0, 3.0, 61)
+
+
+# (stack case, sizes of the stacks that evolve_many integrates, in order)
+STACK_CASES = {
+    "fig2b": (fig2b_sets, [4]),
+    "fig2c": (fig2c_sets, [6]),
+    "n5_blocks": (block_sets, [2]),
+    "css_among_parity_even": (mixed_start_sets, [2, 1]),
+    "term_counts": (term_count_sets, [2, 1]),
+    "one_point_grid": (lambda: fig2b_sets(np.array([0.7])), [4]),
+    "grid_not_at_zero": (lambda: fig2c_sets(np.linspace(0.3, 4.0, 75)), [6]),
+    # one state more than a member's output chunk: the last is measured alone
+    "one_past_a_chunk": (lambda: fig2c_sets(np.linspace(0.0, 2.0, 129)), [6]),
+}
+
+
+def spy_stacks(monkeypatch):
+    """Record the number of members of every stack that `integrate_ode`
+    integrates, and of every `action` call."""
+    stacks, calls = [], []
+    integrate, action = dynamics.integrate_ode, Generator.action
+
+    def spy_integrate(f, y0, *args, **kwargs):
+        stacks.append(len(y0))
+        return integrate(f, y0, *args, **kwargs)
+
+    def spy_action(self, rho, *rest):
+        calls.append(len(rho))
+        return action(self, rho, *rest)
+
+    monkeypatch.setattr(dynamics, "integrate_ode", spy_integrate)
+    monkeypatch.setattr(Generator, "action", spy_action)
+    return stacks, calls
+
+
+class TestEvolveMany:
+    @pytest.mark.parametrize("case", list(STACK_CASES))
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_stack_equals_one_evolve_per_member(self, monkeypatch, case, keep):
+        # every column, the final state, every kept state and the counters
+        # are bit for bit those of one evolve per member
+        make, sizes = STACK_CASES[case]
+        starts, gens, grid = make()
+        wants = [evolve(start, gen, grid, keep_states=keep) for start, gen in zip(starts, gens)]
+        stacks, _ = spy_stacks(monkeypatch)
+        gots = evolve_many(starts, gens, grid, keep_states=keep)
+        assert stacks == sizes
+        assert len(gots) == len(wants)
+        for got, want in zip(gots, wants):
+            assert got.parity_blocks == want.parity_blocks
+            assert_same_trajectory(got, want)
+
+    def test_one_action_call_per_step_for_the_whole_stack(self, monkeypatch):
+        # fig2c's members take 476-890 right-hand-side calls, so they leave
+        # the stack at different times; each step is one call on the members
+        # still integrating
+        starts, gens, grid = fig2c_sets()
+        _, calls = spy_stacks(monkeypatch)
+        trajs = evolve_many(starts, gens, grid)
+        nfev = [traj.stats.nfev for traj in trajs]
+        assert len(set(nfev)) > 2
+        assert calls[0] == 6 and calls[-1] == 1 and calls == sorted(calls, reverse=True)
+        assert len(calls) == max(nfev) and sum(calls) == sum(nfev)
+        for traj in trajs:
+            stats = traj.stats
+            assert stats.nfev == 2 + 6 * (stats.accepted + stats.rejected)
+            assert 0 < stats.min_step <= stats.max_step < grid[-1]
+        assert any(traj.stats.rejected for traj in trajs)
+
+    def test_broken_member_stops_the_stack(self, monkeypatch):
+        # as in TestEvolve.test_broken_state_stops_the_integration: the
+        # broken member's first chunk raises before the stack has made a
+        # quarter of the calls of the intact one
+        n, grid = 5, np.linspace(0.0, 20.0, 400)
+        gens = [generator_for(n, 0.5, r) for r in (0.25, 0.5, 1.0)]
+        starts = [initial_state("all_excited", n)] * len(gens)
+        _, calls = spy_stacks(monkeypatch)
+        evolve_many(starts, gens, grid)
+        whole = len(calls)
+        calls.clear()
+        gens[1] = Generator(n, 1j * gens[1].h_eff, gens[1].terms)
+        with pytest.raises(StateInvariantError, match=re.escape(
+                f"invariant violation at Gamma_0 t = {grid[1]:.6g}: trace error ")):
+            evolve_many(starts, gens, grid)
+        assert 0 < len(calls) < whole / 4
+
+    def test_stack_memory(self):
+        # each member checks and measures the chunks of its own output
+        # buffer, and the dense output is evaluated at most a buffer's rows
+        # at a time: from 400 to 1600 points the peak of fig2c's six
+        # trajectories grows by their columns (16 floats a point and member
+        # while they are integrated, 0.88 MiB here), not by their states
+        starts, gens, _ = fig2c_sets()
+        columns = len(gens) * (1600 - 400) * 16 * 8
+        evolve_many(starts, gens, np.linspace(0.0, 5.0, 3))
+        peaks = []
+        for size in (400, 1600):
+            tracemalloc.start()
+            try:
+                evolve_many(starts, gens, np.linspace(0.0, 5.0, size))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= columns + 0.5 * MIB
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="generators"):
+            evolve_many([initial_state("all_excited", 2)] * 2, [generator_for(2, 0.5, 0.0)],
+                        np.array([0.0, 1.0]))
 
 
 # (layout, mode): seeded random 3-qubit layouts and a 4-qubit chain; a case of
@@ -919,7 +1099,7 @@ class TestCollectiveLimit:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_evolve_converges_to_the_dicke_space_oracle(self, n):
-        # from N = 5 on, evolve integrates the parity blocks
+        # from N = 3 on, evolve integrates the parity blocks
         want, xi2, rate = collective_steady_state(n, COLLECTIVE_R, COLLECTIVE_PHI)
         gen = collective_generator(n)
         # 25 of the slowest decay times: the distance left to the oracle
@@ -927,7 +1107,7 @@ class TestCollectiveLimit:
         grid = np.array([0.0, 25.0 / rate])
         for start in ("all_excited", "all_ground"):
             traj = evolve(initial_state(start, n), gen, grid)
-            assert traj.parity_blocks == (n >= SECTOR_MIN_QUBITS)
+            assert traj.parity_blocks == (n >= BLOCK_MIN_QUBITS)
             assert trace_distance(traj.final_state.rho, want) < 1e-8
             assert abs(wineland_xi2(traj.final_state).xi_r_squared - xi2) < 1e-8
 

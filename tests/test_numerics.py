@@ -124,15 +124,18 @@ class TestBessel:
 
 
 def integrate(f, y0, t_grid, rtol, atol, layout=None):
-    """The grid states that `integrate_ode` emits, stacked into one (m, n)
-    array; the emitted chunks must arrive in grid order, none skipped."""
+    """The grid states that `integrate_ode` emits for the one-member stack
+    of `y0`, with `f` on one state, stacked into one (m, n) array; the
+    emitted chunks must arrive in grid order, none skipped."""
     chunks = []
 
-    def emit(first, states):
-        assert first == sum(map(len, chunks))
+    def emit(member, first, states):
+        assert member == 0 and first == sum(map(len, chunks))
         chunks.append(states.copy())
 
-    assert integrate_ode(f, y0, t_grid, rtol, atol, emit, layout=layout) is None
+    stats = integrate_ode(lambda y, members: f(y[0])[None], np.asarray(y0)[None], t_grid,
+                          rtol, atol, emit, layout=layout)
+    assert len(stats) == 1
     return np.concatenate(chunks)
 
 
@@ -284,17 +287,17 @@ class TestIntegrateOde:
         t = np.linspace(0.0, 5.0, 41)
         seen = []
 
-        def emit(first, states):
+        def emit(member, first, states):
             assert states.nbytes <= numerics.OUTPUT_CHUNK_BYTES
             seen.append((first, len(states)))
 
-        integrate_ode(lambda y: -y, y0, t, 1e-10, 1e-12, emit)
+        integrate_ode(lambda y, _: -y, y0[None], t, 1e-10, 1e-12, emit)
         assert seen == [(first, 2) for first in range(0, 40, 2)] + [(40, 1)]
 
     def test_a_grid_within_one_chunk_is_emitted_once(self):
         seen = []
-        integrate_ode(lambda y: -y, np.array([1.0 + 0j]), np.linspace(0.0, 5.0, 41),
-                      1e-10, 1e-12, lambda first, states: seen.append((first, len(states))))
+        integrate_ode(lambda y, _: -y, np.array([[1.0 + 0j]]), np.linspace(0.0, 5.0, 41),
+                      1e-10, 1e-12, lambda _, first, states: seen.append((first, len(states))))
         assert seen == [(0, 41)]
 
     def test_an_error_from_emit_ends_the_integration(self):
@@ -302,19 +305,70 @@ class TestIntegrateOde:
         # right-hand side is evaluated after emit raises
         calls = []
 
-        def f(y):
+        def f(y, members):
             calls.append(1)
             return -y
 
-        def emit(first, states):
+        def emit(member, first, states):
             stopped.append((first, len(states), len(calls)))
             raise ArithmeticError("stop")
 
         stopped = []
-        y0 = np.ones(numerics.OUTPUT_CHUNK_BYTES // 32, dtype=complex)
+        y0 = np.ones((1, numerics.OUTPUT_CHUNK_BYTES // 32), dtype=complex)
         with pytest.raises(ArithmeticError, match="stop"):
             integrate_ode(f, y0, np.linspace(0.0, 50.0, 101), 1e-10, 1e-12, emit)
         assert stopped == [(0, 2, len(calls))]
+
+    def test_stack_members_equal_their_solo_runs(self):
+        # four damped oscillators of different speeds, each row of the stack
+        # evaluated by itself: every member emits the states and counts the
+        # steps of its own run, and the faster ones leave the stack first
+        rng = np.random.default_rng(7)
+        mats = []
+        for speed in (0.5, 2.0, 8.0, 1.0):
+            mat = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+            mats.append(speed * (mat - mat.conj().T) - 0.3 * np.eye(8))
+        y0 = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
+        t = np.linspace(0.25, 3.0, 23)
+        stacks, chunks = [], [[] for _ in mats]
+
+        def f(y, members):
+            stacks.append(members)
+            return np.stack([mats[i] @ row for i, row in zip(members, y)])
+
+        def emit(member, first, states):
+            assert first == sum(map(len, chunks[member]))
+            chunks[member].append(states.copy())
+
+        stats = integrate_ode(f, y0, t, 1e-9, 1e-11, emit)
+        assert stacks[0] == (0, 1, 2, 3) and len(set(stacks)) > 2
+        assert all(set(later) < set(earlier) for earlier, later in zip(stacks, stacks[1:])
+                   if later != earlier)
+        for i, (mat, record) in enumerate(zip(mats, stats)):
+            assert np.array_equal(np.concatenate(chunks[i]),
+                                  integrate(lambda y: mat @ y, y0[i], t, 1e-9, 1e-11))
+            solo = integrate_ode(lambda y, _: (mat @ y[0])[None], y0[i:i + 1], t, 1e-9, 1e-11,
+                                 lambda *_: None)
+            assert solo == [record]
+            assert record.nfev == 2 + 6 * (record.accepted + record.rejected)
+            assert record.nfev == sum(i in members for members in stacks)
+            assert 0 < record.min_step <= record.max_step < t[-1] - t[0]
+        assert max(record.nfev for record in stats) == len(stacks)
+        assert any(record.rejected for record in stats)
+
+    def test_one_point_grid_emits_each_member_once(self):
+        seen = []
+        stats = integrate_ode(lambda y, _: -y, np.ones((3, 4), dtype=complex), np.array([2.0]),
+                              1e-8, 1e-10, lambda *args: seen.append(args))
+        assert [(member, first) for member, first, _ in seen] == [(0, 0), (1, 0), (2, 0)]
+        assert all(states.shape == (1, 4) and np.all(states == 1.0) for *_, states in seen)
+        assert all(record.nfev == record.accepted == record.rejected == 0 for record in stats)
+
+    @pytest.mark.parametrize("y0", [np.ones(3, dtype=complex), np.ones((0, 3), dtype=complex)])
+    def test_rejects_a_start_that_is_not_a_stack(self, y0):
+        with pytest.raises(ValueError, match="stack"):
+            integrate_ode(lambda y, _: -y, y0, np.array([0.0, 1.0]), 1e-8, 1e-10,
+                          lambda *_: None)
 
     def test_step_underflow_raises(self):
         # y' = y^2 from y = 1 blows up at t = 1: forces h -> 0
