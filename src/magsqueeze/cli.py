@@ -22,7 +22,6 @@ import os
 import shutil
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,6 +246,10 @@ def run_sweep(scenario, params, geometry):
 
     workers = min(scenario.threads, len(grid), os.cpu_count() or 1)
     if workers > 1:
+        # imported here, not at the top: concurrent.futures imports logging,
+        # and a serial run needs neither
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(point, grid))
     else:

@@ -18,41 +18,79 @@ EULER_GAMMA = 0.5772156649015329
 
 # Series/asymptotic crossover for J0/Y0.  Below the split the power series
 # loses at most ~4 decimal digits to cancellation; above it the optimally
-# truncated Hankel expansion is already below 1e-10 absolute.
+# truncated Hankel expansion is already below 1e-10 absolute.  The KMAX are
+# the loops' caps: each stops at the last term that can change a bit of its
+# sums, and NaN and inf run to the cap.
 _BESSEL_SPLIT = 13.0
 _SERIES_KMAX = 80
 _ASYMP_KMAX = 26
 
 
+def _series_terms(x):
+    """The first k at which every |(-q)^k/(k!)^2| of `x` is below 1e-18, at
+    most _SERIES_KMAX.  Rounding is monotone, so the largest |x| has the
+    largest |term| at every k: its scalar loop, in the same arithmetic,
+    stops where a test of the whole array would."""
+    x_max = float(np.max(np.abs(x), initial=0.0))
+    minus_q = -0.25 * x_max * x_max
+    term = 1.0
+    for k in range(1, _SERIES_KMAX):
+        term *= minus_q
+        term /= k * k
+        if abs(term) < 1e-18:
+            return k
+    return _SERIES_KMAX
+
+
 def _power_series(x, want_y=True):
     """Power series of J0 and the sum S of Y0 = (2/pi)[(ln(x/2)+gamma_E) J0 + S],
     S = sum_{k>=1} (-1)^{k+1} H_k q^k/(k!)^2 with q = x^2/4 and H_k the
-    harmonic numbers; both share the terms (-q)^k/(k!)^2.  S is None unless
-    `want_y`."""
+    harmonic numbers; both share the terms (-q)^k/(k!)^2, summed through the
+    first k at which every |term| is below 1e-18 (`_series_terms`; at most
+    32 below the split).  S is None unless `want_y`."""
     minus_q = -0.25 * x * x
     j0 = np.ones_like(x)
     y_sum = np.zeros_like(x) if want_y else None
     term = np.ones_like(x)
     harmonic = 0.0
-    for k in range(1, _SERIES_KMAX + 1):
+    for k in range(1, _series_terms(x) + 1):
         term *= minus_q
         term /= k * k
         harmonic += 1.0 / k
         j0 += term
         if want_y:
             y_sum -= term * harmonic
-        if np.all(np.abs(term) < 1e-18):
-            break
     return j0, y_sum
 
 
+def _hankel_terms(x):
+    """How many Hankel terms can change a bit of P or Q at `x` >= 13: the
+    last k whose term at the smallest x is not below 2^-55 * 0.99/(8x),
+    under a quarter ulp of |Q| >= 0.99/(8x) and of P ~ 1.  Adding a later
+    term, or one at a larger x (where terms fall faster than Q), is a no-op
+    of round-to-nearest.  NaN and x <= 0 take all _ASYMP_KMAX."""
+    x0 = float(np.min(x, initial=np.inf))
+    if not x0 > 0.0:
+        return _ASYMP_KMAX
+    floor = 0.99 / (8.0 * x0) * 2.0 ** -55
+    inv_x0, a, count = 1.0 / x0, 1.0, 0
+    for k in range(1, _ASYMP_KMAX + 1):
+        a *= (2 * k - 1) ** 2 / (8.0 * k)
+        a *= inv_x0
+        if not a < floor:
+            count = k
+    return count
+
+
 def _hankel_pq(x):
-    """Truncated Hankel asymptotic sums P(x), Q(x) for order zero."""
+    """Hankel asymptotic sums P(x), Q(x) for order zero, through the
+    `_hankel_terms` terms that can change a bit of them (26 up to x = 20,
+    11 from x = 100 and 6 from x = 1000)."""
     p = np.ones_like(x)
     q = np.zeros_like(x)
     inv_x = 1.0 / x
     a = np.ones_like(x)  # running |a_k| / x^k
-    for k in range(1, _ASYMP_KMAX + 1):
+    for k in range(1, _hankel_terms(x) + 1):
         a *= (2 * k - 1) ** 2 / (8.0 * k)
         a *= inv_x
         total = q if k % 2 == 1 else p
@@ -66,25 +104,29 @@ def _hankel_pq(x):
 def _bessel0(x, want_y):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
-    xv = np.atleast_1d(x)
+    xv = np.abs(np.atleast_1d(x))
     out = np.empty_like(xv)
-    small = np.abs(xv) < _BESSEL_SPLIT
-    if np.any(small):
-        xs = np.abs(xv[small])
+    small = xv < _BESSEL_SPLIT
+    n_small = np.count_nonzero(small)
+    # a side that holds the whole array is indexed by `...`: no gather or scatter
+    if n_small:
+        part = ... if n_small == xv.size else small
+        xs = xv[part]
         j0, y_sum = _power_series(xs, want_y)
         if want_y:
-            out[small] = (2.0 / np.pi) * ((np.log(0.5 * xs) + EULER_GAMMA) * j0 + y_sum)
+            out[part] = (2.0 / np.pi) * ((np.log(0.5 * xs) + EULER_GAMMA) * j0 + y_sum)
         else:
-            out[small] = j0
-    if np.any(~small):
-        xl = np.abs(xv[~small])
+            out[part] = j0
+    if n_small < xv.size:
+        part = ... if n_small == 0 else ~small
+        xl = xv[part]
         p, q = _hankel_pq(xl)
         chi = xl - 0.25 * np.pi
         amp = np.sqrt(2.0 / (np.pi * xl))
         if want_y:
-            out[~small] = amp * (p * np.sin(chi) - q * np.cos(chi))
+            out[part] = amp * (p * np.sin(chi) - q * np.cos(chi))
         else:
-            out[~small] = amp * (p * np.cos(chi) + q * np.sin(chi))
+            out[part] = amp * (p * np.cos(chi) + q * np.sin(chi))
     return out[0] if scalar else out
 
 

@@ -1,4 +1,7 @@
+import concurrent.futures
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -86,6 +89,18 @@ class TestScenarioRuns:
         )
         assert open(a[0], "rb").read() == open(b[0], "rb").read()
 
+    def test_import_leaves_the_thread_pool_out(self):
+        # concurrent.futures, and the logging it imports, load only when a
+        # sweep runs on more than one thread
+        import magsqueeze
+
+        src = os.path.dirname(os.path.dirname(magsqueeze.__file__))
+        code = ("import sys, magsqueeze.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'logging'))))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert run.stdout.strip() == "[]"
+
     @pytest.mark.parametrize(
         "threads,cpus,expected", [(64, 2, 2), (64, 8, 3), (2, 8, 2), (1, 8, None)]
     )
@@ -108,7 +123,7 @@ class TestScenarioRuns:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
         sc = Scenario(
             "sweep",

@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from magsqueeze import bath as bath_module
 from magsqueeze.bath import (
     BathState,
     bath_from_params,
+    field_correlator,
     magnon_correlator,
     pair_moments,
     resonant_wavelength,
@@ -19,9 +21,12 @@ from magsqueeze.couplings import (
     build_couplings,
     coupling_oracle,
 )
+from magsqueeze import numerics
 from magsqueeze.errors import ConfigError
 from magsqueeze.numerics import bessel_j0, bessel_y0, gauss_legendre_panels
 from magsqueeze.params import ArrayGeometry, PhysicalParams
+
+import oracles
 
 P = PhysicalParams()
 K_Q, LAMBDA = resonant_wavelength(P)
@@ -180,6 +185,25 @@ class TestOracle:
         _principal_value.cache_clear()
         b = coupling_oracle("J", 0.6, P, bath_from_params(P, r_override=1.0))
         assert a == b
+
+    def test_values_equal_the_reference_kernel_bit_for_bit(self, monkeypatch):
+        # the radial quadratures here evaluate J0 at up to x ~ 4000, where the
+        # Hankel sums stop after as few as 5 of 26 terms; every value is still the
+        # reference kernel's
+        bs = bath_from_params(P, r_override=0.25)
+
+        def values():
+            _principal_value.cache_clear()
+            bath_module._vacuum_term.cache_clear()
+            return ([coupling_oracle(ch, 3.0, P, bs) for ch in ("J", "Jpp", "pm")],
+                    field_correlator("-+", LAMBDA, 0.0, 0.0, P, bs))
+
+        got = values()
+        monkeypatch.setattr(numerics, "_bessel0", oracles.bessel0)
+        want = values()
+        _principal_value.cache_clear()
+        bath_module._vacuum_term.cache_clear()
+        assert got == want
 
     def test_pair_exchange_vanishes(self):
         bs = bath_from_params(P, r_override=1.0)

@@ -15,6 +15,7 @@ from magsqueeze.numerics import (
     quad_adaptive,
 )
 
+import oracles
 from oracles import matrix_exp
 
 J0_FIRST_ZERO = 2.404825557695773  # published value
@@ -89,8 +90,10 @@ class TestBessel:
         assert np.max(np.abs(series - asym)) < 2e-10
 
     def test_kernels_keep_their_arithmetic(self):
-        # J0 alone sums the same terms as J0 with Y0, and the in-place
-        # Hankel sums are the out-of-place loop's, bit for bit
+        # J0 alone sums the same terms as J0 with Y0, the in-place Hankel
+        # sums are the out-of-place loop's, and both loops, stopped at the
+        # last term that can change a bit, return the bits of the reference
+        # that sums every term up to its fixed stopping test
         x = np.linspace(0.05, 12.95, 301)
         assert np.array_equal(numerics._power_series(x, want_y=False)[0],
                               numerics._power_series(x)[0])
@@ -105,6 +108,79 @@ class TestBessel:
                 p = p + sign * a
         got_p, got_q = numerics._hankel_pq(x)
         assert np.array_equal(got_p, p) and np.array_equal(got_q, q)
+        # at the zeros of J0 the sum cancels to a few digits, so its last
+        # terms still change bits there
+        j0_zeros = np.array([2.404825557695773, 5.520078110286311, 8.653727912911013,
+                             11.79153443901428])
+        for x in (np.linspace(0.0, 13.0, 20001)[:-1], np.geomspace(1e-8, 12.99, 2001),
+                  (j0_zeros[:, None] + np.arange(-3, 4) * np.spacing(j0_zeros)[:, None]).ravel(),
+                  np.array([12.99]), np.array([0.5, 3.0])):
+            for want_y in (False, True):
+                assert all(np.array_equal(got, want) for got, want in zip(
+                    numerics._power_series(x, want_y), oracles.power_series(x, want_y)))
+        for x in (np.linspace(13.0, 100.0, 20001), np.geomspace(100.0, 1e5, 20001),
+                  np.geomspace(1e3, 1e6, 20001), np.array([13.0]), np.array([2.5e5, 7e5])):
+            got_p, got_q = numerics._hankel_pq(x)
+            want_p, want_q = oracles.hankel_pq(x)
+            assert np.array_equal(got_p, want_p) and np.array_equal(got_q, want_q)
+
+    @pytest.mark.parametrize("want_y", [False, True])
+    def test_kernels_equal_the_reference_bit_for_bit(self, want_y):
+        rng = np.random.default_rng(29)
+        split = 13.0 + np.arange(-8, 9) * np.spacing(13.0)
+        # McMahon's estimates of the zeros of J0 ((s - 1/4) pi) and Y0
+        # ((s - 3/4) pi), where P cos + Q sin cancels to a few digits
+        beta = np.pi * (np.arange(1.0, 400.0)[:, None] - [0.25, 0.75])
+        zeros = (beta + 1.0 / (8.0 * beta)).ravel()
+        zeros = np.concatenate([[2.404825557695773, 5.520078110286311, 0.8935769662791675,
+                                 3.957678419314858], zeros])
+        near_zeros = (zeros[:, None] + np.arange(-3, 4) * np.spacing(zeros)[:, None]).ravel()
+        arrays = [
+            np.linspace(0.0, 13.0, 20001)[:-1], np.linspace(13.0, 100.0, 20001)[:-1],
+            np.geomspace(100.0, 1e5, 20001), np.geomspace(1e3, 1e6, 20001),
+            split, near_zeros,
+            rng.permutation(np.geomspace(1e-6, 1e6, 5001)),  # mixed
+            np.concatenate([rng.uniform(0.0, 13.0, 50), rng.uniform(13.0, 1e4, 50)]),
+        ]
+        # the smallest element sets the Hankel term count of the whole array
+        arrays += [np.concatenate([[x0], x0 * (1.0 + np.geomspace(1e-15, 10.0, 2001))])
+                   for x0 in (100.0, 1e3, 1e5)]
+        arrays += [np.concatenate([[x0], x0 * (1.0 + np.geomspace(1e-15, 1.0, 100))])
+                   for x0 in np.geomspace(13.0, 1e6, 200)]
+        arrays += [x0 * (1.0 + np.linspace(0.0, 1e-2, 300)) for x0 in np.geomspace(13.0, 1e6, 300)]
+        arrays += [np.exp(rng.uniform(np.log(1e-3), np.log(1e6), size))
+                   for size in (1, 2, 3) for _ in range(300)]
+        for x in arrays:
+            if want_y and not np.all(x > 0):
+                x = x[x > 0]
+            got = bessel_y0(x) if want_y else bessel_j0(x)
+            assert np.array_equal(got, oracles.bessel0(x, want_y)), (x.min(), x.max())
+
+    def test_edge_inputs_keep_their_values(self):
+        def same(got, want):
+            return (np.shape(got) == np.shape(want)
+                    and np.array_equal(got, want, equal_nan=True))
+
+        empty = np.zeros(0)
+        for want_y, f in ((False, bessel_j0), (True, bessel_y0)):
+            got = f(empty)
+            assert got.shape == (0,) and got.dtype == float
+            assert same(got, oracles.bessel0(empty, want_y))
+            for x in (np.float64(3.0), np.array(30.0), 7.5, 2e3):
+                got = f(x)
+                assert np.ndim(got) == 0 and same(got, oracles.bessel0(x, want_y))
+        bad = np.array([np.nan, np.inf, 2.0, 50.0, 3e4])
+        with np.errstate(invalid="ignore"):  # sin and cos of inf
+            assert same(bessel_j0(-bad), oracles.bessel0(-bad, False))
+            assert same(bessel_y0(bad), oracles.bessel0(bad, True))
+        assert numerics._hankel_terms(np.array([np.nan, 1e4])) == numerics._ASYMP_KMAX == 26
+        assert numerics._hankel_terms(np.array([np.inf])) == 26
+        assert numerics._series_terms(np.array([1.0, np.nan])) == numerics._SERIES_KMAX == 80
+        assert numerics._series_terms(np.array([np.inf])) == 80
+        # J0 of a negative argument is J0 of its magnitude, bit for bit
+        x = -np.concatenate([np.geomspace(1e-3, 1e5, 501), [0.0, 13.0]])
+        assert same(bessel_j0(x), oracles.bessel0(x, False))
+        assert same(bessel_j0(x), bessel_j0(-x)) and same(bessel_j0(-20.0), bessel_j0(20.0))
 
     def test_wronskian_identity(self):
         # J0 Y0' - J0' Y0 = 2/(pi x); five-point stencils sized so neither
