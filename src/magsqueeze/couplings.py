@@ -13,9 +13,11 @@ integrated: the first term's Hankel transform has Abel limit exactly 0
 kernel evaluation and the overall normalization, which is carried by the
 characteristic rate ``nu`` because the bare correlator prefactor inherits
 the unit ambiguity of the printed material constants.
-The exchange principal-value integral does not depend on the bath, so each
-process computes it once per (separation, params, density) and keeps it in a
-bounded cache (``_principal_value.cache_clear()`` empties it).
+The exchange principal-value integral and the dissipative channels' resonant
+integral do not depend on the bath, so each process computes them once per
+(separation, params[, density]) and keeps them in bounded caches
+(``_principal_value.cache_clear()`` and ``_resonant_integral.cache_clear()``
+empty them).
 
 Channel labels follow the superscripts of the dissipator weights:
 
@@ -154,9 +156,17 @@ def _oracle_norm(params):
 
 
 def _delta_channel(rho_cm, moment, params):
-    """K * integral dk k^3 J0(k rho) * moment * 2 pi delta(omega_k - omega_q),
-    with the delta smeared to a narrow Gaussian well inside the squeezing band
-    (at d = 0, as in the closed forms)."""
+    """K * integral dk k^3 J0(k rho) * moment * 2 pi delta(omega_k - omega_q)
+    (`_resonant_integral` holds the integral)."""
+    return _oracle_norm(params) * moment * 2.0 * np.pi * _resonant_integral(rho_cm, params)
+
+
+@functools.lru_cache(maxsize=256)
+def _resonant_integral(rho_cm, params):
+    """integral dk k^3 J0(k rho) delta(omega_k - omega_q), with the delta
+    smeared to a narrow Gaussian well inside the squeezing band (at d = 0, as
+    in the closed forms).  It does not depend on the bath or the channel, so
+    it is memoized like `_principal_value`."""
     dh = params.stiffness_over_hbar
     k_q, _ = resonant_wavelength(params)
     eps = params.bandwidth_angular / 20.0
@@ -170,8 +180,16 @@ def _delta_channel(rho_cm, moment, params):
         delta = np.exp(-0.5 * ((omega - omega_q) / eps) ** 2) / (eps * np.sqrt(2 * np.pi))
         return k ** 3 * bessel_j0(k * rho_cm) * delta
 
-    edges = np.linspace(lo, hi, 61)
-    return _oracle_norm(params) * moment * 2.0 * np.pi * gauss_legendre_panels(integrand, edges)
+    return gauss_legendre_panels(integrand, np.linspace(lo, hi, 61))
+
+
+# The exchange tail's window, in Bessel periods, and its rounds of half-period
+# averaging: the cheapest pair whose worst deviation from a 400-period,
+# 14-round run, over separations 1e-6 to 3 lambda and densities 1 to 2, is
+# round-off (1.1e-15 Gamma_0).  A 12-period window, or 9 rounds, stays
+# below 8e-15 Gamma_0.
+_TAIL_PERIODS = 16
+_TAIL_ROUNDS = 10
 
 
 @functools.lru_cache(maxsize=256)
@@ -182,8 +200,13 @@ def _principal_value(rho_cm, params, n_scale):
     Hankel) term regulated by e^{-2kd} integrates to -2d/(4d^2 + rho^2)^{3/2}
     (Gradshteyn & Ryzhik 6.621.4), whose limit d -> 0 is exactly 0 at
     rho > 0, so only the second term is computed.  It converges absolutely
-    without a regulator: the pole is folded symmetrically and the oscillatory
-    tail is summed with half-period averaging.  `n_scale` multiplies panel
+    without a regulator: the pole is folded symmetrically, and the
+    oscillatory tail, which falls as k^{-3/2}, is integrated over a window of
+    _TAIL_PERIODS Bessel periods whose end is extrapolated by _TAIL_ROUNDS
+    rounds of averaging partial integrals half a period apart (Longman, Proc.
+    Camb. Phil. Soc. 52, 764 (1956)).  The tail's panels grow geometrically
+    away from the pole up to a quarter period, so the node count grows only
+    as log(1 / rho) at small separations.  `n_scale` multiplies panel
     densities (used by convergence checks).  Memoized: call it with float
     arguments, positionally, so that equal inputs share one cache entry.
     """
@@ -205,17 +228,30 @@ def _principal_value(rho_cm, params, n_scale):
     inner = gauss_legendre_panels(folded, np.linspace(w * 1e-9, w, n_in + 1))
     left = gauss_legendre_panels(pole_int, np.linspace(0.0, w, n_in + 1))
 
-    # oscillatory tail: integrate to ~4000 radians of Bessel phase, then
-    # average the partial integrals half a period apart
+    # oscillatory tail from 1.5 k_q: panels as wide as their distance from
+    # the pole (at n_scale 1), doubling every n_scale panels until they reach
+    # a quarter Bessel period / n_scale, then _TAIL_PERIODS periods of such
+    # panels
     half = np.pi / rho_cm
-    k_end = 1.5 * k_q + max(np.ceil(4000.0 / (rho_cm * 2 * half)), 4) * 2 * half
-    dk = min(0.5 * half, 0.5 * k_q) / n_scale
-    n_r = int(np.ceil((k_end - 1.5 * k_q) / dk))
-    right_a = gauss_legendre_panels(pole_int, np.linspace(1.5 * k_q, k_end, n_r + 1))
-    extra = gauss_legendre_panels(
-        pole_int, np.linspace(k_end, k_end + half, max(4, int(np.ceil(n_scale * 8))))
-    )
-    right = right_a + 0.5 * extra
+    quarter = 0.5 * half / n_scale
+    growth = 2.0 ** (1.0 / n_scale)
+    n_geo = max(0, int(np.ceil(np.log(quarter / (w * (growth - 1.0))) / np.log(growth))))
+    geo = k_q + w * growth ** np.arange(n_geo + 1)
+    k_end = geo[-1] + _TAIL_PERIODS * 2 * half
+    n_win = int(np.ceil(_TAIL_PERIODS * 2 * half / quarter))
+    edges = np.concatenate([geo[:-1], np.linspace(geo[-1], k_end, n_win + 1)])
+    # partial integrals to k_end + j half (j = 0.._TAIL_ROUNDS), then as many
+    # rounds of averaging neighbours half a period apart (Longman's Euler
+    # transform of the alternating half-period terms)
+    partial = [gauss_legendre_panels(pole_int, edges)]
+    n_half = int(np.ceil(half / quarter))
+    for j in range(_TAIL_ROUNDS):
+        lo = k_end + j * half
+        partial.append(partial[-1] + gauss_legendre_panels(
+            pole_int, np.linspace(lo, lo + half, n_half + 1)))
+    for _ in range(_TAIL_ROUNDS):
+        partial = [0.5 * (a + b) for a, b in zip(partial[:-1], partial[1:])]
+    right = partial[0]
 
     return k_q ** 2 * (inner + left + right)
 

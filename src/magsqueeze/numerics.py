@@ -7,7 +7,6 @@ the package consumes these kernels through the contracts documented on each
 function; none of them know anything about the physics.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -490,6 +489,27 @@ QUAD_MAX_SUBDIVISIONS = 2000
 # most abscissae per integrand call of the panel rules; bounds their arrays
 QUAD_BLOCK_NODES = 8192
 
+# 12-point Gauss-Legendre nodes on [-1, 1] and weights: the float64 values of
+# np.polynomial.legendre.leggauss(12), written out so that the panel rule
+# does not import np.polynomial (a few ms per process).
+_GL12_NODES = np.array(
+    [
+        -0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
+        -0.5873179542866175, -0.3678314989981802, -0.1252334085114689,
+        0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+        0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+    ]
+)
+_GL12_WEIGHTS = np.array(
+    [
+        0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
+        0.20316742672306573, 0.2334925365383546, 0.2491470458134027,
+        0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+        0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+    ]
+)
+_GL12_NODES.flags.writeable = _GL12_WEIGHTS.flags.writeable = False
+
 # Kronrod-15 nodes on [-1, 1] and weights; rows 1,3,...,13 are the Gauss-7 subset.
 _GK_NODES = np.array(
     [
@@ -602,15 +622,6 @@ def quad_adaptive(f, edges, tol):
     return QuadratureResult(value=total_val, abs_error_estimate=total_err, evaluations=15 * made)
 
 
-@functools.cache
-def _legendre12():
-    """12-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
-    Built on first use, not at import: importing np.polynomial takes a few ms."""
-    x, w = np.polynomial.legendre.leggauss(12)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
 def gauss_legendre_panels(f, edges):
     """Composite 12-point Gauss-Legendre integral of a vectorized integrand.
 
@@ -620,7 +631,7 @@ def gauss_legendre_panels(f, edges):
     (spectral k-integrals) where adaptivity is unnecessary.
     """
     edges = np.asarray(edges, dtype=float)
-    x, w = _legendre12()
+    x, w = _GL12_NODES, _GL12_WEIGHTS
     total = 0.0
     for block in _panel_blocks(edges.size - 1, x.size):
         panels = edges[block.start:block.stop + 1]

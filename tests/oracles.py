@@ -5,16 +5,18 @@ operators are checked against, the dense matrix exponential that `evolve`
 is checked against, the four-channel form of the generator that the
 jump-operator form of `build_generator` is checked against, and the
 Dicke-space stationary state of the fully collective dissipator that
-`evolve` is checked against, and the J0/Y0 kernel with every series summed
+`evolve` is checked against, the J0/Y0 kernel with every series summed
 to its fixed stopping test that the truncated kernels are checked against
-bit for bit."""
+bit for bit, and the brute-force 637-period exchange principal value that
+the extrapolated tail of `couplings._principal_value` is checked against."""
 
 import math
 
 import numpy as np
 
+from magsqueeze.bath import resonant_wavelength
 from magsqueeze.dynamics import Generator, build_generator
-from magsqueeze.numerics import EULER_GAMMA
+from magsqueeze.numerics import EULER_GAMMA, bessel_j0, gauss_legendre_panels
 
 _SINGLE = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -222,3 +224,40 @@ def bessel0(x, want_y):
         else:
             out[~small] = amp * (p * np.cos(chi) + q * np.sin(chi))
     return out[0] if scalar else out
+
+
+def principal_value_637(rho_cm, params, n_scale):
+    """PV integral dk k^3 J0(k rho) / (k_q^2 - k^2) by its pole term, with the
+    oscillatory tail integrated by brute force across 637 Bessel periods
+    (4000 radians) in panels 0.5 k_q wide at most, ended by one average of
+    the partial integrals half a period apart.  The inner and left terms are
+    those of `couplings._principal_value`."""
+    k_q, _ = resonant_wavelength(params)
+    w = 0.5 * k_q
+
+    def g(k):
+        return k * bessel_j0(k * rho_cm) / (k_q + k)
+
+    def folded(u):
+        return (g(k_q - u) - g(k_q + u)) / u
+
+    def pole_int(k):
+        return k * bessel_j0(k * rho_cm) / (k_q ** 2 - k ** 2)
+
+    n_in = int(np.ceil(n_scale * (24 + 8.0 * w * rho_cm / np.pi)))
+    inner = gauss_legendre_panels(folded, np.linspace(w * 1e-9, w, n_in + 1))
+    left = gauss_legendre_panels(pole_int, np.linspace(0.0, w, n_in + 1))
+
+    # oscillatory tail: integrate to ~4000 radians of Bessel phase, then
+    # average the partial integrals half a period apart
+    half = np.pi / rho_cm
+    k_end = 1.5 * k_q + max(np.ceil(4000.0 / (rho_cm * 2 * half)), 4) * 2 * half
+    dk = min(0.5 * half, 0.5 * k_q) / n_scale
+    n_r = int(np.ceil((k_end - 1.5 * k_q) / dk))
+    right_a = gauss_legendre_panels(pole_int, np.linspace(1.5 * k_q, k_end, n_r + 1))
+    extra = gauss_legendre_panels(
+        pole_int, np.linspace(k_end, k_end + half, max(4, int(np.ceil(n_scale * 8))))
+    )
+    right = right_a + 0.5 * extra
+
+    return k_q ** 2 * (inner + left + right)

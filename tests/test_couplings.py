@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -17,13 +20,15 @@ from magsqueeze import couplings
 from magsqueeze.couplings import (
     GAMMA_CHANNELS,
     _channel_moments,
+    _oracle_norm,
     _principal_value,
+    _resonant_integral,
     build_couplings,
     coupling_oracle,
 )
 from magsqueeze import numerics
 from magsqueeze.errors import ConfigError
-from magsqueeze.numerics import bessel_j0, bessel_y0, gauss_legendre_panels
+from magsqueeze.numerics import bessel_j0, bessel_y0
 from magsqueeze.params import ArrayGeometry, PhysicalParams
 
 import oracles
@@ -172,9 +177,9 @@ class TestOracle:
         for rho in (0.05, 0.9, 2.3):
             got = coupling_oracle("J", rho, P, bs)
             want = -0.5 * g0 * bessel_y0(rho)
-            assert abs(got - want) <= 1e-8 * g0  # measured <= 4.6e-10 g0
+            assert abs(got - want) <= 1e-8 * g0  # measured <= 1.9e-10 g0
             # one ulp of separation moves J by round-off only: measured
-            # <= 5.3e-15 g0
+            # <= 1.8e-14 g0
             nudged = coupling_oracle("J", np.nextafter(rho, np.inf), P, bs)
             assert abs(nudged - got) <= 1e-13 * g0
 
@@ -187,13 +192,15 @@ class TestOracle:
         assert a == b
 
     def test_values_equal_the_reference_kernel_bit_for_bit(self, monkeypatch):
-        # the radial quadratures here evaluate J0 at up to x ~ 4000, where the
-        # Hankel sums stop after as few as 5 of 26 terms; every value is still the
-        # reference kernel's
+        # the radial quadratures here evaluate J0 at up to x ~ 140, where the
+        # Hankel sums stop after 11 of 26 terms; every value is still the
+        # reference kernel's.  Shorter sums, at larger x, are covered by the
+        # kernel tests alone
         bs = bath_from_params(P, r_override=0.25)
 
         def values():
             _principal_value.cache_clear()
+            _resonant_integral.cache_clear()
             bath_module._vacuum_term.cache_clear()
             return ([coupling_oracle(ch, 3.0, P, bs) for ch in ("J", "Jpp", "pm")],
                     field_correlator("-+", LAMBDA, 0.0, 0.0, P, bs))
@@ -202,6 +209,7 @@ class TestOracle:
         monkeypatch.setattr(numerics, "_bessel0", oracles.bessel0)
         want = values()
         _principal_value.cache_clear()
+        _resonant_integral.cache_clear()
         bath_module._vacuum_term.cache_clear()
         assert got == want
 
@@ -253,6 +261,21 @@ class TestOracle:
         assert coupling_oracle(channel, np.array(1.5), P, bs) == want
         assert coupling_oracle(channel, np.float64(1.5), P, bs) == want
 
+    def test_cold_oracle_leaves_numpy_polynomial_out(self):
+        # the panel rule's Gauss-Legendre nodes are literals, not leggauss
+        import magsqueeze
+
+        src = os.path.dirname(os.path.dirname(magsqueeze.__file__))
+        code = ("import sys; from magsqueeze.bath import bath_from_params; "
+                "from magsqueeze.couplings import coupling_oracle; "
+                "from magsqueeze.params import PhysicalParams; "
+                "p = PhysicalParams(); bs = bath_from_params(p, r_override=0.25); "
+                "[coupling_oracle(ch, 0.9, p, bs) for ch in ('J', 'Jpp', 'pm')]; "
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert run.stdout.strip() == "[]"
+
     def test_pv_quadrature_density_converged(self):
         bs = bath_from_params(P, r_override=0.0)
         a = coupling_oracle("J", 0.45, P, bs, n_scale=1.0)
@@ -290,10 +313,8 @@ class TestPrincipalValueCache:
         assert b != a
 
     def test_cold_call_memory(self):
-        # each panel sum is taken block by block: at 0.205 lambda the
-        # oscillatory tail used to evaluate its 468,576 nodes in one call
-        # (40 MiB)
-        gauss_legendre_panels(np.exp, [0.0, 1.0])  # builds the rule, imports np.polynomial
+        # each panel sum is taken block by block, and the oscillatory tail
+        # has about 150 panels at any separation: measured peak 0.08 MiB
         _principal_value.cache_clear()
         tracemalloc.start()
         try:
@@ -302,3 +323,73 @@ class TestPrincipalValueCache:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2 ** 20
+
+
+def exchange_in_gamma0(pv):
+    """J of a principal value, in units of Gamma_0 (as `coupling_oracle`)."""
+    return -_oracle_norm(P) * pv / P.stiffness_over_hbar / couplings_for().gamma0
+
+
+class TestExchangeTail:
+    @pytest.mark.parametrize("n_scale", [1.0, 1.5])
+    @pytest.mark.parametrize("rho", [0.2, 0.9, 2.3])
+    def test_agrees_with_the_637_period_rule(self, rho, n_scale):
+        # measured <= 3.2e-10 Gamma_0: mostly the brute-force rule's own error
+        got = _principal_value.__wrapped__(rho * LAMBDA, P, n_scale)
+        want = oracles.principal_value_637(rho * LAMBDA, P, n_scale)
+        assert abs(exchange_in_gamma0(got) - exchange_in_gamma0(want)) <= 1e-9
+
+    @pytest.mark.parametrize("rho", [1e-6, 0.2, 0.9])
+    def test_window_and_rounds_converged(self, rho, monkeypatch):
+        # an 8 times longer window and 4 more averaging rounds move J by
+        # round-off only: measured <= 1.7e-15 Gamma_0 (half the window: 2.6e-13)
+        got = _principal_value.__wrapped__(rho * LAMBDA, P, 1.0)
+        monkeypatch.setattr(couplings, "_TAIL_PERIODS", 8 * couplings._TAIL_PERIODS)
+        monkeypatch.setattr(couplings, "_TAIL_ROUNDS", couplings._TAIL_ROUNDS + 4)
+        longer = _principal_value.__wrapped__(rho * LAMBDA, P, 1.0)
+        assert abs(exchange_in_gamma0(got) - exchange_in_gamma0(longer)) <= 1e-14
+
+    @pytest.mark.parametrize("rho", [1e-6, 1e-3])
+    def test_tiny_separations_stay_small(self, rho, monkeypatch):
+        # the 637-period rule needed about 8,000 / rho panels (6.4 GB of
+        # panel edges at 1e-5 lambda); the geometric panels need log(1 / rho)
+        points = []
+
+        def counting_j0(x):
+            points.append(np.size(x))
+            return bessel_j0(x)
+
+        monkeypatch.setattr(couplings, "bessel_j0", counting_j0)
+        tracemalloc.start()
+        try:
+            pv = _principal_value.__wrapped__(rho * LAMBDA, P, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(exchange_in_gamma0(pv) + 0.5 * bessel_y0(rho)) <= 1e-8  # measured 8e-11
+        assert peak <= 8 * 2 ** 20
+        assert sum(points) <= 4000  # measured 2172 at 1e-6, 2052 at 1e-3
+
+
+class TestResonantIntegralCache:
+    def test_bath_and_channel_independent_misses(self):
+        _resonant_integral.cache_clear()
+        for r in (0.0, 0.25, 1.0):
+            bs = bath_from_params(P, r_override=r)
+            for ch in GAMMA_CHANNELS:
+                coupling_oracle(ch, 1.25, P, bs)
+        # one entry for the one separation
+        info = _resonant_integral.cache_info()
+        assert info.misses == 1
+        assert info.hits == 11
+        assert info.maxsize is not None
+
+    def test_channels_equal_the_uncached_product(self):
+        # the cached integral enters the product in the same place, so every
+        # channel keeps its bits
+        bs = bath_from_params(P, r_override=0.25)
+        rho_cm = 0.7 * LAMBDA
+        integral = _resonant_integral.__wrapped__(rho_cm, P)
+        for ch, moment in _channel_moments(bs).items():
+            want = _oracle_norm(P) * moment * 2.0 * np.pi * integral
+            assert coupling_oracle(ch, 0.7, P, bs) == want

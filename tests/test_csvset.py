@@ -104,7 +104,52 @@ def test_run_exports_a_git_revision(csvset, tmp_path, monkeypatch):
         subprocess.run(git + args, check=True)
     main.write_text(source.format("uncommitted"))
     monkeypatch.setattr(csvset, "RUNS", {"tiny": ["--scenario", "custom"]})
+    # the stand-in has no oracle: record where the tables would be written
+    tables = []
+    monkeypatch.setattr(csvset, "oracle_tables", lambda env, out: tables.append(out))
     monkeypatch.chdir(repo)
     csvset.run("HEAD", str(tmp_path / "out"))
     assert (tmp_path / "out" / "tiny" / "table.csv").read_text() == "x\ncommitted\n"
     assert (tmp_path / "out" / "provenance.txt").exists()
+    assert tables == [str(tmp_path / "out" / "oracle")]
+
+
+def test_the_oracle_grid_is_the_benchmarks(csvset):
+    workloads = csvset.workloads
+    grid = csvset.ORACLE_GRID
+    assert grid["channels"] == ["J", "pm", "mp", "pp", "mm", "Jpp", "Jmm"]
+    assert len(grid["rho"]) == sum(map(len, workloads.ORACLE_RHO)) == 24
+    assert grid["r"] == list(workloads.ORACLE_R)
+    assert grid["kinds"] == list(workloads.CORRELATOR_KINDS)
+    assert len(grid["correlator_rho"]) * len(grid["tau"]) == 30
+
+
+def test_oracle_tables_are_written_and_compared(csvset, tmp_path, monkeypatch, capsys):
+    # a tiny grid, written twice by the tree's package: identical bytes; a
+    # moved exchange value is named by its column
+    import os
+
+    import magsqueeze
+
+    monkeypatch.setattr(csvset, "ORACLE_GRID", dict(
+        csvset.ORACLE_GRID, rho=[1.25, 2.5], r=[0.0, 0.25], correlator_rho=[1.0], tau=[0.0]))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(magsqueeze.__file__)))
+    for copy in ("a", "b"):
+        csvset.oracle_tables(env, str(tmp_path / copy / "oracle"))
+    couplings = (tmp_path / "b" / "oracle" / "couplings.csv").read_text().splitlines()
+    assert couplings[0] == "rho,r,J,pm,mp,pp,mm,Jpp,Jmm"
+    assert len(couplings) == 5
+    correlators = (tmp_path / "b" / "oracle" / "correlators.csv").read_text().splitlines()
+    assert correlators[0] == "rho,tau,-+,+-,--,++" and len(correlators) == 2
+    assert csvset.main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out.endswith("2 files, 0 not byte-identical\n")
+
+    cells = couplings[1].split(",")
+    cells[2] = repr(math.nextafter(float(cells[2]), math.inf))
+    couplings[1] = ",".join(cells)
+    (tmp_path / "b" / "oracle" / "couplings.csv").write_text("\n".join(couplings) + "\n")
+    assert csvset.main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "oracle/couplings.csv: moved"
+    assert out[2].startswith("    J: 1 of 4 cells moved, largest ")
+    assert out[2].endswith(" at row 0")

@@ -659,3 +659,10 @@ class TestQuadrature:
         nodes = (edges[:-1, None] + half[:, None] * (x[None, :] + 1.0)).ravel()
         want = np.sum((half[:, None] * w[None, :]).ravel() * f(nodes))
         assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_legendre_rule_equals_leggauss_bit_for_bit(self):
+        x, w = np.polynomial.legendre.leggauss(12)
+        for got, want in ((numerics._GL12_NODES, x), (numerics._GL12_WEIGHTS, w)):
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert not got.flags.writeable

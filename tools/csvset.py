@@ -7,15 +7,20 @@
 `sweep` CSV is byte-identical only at a fixed thread count) and writes the 65
 CSVs of RUNS, one directory per run, under OUT, plus `provenance.txt` (numpy
 version, BLAS configuration, thread settings).  The runs are the benchmark's
-inputs, read from `perfbench/workloads.py`, plus `custom` at N = 5-7.
+inputs, read from `perfbench/workloads.py`, plus `custom` at N = 5-7.  It
+also writes the oracle tables of ORACLE_GRID under OUT/oracle with
+`tools/oracle_tables.py`, every value in full precision: `couplings.csv`, one
+row per separation and squeezing strength of the benchmark's `oracle_check`
+with a column per `coupling_oracle` channel, and `correlators.csv`, one row
+per separation and lag (and lag 0) with a column per `field_correlator` kind.
 
 `diff` compares the CSVs of two such directories.  Per file it prints whether
 the bytes are identical; for a file that moved, the cells that moved in each
 column and the largest move, absolute and relative to the column scale (the
-largest magnitude of that column in A), with its data row; a file whose
-bytes differ where no cell moved (line endings, a final newline, line order)
-is reported as such.  It exits 1 if any file differs or exists on one side
-only.
+largest magnitude of that column in A), with its data row: a bound on the
+move of every value in that column.  A file whose bytes differ where no cell
+moved (line endings, a final newline, line order) is reported as such.  It
+exits 1 if any file differs or exists on one side only.
 
 A TREE that is not a directory is taken as a git revision of the repository
 in the working directory, exported with `git archive` into a temporary
@@ -26,6 +31,7 @@ library is used.
 
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
@@ -51,6 +57,18 @@ RUNS = {
         "--set", "sweep_a=" + ",".join(map(repr, workloads.STEADY_A)),
         "--set", "sweep_n=" + ",".join(map(repr, workloads.STEADY_N["full"]))],
 }
+# the benchmark's oracle grid: every channel at every separation and squeezing
+# strength that oracle_check can draw, and the four correlators at each of its
+# separations and lags, and at lag 0
+ORACLE_GRID = {
+    "channels": list(workloads.ORACLE_CHANNELS),
+    "rho": [rho for stratum in workloads.ORACLE_RHO for rho in stratum],
+    "r": list(workloads.ORACLE_R),
+    "kinds": list(workloads.CORRELATOR_KINDS),
+    "correlator_rho": list(workloads.CORRELATOR_RHO),
+    "tau": [0.0, *workloads.CORRELATOR_TAU],
+}
+ORACLE_TABLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracle_tables.py")
 THREADS = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 PROVENANCE = "import numpy, sys; print(sys.version); print(numpy.__version__); numpy.show_config()"
 
@@ -74,6 +92,15 @@ def run(tree, out):
         print(f"{name} ...", flush=True)
         subprocess.run([sys.executable, "-m", "magsqueeze", *RUNS[name], "--out", target],
                        env=env, check=True)
+    print("oracle ...", flush=True)
+    oracle_tables(env, os.path.join(out, "oracle"))
+
+
+def oracle_tables(env, out):
+    """Write the oracle tables of ORACLE_GRID under `out`, in a process with
+    environment `env` (its PYTHONPATH names the package)."""
+    subprocess.run([sys.executable, ORACLE_TABLES, json.dumps(ORACLE_GRID), out],
+                   env=env, check=True)
 
 
 def csv_files(root):
