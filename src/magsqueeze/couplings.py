@@ -225,7 +225,7 @@ def _principal_value(rho_cm, params, n_scale):
         return k * bessel_j0(k * rho_cm) / (k_q ** 2 - k ** 2)
 
     n_in = int(np.ceil(n_scale * (24 + 8.0 * w * rho_cm / np.pi)))
-    inner = gauss_legendre_panels(folded, np.linspace(w * 1e-9, w, n_in + 1))
+    inner = gauss_legendre_panels(folded, np.linspace(0.0, w, n_in + 1))
     left = gauss_legendre_panels(pole_int, np.linspace(0.0, w, n_in + 1))
 
     # oscillatory tail from 1.5 k_q: panels as wide as their distance from

@@ -37,14 +37,13 @@ POSITIVITY_FLOOR = -1e-8
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
 
-# smallest N at which `evolve` integrates a parity-even start on its parity
-# blocks: the smallest at which the block action is the dense one bit for
-# bit (`Generator.action`)
+# smallest N at which `evolve` integrates, checks and measures a
+# parity-even start on its parity blocks: the smallest at which the block
+# action is the dense one bit for bit (`Generator.action`)
 BLOCK_MIN_QUBITS = 3
-# smallest N at which `evolve` also checks and measures the blocks and
-# `steady_state` solves the site-reversal blocks; below it their fixed costs
-# outweigh the smaller products
-SECTOR_MIN_QUBITS = 5
+# smallest N at which `steady_state` solves the site-reversal blocks; below
+# it their fixed costs outweigh the smaller products
+REVERSAL_MIN_QUBITS = 5
 MAX_STEADY_QUBITS = 7
 RITZ_PROBES = 16  # random right-hand sides of the degeneracy estimate
 SECTOR_CHUNK_BYTES = 2 * 1024 * 1024  # complex rows per steady-state assembly chunk (>= 1 row)
@@ -96,7 +95,9 @@ def _invariants(rhos, times=None, trace_tol=_FLOAT_MAX, herm_tol=_FLOAT_MAX, ind
     nonzero entry of the states (the trace is then summed block by block).
     The eigenvalues of a block-diagonal matrix are those of its blocks, so
     given the flat block `index` of a `_Layout` whose blocks hold every
-    nonzero entry of (m, d, d) states, they are taken from the blocks too.
+    nonzero entry of (m, d, d) states, they are taken from the blocks too
+    (`evolve`'s full states of a parity-even start below BLOCK_MIN_QUBITS),
+    and equal those of the blocks' own stack bit for bit.
     The whole stack is read at once, with temporaries of its size.
 
     A state is broken unless both errors are at most their tolerances, so a
@@ -160,8 +161,7 @@ def density_matrix(state):
 class Trajectory:
     """Time grid plus per-step observables of one evolution, and the
     integrator's counters.  `parity_blocks` says that the parity blocks were
-    integrated; from SECTOR_MIN_QUBITS on the columns are read from them,
-    below it from the full states."""
+    integrated, and the columns read from them."""
 
     t: np.ndarray                 # Gamma_0 t
     mean_spin: np.ndarray         # (n, 3)
@@ -488,16 +488,17 @@ def evolve_many(starts, generators, t_grid, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL
     control: its Trajectory, `stats` included, is bit for bit the one that
     it gets alone.
 
-    Each chunk of states that `integrate_ode` emits is checked and measured
-    into the member's columns in place, in the integrator's own buffer, so
-    the first broken state raises StateInvariantError before the rest of
-    the grid is integrated.  From SECTOR_MIN_QUBITS on the checks and the
-    observables read the blocks; below it each chunk of blocks is first
-    placed into full states, so that the columns are the dense path's bit
-    for bit.  The columns do not depend on how the integrator chunks the
-    states (`TrajectoryObservables.measure`).  Only the last state is
-    copied out, or with `keep_states` every state, and only blocks are
-    placed back into full arrays.
+    Each chunk of states that `integrate_ode` emits is checked and its
+    observables are read into the member's columns in place, in the
+    integrator's own buffer, so the first broken state raises
+    StateInvariantError before the rest of the grid is integrated.  The
+    checks and the observables read what was integrated, the blocks or the
+    full states: on the blocks `min_eig` and `herm_err` read the same
+    entries as on the full states, and the other columns sum the same
+    products in another order.  The columns do not depend on how the
+    integrator chunks the states (`TrajectoryObservables.measure`).  Only
+    the last state is copied out, or with `keep_states` every state, and
+    only those copies are placed back into full arrays.
     """
     if len(starts) != len(generators):
         raise ValueError(f"{len(starts)} states for {len(generators)} generators")
@@ -533,21 +534,22 @@ class _Member:
         even = start is not None and np.array_equal(parity.scatter(start), rho_init)
         self.generator, self.t_grid, self.abort_tol = generator, t_grid, abort_tol
         self.blocks = even and n >= BLOCK_MIN_QUBITS
-        self.measured = self.blocks and n >= SECTOR_MIN_QUBITS  # checked on the blocks
         self.y0, self.layout = ((start, parity) if self.blocks
                                 else (rho_init[None], generator._dense))
-        self.eig_index = parity.index if even and not self.measured else None
+        # below BLOCK_MIN_QUBITS the full states of a parity-even start are
+        # checked, with their eigenvalues taken from the blocks
+        self.eig_index = parity.index if even and not self.blocks else None
         size = t_grid.size
-        self.observables = TrajectoryObservables(generator, size, self.measured)
+        self.observables = TrajectoryObservables(generator, size, self.blocks)
         self.trace_err, self.herm_err, self.min_eig = (np.empty(size) for _ in range(3))
-        shape = start.shape if self.measured else rho_init.shape
+        shape = start.shape if self.blocks else rho_init.shape
         self.kept = np.empty((size if keep_states else 1, *shape), dtype=complex)
         self.keep_states = keep_states
         self.stats = None
 
     def record(self, first, states):
         """Check and measure the states first, first + 1, ... of the grid,
-        blocks if `measured`, else full states."""
+        blocks if `blocks`, else full states."""
         states = states.reshape(len(states), *self.kept.shape[1:])
         rows = slice(first, first + len(states))
         self.trace_err[rows], self.herm_err[rows], self.min_eig[rows] = _invariants(
@@ -560,7 +562,7 @@ class _Member:
 
     def trajectory(self):
         n, t_grid = self.generator.n_qubits, self.t_grid
-        rhos = self.layout.scatter(self.kept) if self.measured else self.kept
+        rhos = self.layout.scatter(self.kept) if self.blocks else self.kept
         return Trajectory(
             t_grid.copy(),
             *self.observables.columns(),
@@ -581,23 +583,7 @@ def _integrate(stack, t_grid, rtol, atol):
     chunk of states that the integrator emits recorded by its member."""
     lead = stack[0]
     shape, dim = lead.y0.shape, 2 ** lead.generator.n_qubits
-    index = lead.layout.index.ravel() if lead.blocks else None
-    full = None  # a buffer of full states, made on first use
     current, layout = None, None  # the members of the last rhs call, and their layout
-
-    def emit(i, first, states):
-        nonlocal full
-        if not lead.blocks or lead.measured:
-            stack[i].record(first, states)
-            return
-        # full states take twice the bytes of their blocks: half a chunk at a time
-        half = -(-len(states) // 2)
-        if full is None or len(full) < half:
-            full = np.zeros((half, dim * dim), dtype=complex)
-        for lo in range(0, len(states), half):
-            part = states[lo:lo + half]
-            full[:len(part), index] = part
-            stack[i].record(first + lo, full[:len(part)])
 
     def rhs(y, members):
         nonlocal current, layout
@@ -609,7 +595,8 @@ def _integrate(stack, t_grid, rtol, atol):
 
     stats = integrate_ode(
         rhs, np.stack([member.y0.ravel() for member in stack]), t_grid, rtol=rtol, atol=atol,
-        emit=emit, layout=(index, dim * dim) if lead.blocks else None,
+        emit=lambda i, first, states: stack[i].record(first, states),
+        layout=(lead.layout.index.ravel(), dim * dim) if lead.blocks else None,
     )
     for member, record in zip(stack, stats):
         member.stats = record
@@ -629,7 +616,7 @@ def steady_state(generator):
     X has the coordinate Re X_ij + Im X_ij at [i, j], and a real orthogonal
     change V of the basis states maps the coordinates Q to V^T Q V.
 
-    From SECTOR_MIN_QUBITS qubits on, a generator measured to commute with
+    From REVERSAL_MIN_QUBITS qubits on, a generator measured to commute with
     X -> R X R (`Generator.reversal_symmetric`), R the bit reversal of the
     basis states, which keeps their parity, is split further.  On the
     `_reversal_basis` of each parity (the states that R fixes, and
@@ -690,7 +677,7 @@ def steady_state(generator):
             f"{bound:.3g} (about N cosh 2r at squeezing r), so the sums of squares of "
             f"its 16^{n} entries would overflow"
         )
-    reversal = SECTOR_MIN_QUBITS <= n <= MAX_STEADY_QUBITS and generator.reversal_symmetric
+    reversal = REVERSAL_MIN_QUBITS <= n <= MAX_STEADY_QUBITS and generator.reversal_symmetric
     if n > MAX_STEADY_QUBITS or (n == MAX_STEADY_QUBITS and not reversal):
         raise ValueError(
             f"dense steady-state solve limited to {MAX_STEADY_QUBITS} qubits on a "

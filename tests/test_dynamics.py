@@ -23,7 +23,7 @@ from magsqueeze.dynamics import (
     BLOCK_MIN_QUBITS,
     DEFAULT_ATOL,
     DEFAULT_RTOL,
-    SECTOR_MIN_QUBITS,
+    REVERSAL_MIN_QUBITS,
     Generator,
     QubitState,
     _invariants,
@@ -260,7 +260,7 @@ class TestGenerator:
         # the dense layout, and the parity layout on the blocks of a
         # parity-even state
         rng = np.random.default_rng(5)
-        for n, even in ((3, False), (SECTOR_MIN_QUBITS, True)):
+        for n, even in ((3, False), (5, True)):
             gen = generator_for(n, 0.5, 0.3)
 
             def draw():
@@ -478,17 +478,12 @@ TRACE_EPS = 4
 EPS = np.finfo(float).eps
 
 
-def measured_on_blocks(traj):
-    """Whether `evolve` checked and measured the parity blocks."""
-    return traj.parity_blocks and traj.final_state.n_qubits >= SECTOR_MIN_QUBITS
-
-
 def assert_same_trajectory(got, want):
     """Every column, the final state, every kept state and the integrator's
     counters bit for bit; a trajectory measured on the blocks against one
     measured on the full states only within the bounds above on the columns
     outside EXACT_COLUMNS."""
-    summed = measured_on_blocks(got) != measured_on_blocks(want)
+    summed = got.parity_blocks != want.parity_blocks
     for name in TRAJECTORY_COLUMNS:
         mine, theirs = getattr(got, name), getattr(want, name)
         if not summed or name in EXACT_COLUMNS:
@@ -575,7 +570,7 @@ class TestParityBlocks:
 
     def test_hamiltonian_only_generator(self):
         # no dissipator terms: empty jump stacks on the parity layout
-        n = SECTOR_MIN_QUBITS
+        n = 5
         h_eff = generator_for(n, 0.5, 0.25).h_eff
         gen = Generator(n, h_eff, [])
         rho = parity_even_density(np.random.default_rng(0), n)
@@ -598,9 +593,9 @@ class TestParityBlocks:
     # points, the last not starting at 0, one of a chunk of full states and
     # one more, whose last state the dense path measures alone (one row
     # takes another BLAS kernel than two), and at N = 5 400 points over the
-    # longest span without keep_states.  Below SECTOR_MIN_QUBITS each chunk
-    # of blocks is checked and measured as full states, so every column is
-    # the dense path's bit for bit
+    # longest span without keep_states.  The blocks are checked and measured
+    # at every N, so the columns outside EXACT_COLUMNS move within the
+    # bounds of assert_same_trajectory
     @pytest.mark.parametrize("n, chain", [(5, True), (6, True), (7, True), (5, False),
                                           (3, True), (4, True)])
     @pytest.mark.parametrize("start", ["all_excited", "all_ground"])
@@ -623,12 +618,13 @@ class TestParityBlocks:
             assert len(got.states) == (grid.size if keep else 0)
             assert_same_trajectory(got, want)
 
+    @pytest.mark.parametrize("n", [3, 4, 6])
     @pytest.mark.parametrize("keep", [False, True])
-    def test_scatter_only_the_start_and_the_returned_states(self, monkeypatch, keep):
-        # evolve checks and measures the blocks that it integrated: it places
-        # blocks into full arrays once to test the start's parity, and once
-        # for the states that it returns
-        n, grid = 6, np.linspace(0.0, 5.0, 400)
+    def test_scatter_only_the_start_and_the_returned_states(self, monkeypatch, keep, n):
+        # evolve checks and measures the blocks that it integrated, at every
+        # N: it places blocks into full arrays once to test the start's
+        # parity, and once for the states that it returns
+        grid = np.linspace(0.0, 5.0, 400)
         shapes = []
         scatter = dynamics._Layout.scatter
 
@@ -681,13 +677,13 @@ class TestParityBlocks:
         assert traj.parity_blocks is blocks
         assert bool(calls) is blocks
 
-    @pytest.mark.parametrize("n", [3, SECTOR_MIN_QUBITS])
+    @pytest.mark.parametrize("n", [3, 5])
     def test_invariants_of_a_parity_even_start(self, monkeypatch, n):
         # every state of a parity-even start is block-diagonal on either path
         # of action, so evolve takes the smallest eigenvalue from the two
         # parity blocks; the Hermiticity error is that of the full states, bit
-        # for bit, and from SECTOR_MIN_QUBITS on, where the checks read the
-        # blocks, the trace is summed block by block
+        # for bit, and the checks read the blocks, so the trace is summed
+        # block by block
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -701,8 +697,7 @@ class TestParityBlocks:
         assert traj.parity_blocks
         assert shapes[-1] == (2, 2 ** (n - 1), 2 ** (n - 1))
         trace_err, herm_err, min_eig = _invariants(np.array([s.rho for s in traj.states]))
-        trace_bound = TRACE_EPS * EPS if measured_on_blocks(traj) else 0.0
-        assert np.max(np.abs(traj.trace_err - trace_err)) <= trace_bound
+        assert np.max(np.abs(traj.trace_err - trace_err)) <= TRACE_EPS * EPS
         assert np.array_equal(traj.herm_err, herm_err)
         assert np.max(np.abs(traj.min_eig - min_eig)) <= 2 ** n * EPS
 
@@ -714,10 +709,10 @@ class TestParityBlocks:
         # the bounds of assert_same_trajectory plus one unit of the last
         # printed digit of either cell
         calls = spy_block_action(monkeypatch)
-        argv = ["--scenario", "custom", "--set", f"n_qubits={SECTOR_MIN_QUBITS}", "--out"]
+        argv = ["--scenario", "custom", "--set", f"n_qubits={BLOCK_MIN_QUBITS}", "--out"]
         assert main([*argv, str(tmp_path / "blocks")]) == EXIT_OK
         assert calls
-        monkeypatch.setattr(dynamics, "BLOCK_MIN_QUBITS", SECTOR_MIN_QUBITS + 1)
+        monkeypatch.setattr(dynamics, "BLOCK_MIN_QUBITS", BLOCK_MIN_QUBITS + 1)
         assert main([*argv, str(tmp_path / "dense")]) == EXIT_OK
         names = sorted(path.name for path in (tmp_path / "blocks").iterdir())
         assert names == sorted(path.name for path in (tmp_path / "dense").iterdir())
@@ -837,8 +832,8 @@ class TestEvolve:
     @pytest.mark.parametrize("n", [2, 4, 5])
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_columns_do_not_depend_on_the_output_chunks(self, monkeypatch, n, rows):
-        # full states at N = 2, blocks checked as full states at N = 4 and
-        # blocks at N = 5: with an output chunk of one, two or three states
+        # full states at N = 2 and blocks at N = 4 and 5: with an output
+        # chunk of one, two or three states
         # every column is that of one chunk for the whole grid, bit for bit
         gen = generator_for(n, 0.5, 0.25)
         grid = np.linspace(0.1, 2.0, 17)
@@ -1407,7 +1402,7 @@ class TestReversalSectors:
         # with the qubit threshold out of the way, the split runs at every N
         # (at a/lambda = 4.2703 and N = 6 the couplings differ from their
         # mirrored copies by 6.5e4 ulps of the largest entry)
-        monkeypatch.setattr(dynamics, "SECTOR_MIN_QUBITS", 1)
+        monkeypatch.setattr(dynamics, "REVERSAL_MIN_QUBITS", 1)
         for a in (0.8, 4.2703) if n >= 5 else (0.8,):
             gen = generator_for(n, a, 0.4, mode)
             assert gen.reversal_symmetric
@@ -1423,8 +1418,8 @@ class TestReversalSectors:
         assert sizes == [272, 240, 272, 240]
 
     def test_small_chain_takes_the_parity_blocks(self, monkeypatch):
-        # below SECTOR_MIN_QUBITS the split's fixed costs outweigh its gain
-        n = SECTOR_MIN_QUBITS - 1
+        # below REVERSAL_MIN_QUBITS the split's fixed costs outweigh its gain
+        n = REVERSAL_MIN_QUBITS - 1
         gen = generator_for(n, 0.5, 0.25)
         assert gen.reversal_symmetric
         sizes = block_sizes(monkeypatch)
@@ -1434,10 +1429,10 @@ class TestReversalSectors:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_layout_without_symmetry_takes_the_parity_blocks(self, monkeypatch, mode, seed):
-        gen = random_layout_generator(seed, SECTOR_MIN_QUBITS, mode)
+        gen = random_layout_generator(seed, REVERSAL_MIN_QUBITS, mode)
         sizes = block_sizes(monkeypatch)
         got = steady_state(gen).rho
-        assert sizes == [2 ** (2 * SECTOR_MIN_QUBITS - 1)] * 2
+        assert sizes == [2 ** (2 * REVERSAL_MIN_QUBITS - 1)] * 2
         gen.reversal_symmetric = False
         assert np.array_equal(got, steady_state(gen).rho)
 
@@ -1453,14 +1448,14 @@ class TestReversalSectors:
 
         monkeypatch.setattr(dynamics, "_solve_sector", zero_mode)
         with pytest.raises(DegenerateSteadyStateError):
-            steady_state(generator_for(SECTOR_MIN_QUBITS, 0.5, 0.25))
+            steady_state(generator_for(REVERSAL_MIN_QUBITS, 0.5, 0.25))
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n, seed", [(3, 0), (4, 1), (5, 2)])
     def test_wrong_reversal_claim_fails_closed(self, monkeypatch, mode, n, seed):
         # the blocks of a wrong claim drop real entries, and the residual on
         # the full action (or the degeneracy test) refuses the state
-        monkeypatch.setattr(dynamics, "SECTOR_MIN_QUBITS", 1)
+        monkeypatch.setattr(dynamics, "REVERSAL_MIN_QUBITS", 1)
         gen = random_layout_generator(seed, n, mode)
         gen.reversal_symmetric = True
         with pytest.raises((np.linalg.LinAlgError, DegenerateSteadyStateError)):
