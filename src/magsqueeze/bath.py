@@ -22,6 +22,9 @@ from .params import DRIVE_CALIBRATION_ERG_S
 
 DEFAULT_SQUEEZING_PHASE = -0.5 * np.pi  # phase of g = -i * (positive drive)
 
+#: seed panels per radian of the vacuum term's phase (see `_vacuum_term`)
+VACUUM_PANELS_PER_RADIAN = 0.25
+
 
 @dataclass(frozen=True)
 class BathState:
@@ -178,6 +181,18 @@ def _radial_weight(k, rho_cm, params):
     return pref * k ** 3 * np.exp(-2.0 * k * params.distance_cm) * bessel_j0(k * rho_cm)
 
 
+def _phase_count(lag, k_top, rho_ab, params):
+    """Radians of phase of exp(-i omega_k lag) J0(k rho_ab) over k in
+    [0, k_top], summed in Python floats, which overflow to inf without a
+    warning.  Past 2^52 rad float64 no longer resolves the phase to a radian:
+    ConfigError."""
+    n_osc = abs(lag) * float(magnon_dispersion(k_top, params)) + float(k_top) * rho_ab
+    if not n_osc <= 2.0 ** 52:
+        raise ConfigError(f"correlator phase {n_osc:.3g} rad is beyond 2^52 rad: "
+                          f"lag {lag!r} s or separation {rho_ab!r} cm too large")
+    return n_osc
+
+
 def field_correlator(kind, rho_ab, t, t_prime, params, bath, tol=1e-8):
     """Two-time stray-field correlator <B^mu_a(t) B^nu_b(t')> at separation
     rho_ab (cm), as a radial spectral integral over the magnon continuum.
@@ -188,7 +203,8 @@ def field_correlator(kind, rho_ab, t, t_prime, params, bath, tol=1e-8):
     positive film-qubit distance for ultraviolet convergence.  `tol` is the
     relative quadrature tolerance; failure raises QuadratureConvergenceError
     with the achieved estimate.  A separation that is negative or not finite,
-    a time that is not finite, or a tolerance that is not positive and finite
+    a time that is not finite, a tolerance that is not positive and finite,
+    or a lag or separation whose phase count passes 2^52 rad (`_phase_count`)
     raises ConfigError.
     """
     if kind not in FIELD_KINDS:
@@ -219,6 +235,7 @@ def field_correlator(kind, rho_ab, t, t_prime, params, bath, tol=1e-8):
         scale = abs(_radial_weight(k_q, 0.0, params)) * (k_hi - k_lo)
         return quad_adaptive(f, [k_lo, k_hi], tol * max(scale, 1e-300)).value
 
+    _phase_count(t + t_prime if kind in ("--", "++") else t - t_prime, k_hi, rho_ab, params)
     moments = pair_moments(bath.N_kq, bath.M_kq)
     if kind == "--":
         return band_part(lambda w: moments["mm"] * np.exp(1j * w * (t + t_prime)))
@@ -235,7 +252,7 @@ def field_correlator(kind, rho_ab, t, t_prime, params, bath, tol=1e-8):
             "broadband vacuum term"
         )
     tau = t - t_prime
-    vac = _vacuum_term(rho_ab, tau, params, tol)
+    vac = _vacuum_term(rho_ab, tau, params, tol).value
     if moments["mdm"] == 0.0:
         return vac
     occ_minus = band_part(lambda w: moments["mdm"] * np.exp(-1j * w * tau))
@@ -247,7 +264,9 @@ def field_correlator(kind, rho_ab, t, t_prime, params, bath, tol=1e-8):
 def _vacuum_term(rho_ab, tau, params, tol):
     """Broadband vacuum emission term of the normal correlators at separation
     rho_ab (cm) and lag tau (s): the radial weight times exp(-i omega tau)
-    over the whole continuum, cut where e^{-2kd} falls below 1e-12.
+    over the whole continuum, cut where e^{-2kd} falls below 1e-12, as the
+    whole QuadratureResult.  The seed partition has VACUUM_PANELS_PER_RADIAN
+    panels per radian of `_phase_count`, at most 200,000.
 
     It does not depend on the bath, and '-+' and '+-' share it, so it is
     memoized per process; call it with float arguments, positionally, so
@@ -260,10 +279,11 @@ def _vacuum_term(rho_ab, tau, params, tol):
         omega = magnon_dispersion(k, params)
         return _radial_weight(k, rho_ab, params) * np.exp(-1j * omega * tau)
 
-    # scale for the relative tolerance: |integrand| <= pi gamma^2 s * 3/(8 d^4)
+    # scale for the relative tolerance: the on-site, equal-time value
+    # pi gamma^2 s * 3!/(2d)^4
     vac_scale = np.pi * params.gamma_bath ** 2 * params.surface_spin_density_s * 0.375 / d ** 4
     # seed the partition from the known phase count (dispersion + Bessel)
-    n_osc = abs(tau) * magnon_dispersion(k_cut, params) + k_cut * rho_ab
-    n_panels = min(200000, int(32 + 2.0 * n_osc))
+    n_osc = _phase_count(tau, k_cut, rho_ab, params)
+    n_panels = min(200000, int(32 + VACUUM_PANELS_PER_RADIAN * n_osc))
     seed = np.linspace(0.0, k_cut, n_panels + 1)
-    return quad_adaptive(vacuum, seed, tol * vac_scale).value
+    return quad_adaptive(vacuum, seed, tol * vac_scale)

@@ -191,6 +191,11 @@ def _resonant_integral(rho_cm, params):
 _TAIL_PERIODS = 16
 _TAIL_ROUNDS = 10
 
+# The smallest separation of the exchange oracle, in units of lambda: the
+# tail's end, about 21 Bessel periods out, has a square that overflows
+# below about 1e-148 lambda
+_MIN_SEPARATION = 1e-140
+
 
 @functools.lru_cache(maxsize=256)
 def _principal_value(rho_cm, params, n_scale):
@@ -207,12 +212,14 @@ def _principal_value(rho_cm, params, n_scale):
     Camb. Phil. Soc. 52, 764 (1956)).  The tail's panels grow geometrically
     away from the pole up to a quarter period, so the node count grows only
     as log(1 / rho) at small separations.  `n_scale` multiplies panel
-    densities (used by convergence checks).  Memoized: call it with float
+    densities (used by convergence checks).  A separation below
+    _MIN_SEPARATION lambda raises ConfigError.  Memoized: call it with float
     arguments, positionally, so that equal inputs share one cache entry.
     """
-    if rho_cm <= 0:
-        raise ConfigError("exchange oracle needs a positive separation")
     k_q, _ = resonant_wavelength(params)
+    if not k_q * rho_cm >= _MIN_SEPARATION:
+        raise ConfigError("exchange oracle needs a positive separation of at least "
+                          f"{_MIN_SEPARATION:g} lambda, got {k_q * rho_cm:.3g} lambda")
     w = 0.5 * k_q
 
     def g(k):

@@ -1,10 +1,12 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magsqueeze import bath as bath_module
 from magsqueeze.bath import (
     BathState,
     _vacuum_term,
@@ -16,11 +18,13 @@ from magsqueeze.bath import (
     saw_coupling,
     squeezing_parameter,
 )
-from magsqueeze.errors import ConfigError, UnstableSqueezingError
+from magsqueeze.errors import ConfigError, QuadratureConvergenceError, UnstableSqueezingError
 from magsqueeze.params import PhysicalParams
 
 P = PhysicalParams()
 K_Q, LAMBDA = resonant_wavelength(P)
+# the vacuum term's tolerance scale: its on-site, equal-time value
+VAC_SCALE = np.pi * P.gamma_bath ** 2 * P.surface_spin_density_s * 0.375 / P.distance_cm ** 4
 
 
 class TestDispersion:
@@ -200,11 +204,7 @@ class TestFieldCorrelator:
         # tightening the tolerance by 100x moves the value by < the loose tol
         loose = field_correlator("+-", 0.4 * LAMBDA, 0.0, 1e-9, P, self.BS, tol=1e-6)
         tight = field_correlator("+-", 0.4 * LAMBDA, 0.0, 1e-9, P, self.BS, tol=1e-8)
-        scale = (
-            np.pi * P.gamma_bath ** 2 * P.surface_spin_density_s
-            * 0.375 / P.distance_cm ** 4
-        )
-        assert abs(loose - tight) < 1e-6 * scale
+        assert abs(loose - tight) < 1e-6 * VAC_SCALE
 
     def test_zero_distance_rejected_for_broadband(self):
         p0 = PhysicalParams(qubit_film_distance_d=0.0)
@@ -239,6 +239,24 @@ class TestFieldCorrelator:
         with pytest.raises(ConfigError, match=match):
             field_correlator(kind, rho, t, t_prime, P, self.BS, tol=tol)
 
+    @pytest.mark.parametrize("kind", ["-+", "--"])
+    @pytest.mark.parametrize("swept", ["lag", "separation"])
+    def test_any_magnitude_is_finite_or_refused(self, kind, swept):
+        # log-spaced up to the largest float: a finite value, ConfigError
+        # past 2^52 rad of phase, or QuadratureConvergenceError where the
+        # 200,000-panel seed cannot resolve it (near 1 s or 1 cm); never a
+        # warning, an overflow or a NaN
+        big = [0.0] + [10.0 ** e for e in range(-300, 301, 50)] + [np.finfo(float).max]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in big:
+                rho, t = (0.5 * LAMBDA, x) if swept == "lag" else (x, 1e-9)
+                try:
+                    value = field_correlator(kind, rho, t, 0.0, P, self.BS)
+                except (ConfigError, QuadratureConvergenceError):
+                    continue
+                assert np.isfinite(value), x
+
     def test_zero_dim_array_arguments(self):
         want = field_correlator("+-", 0.5 * LAMBDA, 0.0, 1e-10, P, self.BS)
         got = field_correlator(
@@ -260,10 +278,14 @@ class TestVacuumTermCache:
         assert info.maxsize is not None
 
     def test_cached_value_is_exact(self):
+        # the whole quadrature result is cached: value, error estimate and
+        # evaluation count
         _vacuum_term.cache_clear()
         cached = _vacuum_term(0.5 * LAMBDA, 1e-10, P, 1e-8)
         assert _vacuum_term(0.5 * LAMBDA, 1e-10, P, 1e-8) is cached
         assert _vacuum_term.__wrapped__(0.5 * LAMBDA, 1e-10, P, 1e-8) == cached
+        assert 0 <= cached.abs_error_estimate <= 1e-8 * VAC_SCALE
+        assert cached.evaluations > 0
 
     def test_bath_does_not_enter(self):
         # on the vacuum the correlator is the vacuum term alone
@@ -272,17 +294,16 @@ class TestVacuumTermCache:
         squeezed = field_correlator("+-", 0.5 * LAMBDA, 1e-10, 0.0, P, self.BS)
         bare = field_correlator("+-", 0.5 * LAMBDA, 1e-10, 0.0, P, vacuum)
         assert _vacuum_term.cache_info().misses == 1
-        assert bare == _vacuum_term.__wrapped__(0.5 * LAMBDA, 1e-10, P, 1e-8)
+        assert bare == _vacuum_term.__wrapped__(0.5 * LAMBDA, 1e-10, P, 1e-8).value
         assert squeezed != bare
 
-    @pytest.mark.parametrize("tau, mib", [pytest.param(1e-9, 8, id="1ns"),
-                                          pytest.param(5e-9, 24, id="5ns")])
+    @pytest.mark.parametrize("tau, mib", [pytest.param(1e-9, 4, id="1ns"),
+                                          pytest.param(1e-7, 24, id="100ns")])
     def test_cold_call_memory(self, tau, mib):
-        # the seed panels (46,588 at 1 ns, the 200,000 cap at 5 ns) are
-        # evaluated block by block and kept as a few per-panel arrays: no
-        # array over all their abscissae (64 MiB at 1 ns as one integrand
-        # call) and no per-panel Python objects (11.4 and 48.8 MiB with a
-        # heap of one tuple per panel)
+        # the seed panels (5,851 at 1 ns, the 200,000 cap at 100 ns; the cap
+        # starts near 35 ns) are evaluated block by block and kept as a few
+        # per-panel arrays: no array over all their abscissae and no
+        # per-panel Python objects.  Measured 1.2 and 14.0 MiB
         _vacuum_term.cache_clear()
         tracemalloc.start()
         try:
@@ -291,3 +312,23 @@ class TestVacuumTermCache:
         finally:
             tracemalloc.stop()
         assert peak <= mib * 2 ** 20
+
+
+class TestVacuumTermSeed:
+    """`bath.VACUUM_PANELS_PER_RADIAN` seeds the quadrature; `quad_adaptive`
+    still controls the error."""
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    @pytest.mark.parametrize("tau", [1e-9, 1e-8])
+    def test_agrees_with_a_denser_seed(self, monkeypatch, tau, rho):
+        # against a 4x denser seed (capped at 200,000 panels at 1e-8 s):
+        # measured at most 5.7e-7 of tol * VAC_SCALE at tol 1e-8, over lags
+        # 0 to 3e-8 s and separations 0 to 3 lambda; a seed of 0.01 per
+        # radian misses by 0.77 or does not converge
+        got = _vacuum_term.__wrapped__(rho * LAMBDA, tau, P, 1e-8)
+        monkeypatch.setattr(bath_module, "VACUUM_PANELS_PER_RADIAN",
+                            4 * bath_module.VACUUM_PANELS_PER_RADIAN)
+        dense = _vacuum_term.__wrapped__(rho * LAMBDA, tau, P, 1e-8)
+        assert abs(got.value - dense.value) <= 1e-4 * 1e-8 * VAC_SCALE
+        if tau == 1e-9:
+            assert got.evaluations <= 100_000  # measured 87,045 and 87,405

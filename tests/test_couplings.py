@@ -186,6 +186,22 @@ class TestOracle:
                 nudged = coupling_oracle("J", np.nextafter(rho, np.inf), P, bs, n_scale=n_scale)
                 assert abs(nudged - got) <= 1e-13 * g0
 
+    def test_exchange_at_any_small_separation(self):
+        # log-spaced down to the smallest float: within test_exchange_channel's
+        # bound, or ConfigError below couplings._MIN_SEPARATION (the tail's
+        # end overflowed below about 1e-148 lambda); never a warning
+        bs = bath_from_params(P, r_override=0.25)
+        g0 = couplings_for().gamma0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rho in [*np.logspace(-320, -6, 40), 5e-324]:
+                try:
+                    got = coupling_oracle("J", rho, P, bs)
+                except ConfigError:
+                    assert rho < 1.01 * couplings._MIN_SEPARATION, rho
+                    continue
+                assert abs(got + 0.5 * g0 * bessel_y0(rho)) <= 1e-12 * g0, rho
+
     def test_exchange_independent_of_squeezing(self):
         # clear the principal-value cache so that both values are computed
         _principal_value.cache_clear()
